@@ -16,10 +16,6 @@ from fractions import Fraction
 from .errors import InternalConsistencyError, TableMismatchError
 from .exact import Quadratic
 from .families import (
-    Asserted,
-    Explicit,
-    FromIntersectionArray,
-    FromSrg,
     SpectralDescriptor,
     SrgParams,
     gosset_descriptor,
@@ -28,53 +24,19 @@ from .families import (
     paley_descriptor,
     petersen_descriptor,
     srg_spectrum,
+    strength,
     taylor_co3_descriptor,
 )
-from .spectra import (
-    NUMERIC_SPECTRUM_TOL,
-    Spectrum,
-    blowup_transform,
-    eigen_spectrum,
-    kth_largest,
-)
+from .spectra import Spectrum, blowup_transform
 
 #: slack allowed when comparing a certified ratio against the proven ceiling
 DOMINANCE_TOL = 1e-12
 
-VERIFIED = "verified"
-EXACT_FORMULA = "exact-formula"
-ASSERTED = "asserted"
-
-
-# -- blowup spectra ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlowupSpectrum:
-    """Spectrum of the closed t-blowup of a described base graph."""
-
-    base: SpectralDescriptor
-    t: int
-    spectrum: Spectrum
-
-    @property
-    def n(self) -> int:
-        return self.base.n * self.t
-
-
-def blowup_spectrum(base: SpectralDescriptor, t: int) -> BlowupSpectrum:
-    """Apply the closed-blowup spectrum transform to a descriptor."""
-    return BlowupSpectrum(base, t, blowup_transform(base.spectrum, t))
-
-
-def kth_largest_of_blowup(base: SpectralDescriptor, t: int, k: int):
-    """k-th largest eigenvalue of the closed t-blowup, from the merged multiset."""
-    return kth_largest(blowup_spectrum(base, t).spectrum, k)
-
 
 def finite_ratio(base: SpectralDescriptor, t: int, k: int):
-    """lambda_k(G^[t]) / (n t), exact when the base spectrum is exact."""
-    lam = kth_largest_of_blowup(base, t, k)
+    """lambda_k(G^[t]) / (n t) over the whole blowup multiset, new -1s included;
+    exact when the base spectrum is exact."""
+    lam = blowup_transform(base.spectrum, t).kth(k)
     if isinstance(lam, Quadratic):
         return lam / (base.n * t)
     return float(lam) / (base.n * t)
@@ -99,7 +61,7 @@ def limit_ratio(s: Spectrum, k: int) -> LimitRatio:
     ratios are negative for every t and the supremum is 0, not attained.
     """
     n = s.n
-    lam = kth_largest(s, k)
+    lam = s.kth(k)
     if isinstance(lam, Quadratic):
         if lam > Quadratic(-1):
             return LimitRatio((lam + 1) / n, True)
@@ -164,22 +126,13 @@ class BoundCertificate:
         }
 
 
-def _verification_of(base: SpectralDescriptor) -> str:
-    p = base.provenance
-    if isinstance(p, Explicit):
-        return VERIFIED
-    if isinstance(p, (FromSrg, FromIntersectionArray)):
-        return EXACT_FORMULA
-    assert isinstance(p, Asserted)
-    return ASSERTED
-
-
 def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
     """Build a lower-bound certificate for c_k from a base descriptor.
 
-    Explicit bases are re-solved numerically and must agree with the stated
-    spectrum within 1e-8. Any ratio above the proven ceiling (k >= 2) is a
-    contradiction and raises InternalConsistencyError.
+    The certificate is as strong as the base's provenance (`strength`); the
+    base was validated when it was built and is not solved again. Any ratio
+    above the proven ceiling (k >= 2) is a contradiction and raises
+    InternalConsistencyError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -191,14 +144,7 @@ def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
             f"{base.name}: ratio {float(lr.value)} for k={k} exceeds the proven "
             f"ceiling {nikiforov_upper(k)}"
         )
-    verification = _verification_of(base)
-    if verification == VERIFIED:
-        g = base.provenance.graph
-        if not base.spectrum.allclose(eigen_spectrum(g), NUMERIC_SPECTRUM_TOL):
-            raise InternalConsistencyError(
-                f"{base.name}: stated spectrum no longer matches the eigensolver"
-            )
-    return BoundCertificate(k, base, lr.value, lr.attained, verification)
+    return BoundCertificate(k, base, lr.value, lr.attained, strength(base.provenance))
 
 
 # -- the reference table of best-known lower bounds ----------------------------------

@@ -1,10 +1,11 @@
 """Named graph families, parameter-level spectra, and spectral descriptors.
 
 A SpectralDescriptor carries a name, an order, a spectrum, and a provenance
-saying where the spectrum came from: an explicit graph (cross-checked
-against the numeric eigensolver at construction), strongly regular or
-intersection-array parameters (derived by exact formula), or a bare
-assertion with a note.
+tree saying where the spectrum came from. Its leaves are an explicit graph
+(cross-checked against the numeric eigensolver once, at construction),
+strongly regular or intersection-array parameters (derived by exact
+formula), or a bare assertion with a note; a Derived node is the union or
+closed blowup of described parts, taken at spectrum level.
 
 The module also owns the textual name grammar shared with the CLI:
 
@@ -49,37 +50,111 @@ from .spectra import (
 _MAX_DENSE_ORDER = 5000  # ceiling for graphs we will build explicitly
 
 
-# -- provenance and descriptors ----------------------------------------------
+def _check_dense_order(n: int, name: str) -> None:
+    if n > _MAX_DENSE_ORDER:
+        raise ValueError(
+            f"{name} needs a dense graph of order {n} or more, beyond the ceiling {_MAX_DENSE_ORDER}"
+        )
+
+
+# -- the provenance tree: four kinds of leaf and one Derived node ---------------
+
+VERIFIED = "verified"
+EXACT_FORMULA = "exact-formula"
+ASSERTED = "asserted"
+_STRENGTHS = (ASSERTED, EXACT_FORMULA, VERIFIED)  # weakest first
 
 
 @dataclass(frozen=True)
 class Explicit:
+    """Leaf: an adjacency matrix, checked against the stated spectrum once, at construction."""
+
     graph: Graph
+    strength = VERIFIED
+
+    def to_json_obj(self) -> dict:
+        return {"kind": "explicit", "graph6": g6_encode(self.graph)}
 
 
 @dataclass(frozen=True)
 class FromSrg:
+    """Leaf: strongly regular parameters that pass the feasibility conditions."""
+
     params: "SrgParams"
+    strength = EXACT_FORMULA
+
+    def to_json_obj(self) -> dict:
+        q = self.params
+        return {"kind": "srg", "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
 
 
 @dataclass(frozen=True)
 class FromIntersectionArray:
+    """Leaf: an intersection array with positive integer multiplicities."""
+
     array: "IntersectionArray"
+    strength = EXACT_FORMULA
+
+    def to_json_obj(self) -> dict:
+        return {"kind": "intersection-array", "b": list(self.array.b), "c": list(self.array.c)}
 
 
 @dataclass(frozen=True)
 class Asserted:
+    """Leaf: a spectrum taken on trust; only its trace and order are checked."""
+
     note: str
+    strength = ASSERTED
+
+    def to_json_obj(self) -> dict:
+        return {"kind": "asserted", "note": self.note}
+
+
+@dataclass(frozen=True)
+class Derived:
+    """Node: the disjoint union of two parts, or the closed t-blowup of one.
+
+    Its spectrum is the multiset merge of the parts' spectra, or
+    blowup_transform of the part's; no graph is built and nothing is solved.
+    """
+
+    op: str  # "union" or "blowup"
+    parts: tuple["SpectralDescriptor", ...]
+    t: int = 1
+
+    def spectrum(self) -> Spectrum:
+        if self.op == "union":
+            return Spectrum(e for d in self.parts for e in d.spectrum.entries)
+        return blowup_transform(self.parts[0].spectrum, self.t)
+
+    def to_json_obj(self) -> dict:
+        obj = {"kind": "derived", "op": self.op}
+        if self.op == "blowup":
+            obj["t"] = self.t
+        obj["parts"] = [
+            {"name": d.name, "n": d.n, "provenance": d.provenance.to_json_obj()} for d in self.parts
+        ]
+        return obj
+
+
+def strength(p) -> str:
+    """Certificate strength of a provenance: the weakest of the leaves under it."""
+    if isinstance(p, Derived):
+        return min((strength(d.provenance) for d in p.parts), key=_STRENGTHS.index)
+    return p.strength
 
 
 @dataclass(frozen=True)
 class SpectralDescriptor:
-    """A named spectrum with its order and provenance, validated on build."""
+    """A named spectrum with its order and provenance, validated once, on build.
+
+    Descriptors and graphs are immutable, so nothing downstream checks again.
+    """
 
     name: str
     n: int
     spectrum: Spectrum
-    provenance: Explicit | FromSrg | FromIntersectionArray | Asserted
+    provenance: Explicit | FromSrg | FromIntersectionArray | Asserted | Derived
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,34 +165,25 @@ class SpectralDescriptor:
             )
         if not self.spectrum.trace_is_zero():
             raise ValueError(f"{self.name}: spectrum trace is not zero")
-        if isinstance(self.provenance, Explicit):
-            g = self.provenance.graph
-            if g.n != self.n:
-                raise ValueError(f"{self.name}: graph order {g.n} != descriptor order {self.n}")
-            numeric = eigen_spectrum(g)
+        p = self.provenance
+        if isinstance(p, Explicit):
+            if p.graph.n != self.n:
+                raise ValueError(f"{self.name}: graph order {p.graph.n} != descriptor order {self.n}")
+            numeric = eigen_spectrum(p.graph)
             if not self.spectrum.allclose(numeric, NUMERIC_SPECTRUM_TOL):
                 raise ValueError(
                     f"{self.name}: stated spectrum disagrees with the eigensolver "
                     f"beyond {NUMERIC_SPECTRUM_TOL}"
                 )
-
-    def provenance_json(self) -> dict:
-        p = self.provenance
-        if isinstance(p, Explicit):
-            return {"kind": "explicit", "graph6": g6_encode(p.graph)}
-        if isinstance(p, FromSrg):
-            q = p.params
-            return {"kind": "srg", "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
-        if isinstance(p, FromIntersectionArray):
-            return {"kind": "intersection-array", "b": list(p.array.b), "c": list(p.array.c)}
-        return {"kind": "asserted", "note": p.note}
+        elif isinstance(p, Derived) and self.spectrum != p.spectrum():
+            raise ValueError(f"{self.name}: stated spectrum is not the {p.op} of its parts")
 
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
             "n": self.n,
             "spectrum": self.spectrum.to_json_obj(),
-            "provenance": self.provenance_json(),
+            "provenance": self.provenance.to_json_obj(),
         }
 
 
@@ -136,6 +202,7 @@ def asserted_descriptor(name: str, n: int, pairs, note: str) -> SpectralDescript
 
 
 def complete_descriptor(n: int) -> SpectralDescriptor:
+    _check_dense_order(n, f"complete:{n}")
     pairs = [(Quadratic(n - 1), 1)]
     if n > 1:
         pairs.append((Quadratic(-1), n - 1))
@@ -156,24 +223,24 @@ _SMALL_CYCLE_SPECTRA = {
 
 def cycle_descriptor(n: int) -> SpectralDescriptor:
     """Cycle spectrum; exact through n = 6, numeric beyond (roots stop being quadratic)."""
-    g = cycle(n)
-    return explicit_descriptor(g, f"cycle:{n}", _SMALL_CYCLE_SPECTRA.get(n))
+    _check_dense_order(n, f"cycle:{n}")
+    return explicit_descriptor(cycle(n), f"cycle:{n}", _SMALL_CYCLE_SPECTRA.get(n))
 
 
 def johnson(m: int, r: int = 2) -> Graph:
-    """Johnson graph on r-subsets of an m-set, adjacent when they share r-1 elements."""
+    """Johnson graph on r-subsets of an m-set, adjacent when they share r-1 elements.
+
+    Vertices are the subsets in lexicographic order. With M the subset-by-element
+    incidence matrix, (M M^T)[i, j] counts the elements subsets i and j share.
+    """
     if r < 1 or m < 2 * r:
         raise ValueError("johnson graph needs 1 <= r and m >= 2r")
-    n = math.comb(m, r)
-    if n > _MAX_DENSE_ORDER:
-        raise ValueError(f"johnson({m},{r}) has order {n}, beyond the dense-size ceiling")
-    verts = [frozenset(c) for c in combinations(range(m), r)]
-    a = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if len(verts[i] & verts[j]) == r - 1:
-                a[i, j] = a[j, i] = True
-    return Graph(a)
+    # C(m, r) >= m, so a huge m is refused before its binomial is formed
+    _check_dense_order(m if m > _MAX_DENSE_ORDER else math.comb(m, r), f"johnson({m},{r})")
+    subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
+    inc = np.zeros((len(subsets), m), dtype=np.int32)
+    np.put_along_axis(inc, subsets, 1, axis=1)
+    return Graph(inc @ inc.T == r - 1)
 
 
 def johnson_descriptor(m: int, r: int = 2) -> SpectralDescriptor:
@@ -242,6 +309,7 @@ def paley(q: int) -> Graph:
     if q == 9:
         k3 = complete(3)
         return cartesian_product(k3, k3)
+    _check_dense_order(q, f"paley({q})")
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError(f"paley({q}): q must be 9 or a prime congruent to 1 mod 4")
     squares = {(x * x) % q for x in range(1, q)}
@@ -283,30 +351,30 @@ class SrgParams:
 def srg_spectrum(p: SrgParams) -> SpectralDescriptor:
     """Exact spectrum from strongly regular parameters.
 
-    The non-principal eigenvalues are ((lam-mu) +- sqrt(D))/2 with
+    The non-principal eigenvalues are r, s = ((lam-mu) +- sqrt(D))/2 with
     D = (lam-mu)^2 + 4(k-mu). Square D gives integer eigenvalues with
-    multiplicities from the standard counting formula; non-square D is the
-    conference case and requires 2k + (v-1)(lam-mu) = 0.
+    multiplicities f, g from the standard counting formula; non-square D is
+    the conference case and requires 2k + (v-1)(lam-mu) = 0. Primitive
+    parameters must also pass the two Krein conditions and the absolute
+    bound (Delsarte, Goethals and Seidel 1975), compared exactly.
     """
     v, k, lam, mu = p.v, p.k, p.lam, p.mu
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     if disc <= 0:
         raise InfeasibleSrgParameters(f"degenerate discriminant {disc}")
-    s, f = squarefree_split(disc)
+    root, sqfree = squarefree_split(disc)
     diff_term = 2 * k + (v - 1) * (lam - mu)
-    pairs: list[tuple[Quadratic, int]] = [(Quadratic(k), 1)]
-    if f == 1:
-        theta = Quadratic(Fraction(lam - mu + s, 2))
-        tau = Quadratic(Fraction(lam - mu - s, 2))
+    if sqfree == 1:
+        r = Quadratic(Fraction(lam - mu + root, 2))
+        s = Quadratic(Fraction(lam - mu - root, 2))
         half = Fraction(v - 1, 2)
-        corr = Fraction(diff_term, 2 * s)
-        for val, mult in ((theta, half - corr), (tau, half + corr)):
+        corr = Fraction(diff_term, 2 * root)
+        f, g = half - corr, half + corr
+        for val, mult in ((r, f), (s, g)):
             if mult.denominator != 1 or mult < 0:
                 raise InfeasibleSrgParameters(
                     f"multiplicity {mult} for eigenvalue {val} is not a nonnegative integer"
                 )
-            if mult:
-                pairs.append((val, int(mult)))
     else:
         if diff_term != 0:
             raise InfeasibleSrgParameters(
@@ -314,12 +382,26 @@ def srg_spectrum(p: SrgParams) -> SpectralDescriptor:
             )
         if (v - 1) % 2:
             raise InfeasibleSrgParameters("conference parameters need odd v")
-        half_m = (v - 1) // 2
-        theta = Quadratic(Fraction(lam - mu, 2), Fraction(1, 2), disc)
-        tau = Quadratic(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
-        pairs += [(theta, half_m), (tau, half_m)]
-    name = f"srg:{v},{k},{lam},{mu}"
-    return SpectralDescriptor(name, v, Spectrum(pairs), FromSrg(p))
+        r = Quadratic(Fraction(lam - mu, 2), Fraction(1, 2), disc)
+        s = Quadratic(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
+        f = g = (v - 1) // 2
+    f, g = int(f), int(g)
+    # Absolute bound and Krein conditions (see Brouwer and Van Maldeghem,
+    # Strongly Regular Graphs, CUP 2022). They hold for primitive graphs only:
+    # a union of cliques or a complete multipartite graph fails the bound.
+    if 0 < mu < k < v - 1:
+        for name, m in (("f", f), ("g", g)):
+            if 2 * v > m * (m + 3):
+                raise InfeasibleSrgParameters(
+                    f"absolute bound fails: v={v} > {name}({name}+3)/2 = {m * (m + 3) // 2}"
+                )
+        for x, y in ((r, s), (s, r)):
+            if (x + 1) * (k + x + 2 * r * s) > (k + x) * (y + 1) * (y + 1):
+                raise InfeasibleSrgParameters(
+                    f"Krein condition fails: (x+1)(k+x+2rs) > (k+x)(y+1)^2 for x={x}, y={y}"
+                )
+    pairs = [(Quadratic(k), 1)] + [(val, mult) for val, mult in ((r, f), (s, g)) if mult]
+    return SpectralDescriptor(f"srg:{v},{k},{lam},{mu}", v, Spectrum(pairs), FromSrg(p))
 
 
 # -- intersection arrays -------------------------------------------------------
@@ -512,31 +594,32 @@ def taylor_co3_descriptor() -> SpectralDescriptor:
 
 def union_descriptor(a: SpectralDescriptor, b: SpectralDescriptor) -> SpectralDescriptor:
     """Disjoint union: spectra merge as multisets, orders add."""
-    name = f"union:{a.name}+{b.name}"
-    pairs = list(a.spectrum.entries) + list(b.spectrum.entries)
-    if isinstance(a.provenance, Explicit) and isinstance(b.provenance, Explicit):
-        g = disjoint_union(a.provenance.graph, b.provenance.graph)
-        return SpectralDescriptor(name, g.n, Spectrum(pairs), Explicit(g))
-    prov = Asserted(f"disjoint union of {a.name} and {b.name} at spectrum level")
-    return SpectralDescriptor(name, a.n + b.n, Spectrum(pairs), prov)
-
-
-def complement_descriptor(a: SpectralDescriptor) -> SpectralDescriptor:
-    if not isinstance(a.provenance, Explicit):
-        raise ValueError(f"complement needs an explicit graph, got {a.name}")
-    g = complement(a.provenance.graph)
-    return explicit_descriptor(g, f"complement:{a.name}")
+    node = Derived("union", (a, b))
+    return SpectralDescriptor(f"union:{a.name}+{b.name}", a.n + b.n, node.spectrum(), node)
 
 
 def blowup_descriptor(a: SpectralDescriptor, t: int) -> SpectralDescriptor:
-    """Closed t-blowup at descriptor level; explicit bases stay explicit."""
-    spectrum = blowup_transform(a.spectrum, t)
-    name = f"blowup:{a.name},{t}"
-    if isinstance(a.provenance, Explicit):
-        g = closed_blowup_graph(a.provenance.graph, t)
-        return SpectralDescriptor(name, g.n, spectrum, Explicit(g))
-    prov = Asserted(f"closed {t}-blowup of {a.name} at spectrum level")
-    return SpectralDescriptor(name, a.n * t, spectrum, prov)
+    """Closed t-blowup, by the spectrum transform (checked by `blowup verify`)."""
+    node = Derived("blowup", (a,), t)
+    return SpectralDescriptor(f"blowup:{a.name},{t}", a.n * t, node.spectrum(), node)
+
+
+def _graph(d: SpectralDescriptor) -> Graph:
+    """The graph a descriptor with only explicit leaves describes."""
+    p = d.provenance
+    if isinstance(p, Explicit):
+        return p.graph
+    graphs = [_graph(part) for part in p.parts]
+    return disjoint_union(*graphs) if p.op == "union" else closed_blowup_graph(graphs[0], p.t)
+
+
+def complement_descriptor(a: SpectralDescriptor) -> SpectralDescriptor:
+    """Complement of a graph built from the tree; only explicit leaves are verified."""
+    if strength(a.provenance) != VERIFIED:
+        raise ValueError(f"complement needs an explicit graph, got {a.name}")
+    name = f"complement:{a.name}"
+    _check_dense_order(a.n, name)
+    return explicit_descriptor(complement(_graph(a)), name)
 
 
 # -- name grammar ----------------------------------------------------------------

@@ -71,9 +71,6 @@ class Graph:
     def matrix(self, dtype=np.float64) -> np.ndarray:
         return self._adj.astype(dtype)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._adj[i, j])
-
     def triangle_count(self) -> int:
         a = self._adj.astype(np.int64)
         return int(np.trace(a @ a @ a)) // 6

@@ -37,10 +37,6 @@ def _as_value(v):
     raise TypeError(f"unsupported eigenvalue type {type(v).__name__}")
 
 
-def value_to_float(v) -> float:
-    return float(v)
-
-
 class Spectrum:
     """Descending multiset of eigenvalues, exact or float."""
 
@@ -95,10 +91,6 @@ class Spectrum:
             out[pos : pos + m] = float(v)
             pos += m
         return out
-
-    def spectral_radius(self) -> float:
-        vals = self.float_values()
-        return float(np.abs(vals).max())
 
     def power_sum(self, p: int) -> float:
         return float(math.fsum((float(v) ** p) * m for v, m in self.entries))
@@ -176,11 +168,6 @@ class Spectrum:
 
     def __repr__(self):
         return f"Spectrum({self.display()})"
-
-
-def kth_largest(s: Spectrum, k: int):
-    """k-th largest eigenvalue of a spectrum, counted with multiplicity."""
-    return s.kth(k)
 
 
 def blowup_transform(s: Spectrum, t: int) -> Spectrum:

@@ -1,0 +1,33 @@
+"""The public names, and the names the benchmark's tracer patches, resolve.
+
+bench/blowbench/tracing.py looks each traced name up with no fallback, so a
+rename in the package would otherwise only show up as a failed traced run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import blowup
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "blowbench" / "tracing.py"
+
+
+def test_all_names_resolve():
+    missing = [name for name in blowup.__all__ if not hasattr(blowup, name)]
+    assert missing == []
+
+
+def test_bench_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("blowbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for modname, attr in tracing.FUNCTION_SPANS.values():
+        if not callable(getattr(importlib.import_module(modname), attr, None)):
+            missing.append(f"{modname}.{attr}")
+    for modname, clsname, attr in [*tracing.METHOD_SPANS.values(), *tracing.COUNTED_METHODS.values()]:
+        cls = getattr(importlib.import_module(modname), clsname, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{modname}.{clsname}.{attr}")
+    assert missing == []

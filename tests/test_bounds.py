@@ -4,16 +4,15 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blowup import bounds
 from blowup.bounds import (
     asymptotic_lower,
     best_known_ratio,
-    blowup_spectrum,
     certify,
     finite_ratio,
-    kth_largest_of_blowup,
     limit_ratio,
     nikiforov_upper,
     reference_lower,
@@ -23,16 +22,32 @@ from blowup.errors import InternalConsistencyError, TableMismatchError
 from blowup.exact import Quadratic
 from blowup.families import (
     asserted_descriptor,
+    blowup_descriptor,
     complete_descriptor,
     cycle_descriptor,
     gosset_descriptor,
     icosahedron_descriptor,
     johnson_descriptor,
+    parse_expression,
 )
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Orders of the matrices handed to numpy.linalg.eigvalsh during a test."""
+    orders = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return orders
+
+
 def test_blowup_spectrum_icosahedron():
-    b = blowup_spectrum(icosahedron_descriptor(), 2)
+    b = blowup_descriptor(icosahedron_descriptor(), 2)
     assert b.n == 24
     assert b.spectrum.entries == (
         (Quadratic(11), 1),
@@ -44,17 +59,17 @@ def test_blowup_spectrum_icosahedron():
 
 def test_blowup_t1_identity():
     d = icosahedron_descriptor()
-    assert blowup_spectrum(d, 1).spectrum == d.spectrum
+    assert blowup_descriptor(d, 1).spectrum == d.spectrum
 
 
-def test_kth_largest_of_blowup_merges_new_minus_ones():
+def test_finite_ratio_merges_new_minus_ones():
     # C4: {2, 0, 0, -2} -> t=2 gives {5, 1, 1, -3} plus four fresh -1s.
     # The 4th largest of the merged multiset is -1, NOT the transform of
     # the base 4th eigenvalue (which would be -3).
     d = cycle_descriptor(4)
-    assert kth_largest_of_blowup(d, 2, 4) == Quadratic(-1)
-    assert kth_largest_of_blowup(d, 2, 8) == Quadratic(-3)
-    assert kth_largest_of_blowup(d, 2, 2) == Quadratic(1)
+    assert finite_ratio(d, 2, 4) == Quadratic(Fraction(-1, 8))
+    assert finite_ratio(d, 2, 8) == Quadratic(Fraction(-3, 8))
+    assert finite_ratio(d, 2, 2) == Quadratic(Fraction(1, 8))
 
 
 def test_finite_ratio_monotone_in_t():
@@ -117,6 +132,29 @@ def test_certify_gosset_matches_johnson_at_8():
     b = certify(gosset_descriptor(), 8)
     assert a.ratio == b.ratio == Quadratic(Fraction(5, 28))
     assert b.verification == "exact-formula"
+
+
+def test_certify_derived_strength_is_weakest_leaf():
+    for expr, k, want in [
+        ("union:srg:57,24,11,9+complete:3", 2, "exact-formula"),
+        ("blowup:gosset,7", 8, "exact-formula"),
+        ("blowup:johnson:16,2,10", 5, "verified"),
+        ("union:petersen+blowup:drg:3,2;1,1,2", 3, "exact-formula"),
+    ]:
+        assert certify(parse_expression(expr), k).verification == want, expr
+
+
+def test_validate_once_solve_counts(solves):
+    # each explicit base is solved once, where its descriptor is built
+    reproduce_table()
+    assert len(solves) == 14
+    solves.clear()
+    cert = certify(parse_expression("blowup:johnson:16,2,10"), 5)
+    assert solves == [120]
+    assert cert.ratio == Quadratic(Fraction(13, 120))
+    solves.clear()
+    certify(parse_expression("union:petersen+icosahedron"), 3)
+    assert sorted(solves) == [10, 12]
 
 
 def test_certify_range_checks():

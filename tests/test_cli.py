@@ -85,6 +85,37 @@ def test_bound_json(capsys):
     assert obj["t"] == "sup"
 
 
+def test_bound_json_derived_provenance(capsys):
+    code, out, _ = run(capsys, "bound", "--json", "blowup:gosset,7", "--k", "8")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verification"] == "exact-formula"
+    assert obj["descriptor"]["provenance"] == {
+        "kind": "derived", "op": "blowup", "t": 7,
+        "parts": [{"name": "gosset", "n": 56, "provenance": {
+            "kind": "intersection-array", "b": [27, 10, 1], "c": [1, 10, 27]}}],
+    }
+
+
+def test_dense_order_ceiling(capsys):
+    # refused before any allocation; spectrum-level blowups need no graph
+    for argv in (["spectrum", "complete:100000"], ["spectrum", "cycle:100000"],
+                 ["spectrum", "paley:1000000000000000009"],
+                 ["spectrum", "complement:blowup:petersen,1000"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "ceiling" in err
+    code, out, _ = run(capsys, "bound", "blowup:petersen,10000", "--k", "2")
+    assert code == 0
+    assert "n=100000" in out
+
+
+def test_infeasible_srg_exits_two(capsys):
+    code, _, err = run(capsys, "bound", "srg:28,9,0,4", "--k", "2")
+    assert code == 2
+    assert "absolute bound" in err
+
+
 def test_bound_unattained_message(capsys):
     code, out, _ = run(capsys, "bound", "complete:5", "--k", "2")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from blowup.errors import (
 from blowup.exact import Quadratic
 from blowup.families import (
     Asserted,
+    Derived,
     Explicit,
     IntersectionArray,
+    SpectralDescriptor,
     SrgParams,
     blowup_descriptor,
     complement_descriptor,
@@ -34,10 +37,11 @@ from blowup.families import (
     petersen,
     petersen_descriptor,
     srg_spectrum,
+    strength,
     taylor_co3_descriptor,
     union_descriptor,
 )
-from blowup.graphs import complement, complete, disjoint_union, g6_encode
+from blowup.graphs import closed_blowup_graph, complement, complete, disjoint_union, g6_encode
 from blowup.spectra import eigen_spectrum
 
 
@@ -64,18 +68,33 @@ def test_johnson_7_2_entries():
     assert d.spectrum.kth(7) == Quadratic(3)
 
 
+def johnson_by_pairs(m, r):
+    """Reference adjacency: compare every pair of r-subsets directly."""
+    verts = [frozenset(c) for c in combinations(range(m), r)]
+    a = np.zeros((len(verts), len(verts)), dtype=bool)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if len(verts[i] & verts[j]) == r - 1:
+                a[i, j] = a[j, i] = True
+    return a
+
+
 def test_johnson_triple_subsets():
-    # r = 3: three eigenvalue formula levels plus the valency
-    d = johnson_descriptor(7, 3)
-    assert d.n == math.comb(7, 3)
-    numeric = eigen_spectrum(johnson(7, 3))
-    assert d.spectrum.allclose(numeric)
+    # r = 3 and 4: more eigenvalue formula levels plus the valency
+    for m, r in ((7, 3), (9, 3), (12, 3), (10, 4)):
+        d = johnson_descriptor(m, r)
+        assert d.n == math.comb(m, r)
+        g = johnson(m, r)
+        assert np.array_equal(g.adj, johnson_by_pairs(m, r))
+        assert d.spectrum.allclose(eigen_spectrum(g))
 
 
 def test_johnson_general_against_eigensolver():
-    for m in range(4, 10):
+    for m in list(range(4, 10)) + [16]:
         d = johnson_descriptor(m, 2)
-        assert d.spectrum.allclose(eigen_spectrum(johnson(m, 2)))
+        g = johnson(m, 2)
+        assert np.array_equal(g.adj, johnson_by_pairs(m, 2))
+        assert d.spectrum.allclose(eigen_spectrum(g))
         assert d.n == m * (m - 1) // 2
 
 
@@ -84,6 +103,11 @@ def test_johnson_rejects():
         johnson(3, 2)
     with pytest.raises(ValueError):
         johnson(4, 0)
+    # beyond the dense-order ceiling, refused before C(m, r) is formed
+    with pytest.raises(ValueError, match="ceiling"):
+        johnson(101, 2)
+    with pytest.raises(ValueError, match="ceiling"):
+        johnson(10**6, 5 * 10**5)
 
 
 # -- fixed graphs ------------------------------------------------------------
@@ -195,6 +219,22 @@ def test_srg_moment_identities():
         assert second == Quadratic(v * k)
 
 
+def test_srg_feasibility_conditions():
+    # srg(28,9,0,4) passes counting and integrality, but g = 6 gives the
+    # absolute bound g(g+3)/2 = 27 < 28
+    with pytest.raises(InfeasibleSrgParameters, match="absolute bound"):
+        srg_spectrum(SrgParams(28, 9, 0, 4))
+    # r = 2, s = -15: (s+1)(k+s+2rs) = 336 > (k+s)(r+1)^2 = 324
+    with pytest.raises(InfeasibleSrgParameters, match="Krein"):
+        srg_spectrum(SrgParams(154, 51, 8, 21))
+    # graphs that exist: the table's three, Clebsch, Schlaefli (absolute
+    # bound tight at 27 = 27), Paley 13 (conference), and imprimitive ones
+    # (2 K3, K_{3,3}) that the primitive-only conditions must not reject
+    for params in [(57, 24, 11, 9), (125, 72, 45, 36), (243, 132, 81, 60), (16, 5, 0, 2),
+                   (27, 16, 10, 8), (13, 6, 2, 3), (6, 2, 1, 0), (6, 3, 0, 3)]:
+        assert srg_spectrum(SrgParams(*params)).n == params[0]
+
+
 def test_srg_conference_rejections():
     # counting identity holds but the conference condition fails
     with pytest.raises(InfeasibleSrgParameters):
@@ -288,17 +328,23 @@ def test_taylor_co3():
 def test_union_descriptor_explicit():
     d = union_descriptor(petersen_descriptor(), complete_descriptor(3))
     assert d.n == 13
-    assert isinstance(d.provenance, Explicit)
+    assert isinstance(d.provenance, Derived)
+    assert strength(d.provenance) == "verified"
     assert d.spectrum.kth(1) == Quadratic(3)
     assert d.spectrum.kth(2) == Quadratic(2)
+    assert d.provenance.to_json_obj()["parts"][1] == {
+        "name": "complete:3", "n": 3, "provenance": {"kind": "explicit", "graph6": "Bw"}}
 
 
 def test_union_descriptor_asserted_operand():
+    d = union_descriptor(taylor_co3_descriptor(), complete_descriptor(2))
+    assert d.n == 554
+    assert strength(d.provenance) == "asserted"
+    assert d.spectrum.kth(1) == Quadratic(275)
+    # a formula operand is weaker than an explicit one, stronger than an asserted one
     srg = srg_spectrum(SrgParams(57, 24, 11, 9))
-    d = union_descriptor(srg, complete_descriptor(2))
-    assert d.n == 59
-    assert isinstance(d.provenance, Asserted)
-    assert d.spectrum.kth(1) == Quadratic(24)
+    assert strength(union_descriptor(srg, complete_descriptor(2)).provenance) == "exact-formula"
+    assert strength(union_descriptor(srg, d).provenance) == "asserted"
 
 
 def test_complement_descriptor():
@@ -308,13 +354,25 @@ def test_complement_descriptor():
     assert isinstance(d.provenance, Explicit)
     with pytest.raises(ValueError):
         complement_descriptor(srg_spectrum(SrgParams(57, 24, 11, 9)))
+    # a derived tree with explicit leaves is built into a graph first
+    tree = union_descriptor(blowup_descriptor(petersen_descriptor(), 2), complete_descriptor(3))
+    want = complement(disjoint_union(closed_blowup_graph(petersen(), 2), complete(3)))
+    assert complement_descriptor(tree).provenance.graph == want
+    with pytest.raises(ValueError, match="explicit"):
+        complement_descriptor(blowup_descriptor(gosset_descriptor(), 2))
 
 
 def test_blowup_descriptor():
     d = blowup_descriptor(cycle_descriptor(5), 2)
     assert d.n == 10
-    assert isinstance(d.provenance, Explicit)
+    assert isinstance(d.provenance, Derived)
+    assert strength(d.provenance) == "verified"
     assert d.spectrum.kth(1) == Quadratic(5)
+    assert d.provenance.to_json_obj()["t"] == 2
+    # a derived spectrum must be the one its parts give
+    wrong = blowup_descriptor(cycle_descriptor(5), 3).spectrum
+    with pytest.raises(ValueError, match="blowup of its parts"):
+        SpectralDescriptor("broken", 15, wrong, Derived("blowup", (complete_descriptor(5),), 3))
 
 
 # -- grammar -----------------------------------------------------------------------

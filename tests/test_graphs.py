@@ -31,8 +31,8 @@ def test_graph_validation():
 def test_from_edges():
     g = Graph.from_edges(4, [(0, 1), (1, 0), (2, 3)])  # duplicate collapses
     assert g.edge_count == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert g.adj[0, 1] and g.adj[1, 0]
+    assert not g.adj[0, 2]
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -82,8 +82,8 @@ def test_disjoint_union():
     g = disjoint_union(complete(3), complete(2))
     assert g.n == 5
     assert g.edge_count == 4
-    assert g.has_edge(0, 1) and g.has_edge(3, 4)
-    assert not g.has_edge(2, 3)
+    assert g.adj[0, 1] and g.adj[3, 4]
+    assert not g.adj[2, 3]
 
 
 def test_complement():

@@ -13,7 +13,6 @@ from blowup.spectra import (
     Spectrum,
     blowup_transform,
     eigen_spectrum,
-    kth_largest,
     spectrum_invariant_checks,
 )
 
@@ -45,17 +44,16 @@ def test_spectrum_ordering_and_merge():
 
 def test_kth_counts_multiplicity():
     s = Spectrum.from_floats([5.0, 2.0, 2.0, -1.0])
-    assert kth_largest(s, 1) == 5.0
-    assert kth_largest(s, 2) == 2.0
-    assert kth_largest(s, 3) == 2.0
-    assert kth_largest(s, 4) == -1.0
+    assert s.kth(1) == 5.0
+    assert s.kth(2) == 2.0
+    assert s.kth(3) == 2.0
+    assert s.kth(4) == -1.0
 
 
 def test_eigen_spectrum_complete():
     s = eigen_spectrum(complete(6))
     expect = [5.0] + [-1.0] * 5
     assert np.allclose(s.float_values(), expect, atol=1e-10)
-    assert s.spectral_radius() == pytest.approx(5.0)
 
 
 def test_eigen_spectrum_cycles_analytic():
