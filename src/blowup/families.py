@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,7 @@ from .spectra import (
     Spectrum,
     blowup_transform,
     eigen_spectrum,
+    eigenvalues,
 )
 
 _MAX_DENSE_ORDER = 5000  # ceiling for graphs we will build explicitly
@@ -71,6 +73,11 @@ class Explicit:
 
     graph: Graph
     strength = VERIFIED
+
+    @cached_property
+    def numeric(self) -> Spectrum:
+        """The eigensolver's spectrum of the graph, solved on first use only."""
+        return eigen_spectrum(self.graph)
 
     def to_json_obj(self) -> dict:
         return {"kind": "explicit", "graph6": g6_encode(self.graph)}
@@ -169,8 +176,7 @@ class SpectralDescriptor:
         if isinstance(p, Explicit):
             if p.graph.n != self.n:
                 raise ValueError(f"{self.name}: graph order {p.graph.n} != descriptor order {self.n}")
-            numeric = eigen_spectrum(p.graph)
-            if not self.spectrum.allclose(numeric, NUMERIC_SPECTRUM_TOL):
+            if not self.spectrum.allclose(p.numeric, NUMERIC_SPECTRUM_TOL):
                 raise ValueError(
                     f"{self.name}: stated spectrum disagrees with the eigensolver "
                     f"beyond {NUMERIC_SPECTRUM_TOL}"
@@ -189,8 +195,9 @@ class SpectralDescriptor:
 
 def explicit_descriptor(g: Graph, name: str, exact_pairs=None) -> SpectralDescriptor:
     """Descriptor for a concrete graph; exact_pairs overrides the numeric spectrum."""
-    spectrum = Spectrum(exact_pairs) if exact_pairs is not None else eigen_spectrum(g)
-    return SpectralDescriptor(name, g.n, spectrum, Explicit(g))
+    leaf = Explicit(g)
+    spectrum = Spectrum(exact_pairs) if exact_pairs is not None else leaf.numeric
+    return SpectralDescriptor(name, g.n, spectrum, leaf)
 
 
 def asserted_descriptor(name: str, n: int, pairs, note: str) -> SpectralDescriptor:
@@ -515,20 +522,27 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
     """Exact spectrum from an intersection array.
 
     Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
-    matrix: integer roots are found by exact scan, a residual quadratic
-    factor yields a conjugate surd pair, and higher degree residuals fall
-    back to numeric roots. Multiplicities must come out as positive
-    integers (exactly for exact eigenvalues, within 1e-6 after rounding for
-    numeric ones) or the array is rejected.
+    matrix. It is similar to the symmetric tridiagonal matrix with
+    off-diagonals sqrt(b_i c_{i+1}) > 0, so its d+1 roots are real and
+    distinct. Each solved root is rounded and kept as an integer root only
+    if the characteristic polynomial vanishes there exactly; a residual
+    quadratic factor yields a conjugate surd pair, and higher degree
+    residuals fall back to numeric roots. Multiplicities must come out as
+    positive integers (exactly for exact eigenvalues, within 1e-6 after
+    rounding for numeric ones) or the array is rejected.
     """
     n = arr.n
-    b0 = arr.b[0]
+    _check_dense_order(arr.diameter + 1, f"drg of diameter {arr.diameter}")
+    off = np.sqrt([float(b * c) for b, c in zip(arr.b, arr.c)])
+    diag = [float(arr.a(i)) for i in range(arr.diameter + 1)]
+    sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     poly = _intersection_charpoly(arr)
     roots: list[object] = []
-    for r in range(b0, -b0 - 1, -1):
-        if _poly_eval(poly, Fraction(r)) == 0:
+    for x in eigenvalues(sym)[::-1]:
+        r = Fraction(round(float(x)))
+        if _poly_eval(poly, r) == 0:
             roots.append(Quadratic(r))
-            poly = _poly_deflate(poly, Fraction(r))
+            poly = _poly_deflate(poly, r)
     deg = len(poly) - 1
     if deg == 1:
         roots.append(Quadratic(-poly[1]))

@@ -3,12 +3,16 @@
 Three strategies: exhaustive enumeration over all labeled graphs on up to
 8 vertices (8 needs an explicit acknowledgment flag), a streaming maximum
 over externally supplied graph6 lines, and seeded local search (hill climb
-or simulated annealing) over edge toggles.
+or simulated annealing) over edge toggles. All of them score graphs with
+one evaluator, `_ratio`, over `spectra.eigenvalues`, and pick witnesses by
+one order, `_witness_key`.
 
 Determinism: a (seed, config) pair gives byte-identical results within one
-build. The generator is numpy's PCG64 behind default_rng. Ties are broken
-by higher ratio first, then lexicographically smallest graph6 string, so
-chunked and serial scans agree.
+build. The generator is numpy's PCG64 behind default_rng. The best ratio
+and the improvement history follow the float maximum. The witness is the
+lexicographically smallest graph6 string among the graphs whose ratios
+equal that maximum to 12 decimals: relabelings of one graph differ by
+solver noise of about 1e-16, so chunked, serial and reordered scans agree.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GraphParseError, InternalConsistencyError, NumericError
+from .errors import GraphParseError, InternalConsistencyError
 from .bounds import nikiforov_upper
-from .graphs import Graph, g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
-from .spectra import eigen_spectrum
+from .graphs import g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
+from .spectra import eigen_spectrum, eigenvalues
 
 #: seed used when the caller does not provide one
 DEFAULT_SEED = 1729
@@ -30,8 +34,10 @@ DEFAULT_SEED = 1729
 #: slack for comparisons against proven or open thresholds
 THRESHOLD_TOL = 1e-9
 
-EXHAUSTIVE_FREE_MAX = 7
 EXHAUSTIVE_HARD_MAX = 8
+
+#: ratios equal to this many decimals tie for the witness
+_TIE_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,32 @@ class SearchResult:
         }
 
 
-def _ratio_of_graph(g: Graph, k: int) -> float:
-    lam = float(eigen_spectrum(g).kth(k))
-    return max(0.0, (lam + 1.0) / g.n)
+def _ratio(a: np.ndarray, k: int):
+    """max(0, (lambda_k + 1)/n) of an adjacency matrix, or of each in a stack."""
+    n = a.shape[-1]
+    lam = eigenvalues(a, n - k)
+    if lam.ndim:
+        return np.maximum(0.0, (lam + 1.0) / n)
+    return max(0.0, (float(lam) + 1.0) / n)
+
+
+def _witness_key(ratio: float, label) -> tuple:
+    """Witness order: the higher ratio to 12 decimals first, then the smaller label.
+
+    The label is the graph6 string or, among graphs of one order, the edge
+    mask read as a number in graph6 bit order, which sorts the same way.
+    Python's round is used for numpy scalars too; numpy's own may differ.
+    """
+    return (-round(float(ratio), _TIE_DECIMALS), label)
+
+
+def _best_run(runs: Iterable[SearchResult]) -> SearchResult | None:
+    return min(runs, key=lambda r: _witness_key(r.best_ratio, r.best_graph), default=None)
 
 
 def _self_check(result: SearchResult) -> SearchResult:
     """Recompute the witness ratio and enforce the proven ceiling."""
-    g = g6_decode(result.best_graph)
-    again = _ratio_of_graph(g, result.k)
+    again = _ratio(g6_decode(result.best_graph).matrix(), result.k)
     if abs(again - result.best_ratio) > 1e-12:
         raise InternalConsistencyError(
             f"witness ratio drifted: stored {result.best_ratio}, recomputed {again}"
@@ -113,13 +136,19 @@ def _self_check(result: SearchResult) -> SearchResult:
 # -- exhaustive enumeration ------------------------------------------------------
 
 
-def exhaustive_max(k: int, n: int, allow_large: bool = False, chunk: int = 1 << 16) -> SearchResult:
+#: labeled graphs per batched eigensolve
+_CHUNK = 1 << 16
+
+#: every graph tied with a chunk's maximum lies this close below it
+_TIE_WINDOW = 1e-11
+
+
+def exhaustive_max(k: int, n: int, allow_large: bool = False) -> SearchResult:
     """Maximum limit ratio over every labeled graph on n vertices.
 
     Free up to n = 7 (2^21 graphs); n = 8 costs 2^28 eigensolves and must be
-    acknowledged with allow_large=True; larger n is refused. The edge masks
-    follow graph6 bit order, so the tie-break (smallest graph6 string among
-    equal ratios) is a plain integer comparison on bit-reversed masks.
+    acknowledged with allow_large=True; larger n is refused. Edge mask bit e
+    is graph6 bit e, so the witness label is the mask with its bits reversed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,58 +164,37 @@ def exhaustive_max(k: int, n: int, allow_large: bool = False, chunk: int = 1 << 
     total = 1 << m
     ii, jj = triu_pair_arrays(n)
     shifts = np.arange(m, dtype=np.uint64)
-    revshifts = np.arange(m - 1, -1, -1, dtype=np.uint64) if m else shifts
+    label_shifts = shifts[::-1]
 
     best_ratio = -math.inf
-    best_rank = 0
-    best_mask = 0
+    best_key = (math.inf, 0)
     history: list[tuple[int, float]] = []
 
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        if m:
-            bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-        else:
-            bits = np.zeros((len(masks), 0))
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+        bits = (masks[:, None] >> shifts) & np.uint64(1)
         a = np.zeros((len(masks), n, n))
-        if m:
-            a[:, ii, jj] = bits
-            a[:, jj, ii] = bits
-        try:
-            w = np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as e:
-            raise NumericError(f"batched eigensolver failed: {e}") from e
-        ratios = np.maximum(0.0, (w[:, n - k] + 1.0) / n)
+        a[:, ii, jj] = bits
+        a[:, jj, ii] = bits
+        ratios = _ratio(a, k)
         mx = float(ratios.max())
-        if mx < best_ratio:
-            continue
-        cand = np.nonzero(ratios == mx)[0]
-        if m:
-            ranks = ((bits[cand].astype(np.uint64)) << revshifts).sum(axis=1)
-        else:
-            ranks = np.zeros(len(cand), dtype=np.uint64)
-        pick = int(cand[np.argmin(ranks)])
-        rank = int(ranks[np.argmin(ranks)])
         if mx > best_ratio:
-            first = int(cand[0])
-            history.append((start + first + 1, mx))
-            best_ratio, best_rank, best_mask = mx, rank, int(masks[pick])
-        elif rank < best_rank:
-            best_rank, best_mask = rank, int(masks[pick])
+            best_ratio = mx
+            history.append((start + int(ratios.argmax()) + 1, mx))
+        near = np.flatnonzero(ratios >= mx - _TIE_WINDOW)
+        labels = (bits[near] << label_shifts).sum(axis=1)
+        # in label order, the first graph tied with the chunk's maximum is its witness
+        top = _witness_key(mx, 0)[0]
+        for j in np.argsort(labels):
+            key = _witness_key(ratios[near[j]], int(labels[j]))
+            if key[0] == top:
+                break
+        best_key = min(best_key, key)
 
-    edge_bits = (np.uint64(best_mask) >> shifts) & np.uint64(1) if m else np.zeros(0, np.uint64)
-    witness = g6_encode_bits(n, np.asarray(edge_bits, dtype=np.uint8))
-    result = SearchResult(
-        best_ratio=best_ratio,
-        best_graph=witness,
-        evaluations=total,
-        k=k,
-        n=n,
-        seed=None,
-        method="exhaustive",
-        history=tuple(history),
-    )
+    edge_bits = (np.uint64(best_key[1]) >> label_shifts) & np.uint64(1)
+    witness = g6_encode_bits(n, edge_bits.astype(np.uint8))
+    result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=total,
+                          k=k, n=n, seed=None, method="exhaustive", history=tuple(history))
     return _self_check(result)
 
 
@@ -205,7 +213,8 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
         raise ValueError("k must be >= 1")
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    best: tuple[float, str] | None = None
+    best_ratio = -math.inf
+    best_key = (math.inf, "")
     evaluations = 0
     skipped = 0
     history: list[tuple[int, float]] = []
@@ -219,31 +228,23 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
             g = g6_decode(text)
             if g.n < k:
                 raise GraphParseError(f"graph has n={g.n} < k={k}")
-            ratio = _ratio_of_graph(g, k)
         except (GraphParseError, ValueError) as e:
             if on_error == "skip":
                 skipped += 1
                 continue
             raise GraphParseError(f"line {lineno}: {e}") from None
         evaluations += 1
-        canon = g6_encode(g)
-        key = (-ratio, canon)
-        if best is None or key < (-best[0], best[1]):
-            if best is None or ratio > best[0]:
-                history.append((evaluations, ratio))
-            best = (ratio, canon)
-    if best is None:
+        ratio = _ratio(g.matrix(), k)
+        if ratio > best_ratio:
+            best_ratio = ratio
+            history.append((evaluations, ratio))
+        # the empty label sorts first: a line that loses even with it cannot win
+        if _witness_key(ratio, "") < best_key:
+            best_key = min(best_key, _witness_key(ratio, g6_encode(g)))
+    if not evaluations:
         raise ValueError(f"empty stream: no usable graphs ({skipped} skipped)")
-    result = SearchResult(
-        best_ratio=best[0],
-        best_graph=best[1],
-        evaluations=evaluations,
-        k=k,
-        n=None,
-        seed=None,
-        method="stream",
-        history=tuple(history),
-    )
+    result = SearchResult(best_ratio=best_ratio, best_graph=best_key[1], evaluations=evaluations,
+                          k=k, n=None, seed=None, method="stream", history=tuple(history))
     return _self_check(result)
 
 
@@ -270,11 +271,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     def objective(state: np.ndarray) -> float:
         a[ii, jj] = state
         a[jj, ii] = state
-        try:
-            w = np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as e:
-            raise NumericError(f"eigensolver failed during search: {e}") from e
-        return max(0.0, (float(w[n - k]) + 1.0) / n)
+        return _ratio(a, k)
 
     evaluations = 0
     best_ratio = -math.inf
@@ -322,16 +319,8 @@ def local_search(cfg: SearchConfig) -> SearchResult:
 
     assert best_state is not None
     witness = g6_encode_bits(n, best_state.astype(np.uint8))
-    result = SearchResult(
-        best_ratio=best_ratio,
-        best_graph=witness,
-        evaluations=evaluations,
-        k=k,
-        n=n,
-        seed=cfg.seed,
-        method=cfg.method,
-        history=tuple(history),
-    )
+    result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=evaluations,
+                          k=k, n=n, seed=cfg.seed, method=cfg.method, history=tuple(history))
     return _self_check(result)
 
 
@@ -350,9 +339,7 @@ class CampaignReport:
 
     @property
     def best(self) -> SearchResult | None:
-        if not self.per_n:
-            return None
-        return min(self.per_n, key=lambda r: (-r.best_ratio, r.best_graph))
+        return _best_run(self.per_n)
 
     def to_json_obj(self) -> dict:
         best = self.best
@@ -385,8 +372,8 @@ def c3_campaign(
             local_search(SearchConfig(k=3, n=n, method="anneal", seed=s, budget=budget, restarts=restarts))
             for s in seeds
         ]
-        best_per_n.append(min(runs, key=lambda r: (-r.best_ratio, r.best_graph)))
-    overall = min(best_per_n, key=lambda r: (-r.best_ratio, r.best_graph)) if best_per_n else None
+        best_per_n.append(_best_run(runs))
+    overall = _best_run(best_per_n)
     exceeded = overall is not None and overall.best_ratio > C3_THRESHOLD + THRESHOLD_TOL
     witness = None
     if exceeded:

@@ -11,6 +11,7 @@ from pathlib import Path
 import blowup
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "blowbench" / "tracing.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowup"
 
 
 def test_all_names_resolve():
@@ -31,3 +32,11 @@ def test_bench_traced_names_resolve():
         if cls is None or attr not in vars(cls):
             missing.append(f"{modname}.{clsname}.{attr}")
     assert missing == []
+
+
+def test_one_eigensolver_call_site():
+    # The tracer counts solves by patching numpy.linalg.eigvalsh; a solver
+    # bound under another name, or called elsewhere, would escape its counts.
+    uses = {p.name: p.read_text().count("eigvalsh") for p in PACKAGE.rglob("*.py")}
+    assert {name: count for name, count in uses.items() if count} == {"spectra.py": 1}
+    assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1

@@ -145,9 +145,10 @@ def test_certify_derived_strength_is_weakest_leaf():
 
 
 def test_validate_once_solve_counts(solves):
-    # each explicit base is solved once, where its descriptor is built
+    # each explicit base is solved once, where its descriptor is built; the
+    # table also solves gosset's 4x4 intersection matrix to locate its roots
     reproduce_table()
-    assert len(solves) == 14
+    assert len(solves) == 15 and solves.count(4) == 1
     solves.clear()
     cert = certify(parse_expression("blowup:johnson:16,2,10"), 5)
     assert solves == [120]
@@ -155,6 +156,11 @@ def test_validate_once_solve_counts(solves):
     solves.clear()
     certify(parse_expression("union:petersen+icosahedron"), 3)
     assert sorted(solves) == [10, 12]
+    # a leaf without an exact spectrum reads its one numeric solve twice
+    for expr, want in [("cycle:9", [9]), ("g6:Ch", [4]), ("complement:petersen", [10, 10])]:
+        solves.clear()
+        parse_expression(expr)
+        assert solves == want, expr
 
 
 def test_certify_range_checks():

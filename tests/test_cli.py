@@ -101,7 +101,8 @@ def test_dense_order_ceiling(capsys):
     # refused before any allocation; spectrum-level blowups need no graph
     for argv in (["spectrum", "complete:100000"], ["spectrum", "cycle:100000"],
                  ["spectrum", "paley:1000000000000000009"],
-                 ["spectrum", "complement:blowup:petersen,1000"]):
+                 ["spectrum", "complement:blowup:petersen,1000"],
+                 ["spectrum", "drg:2" + ",1" * 5000 + ";" + ",".join(["1"] * 5001)]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "ceiling" in err

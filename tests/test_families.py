@@ -1,6 +1,7 @@
 """Named families, parameter-determined spectra, and the expression grammar."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -306,6 +307,13 @@ def test_drg_johnson_7_2_array():
     # J(7,2) as a distance regular graph: {10, 4; 1, 4}
     d = drg_spectrum(IntersectionArray((10, 4), (1, 4)))
     assert exact_entries(d) == exact_entries(johnson_descriptor(7, 2))
+
+
+def test_drg_root_search_is_not_a_scan_over_b0():
+    t0 = time.perf_counter()
+    d = parse_expression("drg:1000000000;1")
+    assert time.perf_counter() - t0 < 1.0
+    assert exact_entries(d) == ((Quadratic(10**9), 1), (Quadratic(-1), 10**9))
 
 
 # -- asserted row -----------------------------------------------------------------
