@@ -10,6 +10,7 @@ proven ceiling 1/(2*sqrt(k-1)); a violation is a solver bug and raises.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,14 @@ from .families import (
     strength,
     taylor_co3_descriptor,
 )
-from .spectra import Spectrum, blowup_transform
+from .graphs import closed_blowup_graph, random_graph
+from .spectra import (
+    NUMERIC_SPECTRUM_TOL,
+    Spectrum,
+    blowup_transform,
+    eigen_spectrum,
+    spectrum_invariant_checks,
+)
 
 #: slack allowed when comparing a certified ratio against the proven ceiling
 DOMINANCE_TOL = 1e-12
@@ -98,6 +106,11 @@ def asymptotic_lower(k: int) -> float:
 # -- certificates -------------------------------------------------------------------
 
 
+def ratio_json(ratio: Quadratic | float) -> dict:
+    """{"exact": its exact form or None, "float": its value} for a ratio."""
+    return {"exact": str(ratio) if isinstance(ratio, Quadratic) else None, "float": float(ratio)}
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A certified lower bound c_k >= ratio obtained from one base descriptor."""
@@ -111,16 +124,11 @@ class BoundCertificate:
     def ratio_float(self) -> float:
         return float(self.ratio)
 
-    def ratio_exact_str(self) -> str | None:
-        if isinstance(self.ratio, Quadratic):
-            return str(self.ratio)
-        return None
-
     def to_json_obj(self) -> dict:
         return {
             "k": self.k,
             "descriptor": self.base.to_json_obj(),
-            "ratio": {"exact": self.ratio_exact_str(), "float": self.ratio_float()},
+            "ratio": ratio_json(self.ratio),
             "attained": self.attained,
             "verification": self.verification,
         }
@@ -248,3 +256,71 @@ def reproduce_table(k_lo: int = TABLE_K_MIN, k_hi: int = TABLE_K_MAX) -> list[Ta
     if bad:
         raise TableMismatchError(f"table rows {bad} disagree with the reference values", rows)
     return rows
+
+
+# -- self-checks ----------------------------------------------------------------------
+#
+# `blowup verify` runs these cross-checks; the acceptance gate asserts on the
+# same functions.
+
+
+def blowup_residual() -> float:
+    """Worst gap between analytic and eigensolved closed-blowup spectra.
+
+    The inputs are acceptance criterion 4's: 50 graphs G(n, 1/2) with n in
+    2..10 drawn from random.Random(20260818), each blown up with t = 1, 2, 3.
+    """
+    rng = random.Random(20260818)
+    worst = 0.0
+    for _ in range(50):
+        g = random_graph(rng.randint(2, 10), rng)
+        base = eigen_spectrum(g)
+        for t in (1, 2, 3):
+            analytic = blowup_transform(base, t).float_values()
+            numeric = eigen_spectrum(closed_blowup_graph(g, t)).float_values()
+            worst = max(worst, float(abs(analytic - numeric).max()))
+    return worst
+
+
+def _family_spectra():
+    # building an explicit descriptor checks it against the eigensolver
+    fams = [icosahedron_descriptor(), petersen_descriptor()]
+    fams += [johnson_descriptor(m, 2) for m in range(4, 17)]
+    fams += [paley_descriptor(q) for q in (5, 9, 13)]
+    return True, f"{len(fams)} families agree within {NUMERIC_SPECTRUM_TOL}"
+
+
+def _blowups():
+    worst = blowup_residual()
+    return worst <= 1e-8, f"max residual {worst:.2e}"
+
+
+def _power_sums():
+    rng = random.Random(8128)
+    graphs = [random_graph(rng.randint(2, 12), rng) for _ in range(100)]
+    bad = sum(not spectrum_invariant_checks(g, eigen_spectrum(g)) for g in graphs)
+    return bad == 0, f"{bad} failures of 100"
+
+
+def _table_rows():
+    return True, f"{len(reproduce_table())} rows match"
+
+
+_SELF_CHECKS = (
+    ("family spectra vs eigensolver", _family_spectra),
+    ("analytic vs numeric closed blowups", _blowups),
+    ("power sum identities", _power_sums),
+    ("reference table rows 4..24", _table_rows),
+)
+
+
+def self_checks() -> list[tuple[str, bool, str]]:
+    """Run every cross-check as (name, ok, detail); one that raises counts as failed."""
+    results = []
+    for name, fn in _SELF_CHECKS:
+        try:
+            ok, detail = fn()
+        except Exception as e:  # noqa: BLE001 - a self-check must report, not crash
+            ok, detail = False, f"{type(e).__name__}: {e}"
+        results.append((name, ok, detail))
+    return results

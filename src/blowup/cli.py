@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bounds as B
 from . import search as S
 from .errors import (
@@ -25,10 +23,8 @@ from .errors import (
     NumericError,
     TableMismatchError,
 )
-from .exact import Quadratic
 from .families import parse_expression
-from .graphs import g6_decode
-from .spectra import NUMERIC_SPECTRUM_TOL, Spectrum, eigen_spectrum, spectrum_invariant_checks
+from .spectra import Spectrum
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -92,19 +88,14 @@ def cmd_bound(args) -> int:
         ratio = B.finite_ratio(desc, t, k)
         attained = True
         t_label = str(t)
+    rendered = B.ratio_json(ratio)
     if args.json:
         obj = cert.to_json_obj()
-        obj["t"] = t_label
-        if t_label != "sup":
-            obj["ratio"] = {
-                "exact": str(ratio) if isinstance(ratio, Quadratic) else None,
-                "float": float(ratio),
-            }
-            obj["attained"] = True
+        obj.update(ratio=rendered, attained=attained, t=t_label)
         print(json.dumps(obj))
     else:
-        exact = str(ratio) if isinstance(ratio, Quadratic) else None
-        shown = f"{exact} ~ {_sig6(float(ratio))}" if exact else _sig6(float(ratio))
+        exact, value = rendered["exact"], _sig6(rendered["float"])
+        shown = f"{exact} ~ {value}" if exact else value
         head = f"c_{k} >=" if t_label == "sup" else f"blowup t={t_label} ratio for k={k}:"
         print(f"{head} {shown}")
         print(f"base: {desc.name} (n={desc.n})  verification: {cert.verification}")
@@ -156,14 +147,6 @@ def cmd_table(args) -> int:
 # -- search -----------------------------------------------------------------
 
 
-def _exceedance_threshold(k: int) -> float | None:
-    """Open threshold at k=3, recorded best ratio for table rows, else None."""
-    if k == 3:
-        return S.C3_THRESHOLD
-    best = B.best_known_ratio(k)
-    return float(best) if best is not None else None
-
-
 def cmd_search(args) -> int:
     if args.method == "stream":
         if args.g6_file == "-":
@@ -190,28 +173,19 @@ def cmd_search(args) -> int:
         )
         result = S.local_search(cfg)
 
-    threshold = _exceedance_threshold(args.k)
-    exceeded = threshold is not None and result.best_ratio > threshold + S.THRESHOLD_TOL
-    payload = result.to_json_obj()
-    payload["threshold"] = threshold
-    payload["exceeded"] = exceeded
+    payload, witness = S.exceedance(result)
     if args.json:
         print(json.dumps(payload))
     else:
         print(f"best ratio {result.best_ratio!r} at k={result.k} after {result.evaluations} evaluations")
         print(f"witness graph6: {result.best_graph}")
-        if threshold is not None:
-            rel = "EXCEEDS" if exceeded else "does not exceed"
-            print(f"{rel} the reference threshold {_sig6(threshold)}")
-    if exceeded:
+        if payload["threshold"] is not None:
+            rel = "EXCEEDS" if witness else "does not exceed"
+            print(f"{rel} the reference threshold {_sig6(payload['threshold'])}")
+    if witness:
         path = f"witness_k{args.k}.json"
-        g = g6_decode(result.best_graph)
-        block = {
-            "result": payload,
-            "spectrum": eigen_spectrum(g).to_json_obj(),
-        }
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(block, fh, indent=2)
+            json.dump(witness, fh, indent=2)
         print(f"witness written to {path}", file=sys.stderr)
         return EXIT_EXCEEDED
     return EXIT_OK
@@ -220,78 +194,8 @@ def cmd_search(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _check_family_spectra():
-    from .families import (
-        icosahedron_descriptor,
-        johnson_descriptor,
-        paley_descriptor,
-        petersen_descriptor,
-    )
-
-    # building an explicit descriptor checks it against the eigensolver
-    fams = [icosahedron_descriptor(), petersen_descriptor()]
-    fams += [johnson_descriptor(m, 2) for m in range(4, 17)]
-    fams += [paley_descriptor(q) for q in (5, 9, 13)]
-    return True, f"{len(fams)} families agree within {NUMERIC_SPECTRUM_TOL}"
-
-
-def _check_blowups():
-    from .graphs import Graph, closed_blowup_graph
-    from .spectra import blowup_transform
-
-    rng = np.random.default_rng(20240314)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(4, 11))
-        a = np.triu(rng.random((n, n)) < 0.5, 1)
-        g = Graph(a | a.T)
-        base = eigen_spectrum(g)
-        for t in (1, 2, 3):
-            analytic = blowup_transform(base, t).float_values()
-            numeric = eigen_spectrum(closed_blowup_graph(g, t)).float_values()
-            worst = max(worst, float(np.max(np.abs(analytic - numeric))))
-    return worst <= 1e-8, f"max residual {worst:.2e}"
-
-
-def _check_power_sums():
-    from .graphs import Graph
-
-    rng = np.random.default_rng(8128)
-    bad = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 13))
-        a = np.triu(rng.random((n, n)) < 0.5, 1)
-        g = Graph(a | a.T)
-        if not spectrum_invariant_checks(g, eigen_spectrum(g)).ok:
-            bad += 1
-    return bad == 0, f"{bad} failures of 100"
-
-
-def _check_table():
-    rows = B.reproduce_table()
-    return True, f"{len(rows)} rows match"
-
-
-_VERIFY_CHECKS = (
-    ("family spectra vs eigensolver", _check_family_spectra),
-    ("analytic vs numeric closed blowups", _check_blowups),
-    ("power sum identities", _check_power_sums),
-    ("reference table rows 4..24", _check_table),
-)
-
-
-def _verify_checks():
-    """Yield (name, ok, detail); a check that raises counts as failed."""
-    for name, fn in _VERIFY_CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as e:  # noqa: BLE001 - verify must report, not crash
-            ok, detail = False, f"{type(e).__name__}: {e}"
-        yield (name, ok, detail)
-
-
 def cmd_verify(args) -> int:
-    results = list(_verify_checks())
+    results = B.self_checks()
     ok = all(r[1] for r in results)
     if args.json:
         print(

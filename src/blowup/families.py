@@ -524,12 +524,13 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
     Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
     matrix. It is similar to the symmetric tridiagonal matrix with
     off-diagonals sqrt(b_i c_{i+1}) > 0, so its d+1 roots are real and
-    distinct. Each solved root is rounded and kept as an integer root only
-    if the characteristic polynomial vanishes there exactly; a residual
-    quadratic factor yields a conjugate surd pair, and higher degree
-    residuals fall back to numeric roots. Multiplicities must come out as
-    positive integers (exactly for exact eigenvalues, within 1e-6 after
-    rounding for numeric ones) or the array is rejected.
+    distinct. A solved root within 1e-6 of an integer at which the
+    characteristic polynomial vanishes exactly is kept as that integer; the
+    window keeps a near root (0.196 beside 0 in C_64) from taking its place.
+    A residual quadratic factor yields a conjugate surd pair, and a higher
+    degree residual keeps the other solved roots as floats. Multiplicities
+    must come out as positive integers (exactly for exact eigenvalues,
+    within 1e-6 after rounding for numeric ones) or the array is rejected.
     """
     n = arr.n
     _check_dense_order(arr.diameter + 1, f"drg of diameter {arr.diameter}")
@@ -538,11 +539,14 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
     sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     poly = _intersection_charpoly(arr)
     roots: list[object] = []
-    for x in eigenvalues(sym)[::-1]:
-        r = Fraction(round(float(x)))
-        if _poly_eval(poly, r) == 0:
+    numeric: list[float] = []
+    for x in map(float, eigenvalues(sym)[::-1]):
+        r = Fraction(round(x))
+        if abs(x - r) <= 1e-6 and _poly_eval(poly, r) == 0:
             roots.append(Quadratic(r))
             poly = _poly_deflate(poly, r)
+        else:
+            numeric.append(x)
     deg = len(poly) - 1
     if deg == 1:
         roots.append(Quadratic(-poly[1]))
@@ -554,8 +558,7 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
         roots.append(Quadratic(-bq / 2, Fraction(1, 2), int(disc)))
         roots.append(Quadratic(-bq / 2, Fraction(-1, 2), int(disc)))
     elif deg >= 3:
-        coeffs = [float(co) for co in poly]
-        roots.extend(float(x) for x in np.roots(coeffs).real)
+        roots.extend(numeric)
 
     pairs = []
     total_mult = 0

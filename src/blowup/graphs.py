@@ -61,13 +61,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self._adj.sum()) // 2
 
-    def degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1).astype(np.int64)
-
-    def is_regular(self) -> bool:
-        d = self.degrees()
-        return bool((d == d[0]).all())
-
     def matrix(self, dtype=np.float64) -> np.ndarray:
         return self._adj.astype(dtype)
 
@@ -117,6 +110,13 @@ def empty(n: int) -> Graph:
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
     return Graph(np.zeros((n, n), dtype=bool))
+
+
+def random_graph(n: int, rng) -> Graph:
+    """G(n, 1/2) from a random.Random: pair (i, j), i < j, in row order is an
+    edge when rng.random() < 0.5."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
 
 
 # -- combinators ------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import bounds
 from .errors import GraphParseError, InternalConsistencyError
-from .bounds import nikiforov_upper
 from .graphs import g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
 from .spectra import eigen_spectrum, eigenvalues
 
@@ -34,10 +34,16 @@ DEFAULT_SEED = 1729
 #: slack for comparisons against proven or open thresholds
 THRESHOLD_TOL = 1e-9
 
+#: the open threshold at k = 3: no graph is known with a ratio above 1/3
+C3_THRESHOLD = 1.0 / 3.0
+
 EXHAUSTIVE_HARD_MAX = 8
 
 #: ratios equal to this many decimals tie for the witness
 _TIE_DECIMALS = 12
+
+#: consecutive rejections after which a local-search phase restarts
+_STALL = 5000
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,6 @@ class SearchConfig:
     restarts: int = 10
     t0: float = 0.05
     cooling: float = 0.999
-    stall: int = 5000
 
     def __post_init__(self):
         if self.k < 1:
@@ -63,8 +68,8 @@ class SearchConfig:
             raise ValueError("local search is desk-scale: n <= 64")
         if self.method not in ("hillclimb", "anneal"):
             raise ValueError(f"unknown method '{self.method}'")
-        if self.budget < 1 or self.restarts < 0 or self.stall < 1:
-            raise ValueError("budget and stall must be positive, restarts nonnegative")
+        if self.budget < 1 or self.restarts < 0:
+            raise ValueError("budget must be positive, restarts nonnegative")
         if not (0 < self.cooling <= 1) or self.t0 <= 0:
             raise ValueError("need 0 < cooling <= 1 and t0 > 0")
 
@@ -125,12 +130,39 @@ def _self_check(result: SearchResult) -> SearchResult:
         raise InternalConsistencyError(
             f"witness ratio drifted: stored {result.best_ratio}, recomputed {again}"
         )
-    if result.k >= 2 and result.best_ratio > nikiforov_upper(result.k) + THRESHOLD_TOL:
+    if result.k >= 2 and result.best_ratio > bounds.nikiforov_upper(result.k) + THRESHOLD_TOL:
         raise InternalConsistencyError(
             f"search ratio {result.best_ratio} for k={result.k} exceeds the proven "
-            f"ceiling {nikiforov_upper(result.k)}; diagnostics: graph6={result.best_graph}"
+            f"ceiling {bounds.nikiforov_upper(result.k)}; diagnostics: graph6={result.best_graph}"
         )
     return result
+
+
+def _threshold(k: int) -> float | None:
+    """The open 1/3 at k = 3, the recorded ratio for table rows, else None."""
+    if k == 3:
+        return C3_THRESHOLD
+    # read through the module, so a patched bounds.best_known_ratio is seen
+    best = bounds.best_known_ratio(k)
+    return float(best) if best is not None else None
+
+
+def exceedance(result: SearchResult) -> tuple[dict, dict | None]:
+    """Judge a result against its threshold.
+
+    Returns the result's JSON with "threshold" and "exceeded" added, and,
+    when the ratio beats the threshold by more than THRESHOLD_TOL, the
+    witness block {"result": that JSON, "spectrum": the witness's numeric
+    spectrum}; otherwise None.
+    """
+    threshold = _threshold(result.k)
+    payload = result.to_json_obj()
+    payload["threshold"] = threshold
+    payload["exceeded"] = threshold is not None and result.best_ratio > threshold + THRESHOLD_TOL
+    if not payload["exceeded"]:
+        return payload, None
+    spectrum = eigen_spectrum(g6_decode(result.best_graph)).to_json_obj()
+    return payload, {"result": payload, "spectrum": spectrum}
 
 
 # -- exhaustive enumeration ------------------------------------------------------
@@ -257,7 +289,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     Each phase starts from a fresh random graph. Annealing accepts a
     worsening move of size delta < 0 with probability exp(delta/T), cooling
     geometrically on every acceptance; the hill climb accepts only strict
-    improvements. A phase restarts after cfg.stall consecutive rejections,
+    improvements. A phase restarts after _STALL consecutive rejections,
     up to cfg.restarts extra phases, within a total evaluation budget. The
     result is never below the best initial state encountered.
     """
@@ -289,7 +321,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
             history.append((evaluations, current))
         temp = cfg.t0
         rejections = 0
-        while evaluations < cfg.budget and rejections < cfg.stall:
+        while evaluations < cfg.budget and rejections < _STALL:
             if m == 0:
                 break
             e = int(rng.integers(m))
@@ -326,20 +358,21 @@ def local_search(cfg: SearchConfig) -> SearchResult:
 
 # -- the k = 3 campaign -----------------------------------------------------------------
 
-C3_THRESHOLD = 1.0 / 3.0
-
 
 @dataclass(frozen=True)
 class CampaignReport:
     """Outcome of an annealing sweep hunting for a ratio above 1/3 at k = 3."""
 
     per_n: tuple[SearchResult, ...]
-    exceeded: bool
     witness: dict | None
 
     @property
     def best(self) -> SearchResult | None:
         return _best_run(self.per_n)
+
+    @property
+    def exceeded(self) -> bool:
+        return self.witness is not None
 
     def to_json_obj(self) -> dict:
         best = self.best
@@ -361,9 +394,9 @@ def c3_campaign(
 ) -> CampaignReport:
     """Anneal for lambda_3 across several orders; flag any ratio above 1/3.
 
-    Returns the best run per n and, if the open threshold 1/3 is beaten by
-    more than 1e-9, a witness block with the graph6 string, the numeric
-    spectrum, and the recomputed ratio. An empty ns gives an empty report.
+    Returns the best run per n and, if the best of them beats the open
+    threshold, the witness block of `exceedance`. An empty ns gives an empty
+    report.
     """
     seeds = tuple(seeds)
     best_per_n: list[SearchResult] = []
@@ -374,15 +407,4 @@ def c3_campaign(
         ]
         best_per_n.append(_best_run(runs))
     overall = _best_run(best_per_n)
-    exceeded = overall is not None and overall.best_ratio > C3_THRESHOLD + THRESHOLD_TOL
-    witness = None
-    if exceeded:
-        g = g6_decode(overall.best_graph)
-        witness = {
-            "graph6": overall.best_graph,
-            "n": g.n,
-            "ratio": overall.best_ratio,
-            "spectrum": eigen_spectrum(g).to_json_obj(),
-            "seed": overall.seed,
-        }
-    return CampaignReport(tuple(best_per_n), exceeded, witness)
+    return CampaignReport(tuple(best_per_n), exceedance(overall)[1] if overall else None)

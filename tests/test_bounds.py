@@ -115,7 +115,7 @@ def test_certify_icosahedron():
     assert c.attained
     assert c.verification == "verified"
     assert abs(c.ratio_float() - 0.26967) < 1e-5
-    assert c.ratio_exact_str() == "1/12+1/12*sqrt(5)"
+    assert c.to_json_obj()["ratio"]["exact"] == "1/12+1/12*sqrt(5)"
 
 
 def test_certify_johnson_row_formula():

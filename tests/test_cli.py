@@ -274,3 +274,5 @@ def test_verify_json(capsys):
     obj = json.loads(out)
     assert obj["ok"] is True
     assert len(obj["checks"]) == 4
+    # the blowup check is acceptance criterion 4's residual
+    assert obj["checks"][1]["detail"] == f"max residual {bounds.blowup_residual():.2e}"

@@ -117,7 +117,7 @@ def test_johnson_rejects():
 def test_icosahedron():
     g = icosahedron()
     assert g.n == 12 and g.edge_count == 30
-    assert g.is_regular() and g.degrees()[0] == 5
+    assert (g.adj.sum(axis=1) == 5).all()
     d = icosahedron_descriptor()
     assert exact_entries(d) == (
         (Quadratic(5), 1),
@@ -148,7 +148,7 @@ def test_paley_prime():
     for q in (5, 13, 17):
         g = paley(q)
         assert g.n == q
-        assert g.is_regular() and g.degrees()[0] == (q - 1) // 2
+        assert (g.adj.sum(axis=1) == (q - 1) // 2).all()
         d = paley_descriptor(q)
         assert d.spectrum.allclose(eigen_spectrum(g))
 
@@ -296,6 +296,18 @@ def test_drg_float_branch_c7():
     assert not d.spectrum.is_exact
     expect = sorted((2 * math.cos(2 * math.pi * j / 7) for j in range(7)), reverse=True)
     assert np.allclose(d.spectrum.float_values(), expect, atol=1e-8)
+
+
+def test_drg_large_cycles_match_cosines():
+    # residuals of degree up to 100; in C_64 the float root 2 sin(pi/32) = 0.196
+    # lies next to the integer root 0 and must not take its place
+    for n in (59, 64, 200, 201):
+        d = n // 2
+        c = (1,) * (d - 1) + ((1,) if n % 2 else (2,))
+        desc = drg_spectrum(IntersectionArray((2,) + (1,) * (d - 1), c))
+        assert desc.n == n
+        expect = sorted((2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
+        assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12), n
 
 
 def test_drg_complete_graph_array():

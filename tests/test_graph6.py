@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blowup.errors import GraphParseError
-from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode
+from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph
 
 
 def nx_roundtrip_encode(g: Graph) -> str:
@@ -16,11 +16,6 @@ def nx_roundtrip_encode(g: Graph) -> str:
     ii, jj = np.nonzero(np.triu(g.adj, 1))
     h.add_edges_from(zip(ii.tolist(), jj.tolist()))
     return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
-
-
-def random_graph(n: int, rng: random.Random) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    return Graph.from_edges(n, edges)
 
 
 def test_fixed_vectors():
@@ -70,6 +65,18 @@ def test_long_form_order():
     assert s.startswith("~")
     assert g6_decode(s) == g
     assert s == nx_roundtrip_encode(g)
+
+
+def test_order_field_boundary_against_networkx():
+    # 62 is the last order with a 1-byte field, 63 the first with the 4-byte one
+    rng = random.Random(6263)
+    for n, head in ((62, chr(62 + 63)), (63, "~??~")):
+        for _ in range(5):
+            g = random_graph(n, rng)
+            s = g6_encode(g)
+            assert s.startswith(head)
+            assert s == nx_roundtrip_encode(g)
+            assert g6_decode(s) == g
 
 
 def test_decode_errors_carry_offsets():

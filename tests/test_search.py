@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from blowup import search
 from blowup.cli import EXIT_NUMERIC, main
 from blowup.errors import GraphParseError, NumericError
 from blowup.graphs import Graph, complete, g6_decode, g6_encode
@@ -234,6 +235,15 @@ def test_c3_campaign_small():
     obj = rep.to_json_obj()
     assert obj["threshold"] == pytest.approx(1 / 3)
     assert obj["exceeded"] is False
+
+
+def test_c3_campaign_witness_block(monkeypatch):
+    # the campaign writes the same witness block as `blowup search`
+    monkeypatch.setattr(search, "C3_THRESHOLD", 0.1)
+    rep = c3_campaign(ns=(6,), seeds=(1729,), budget=200, restarts=0)
+    assert rep.exceeded
+    assert rep.witness["result"] == {**rep.best.to_json_obj(), "threshold": 0.1, "exceeded": True}
+    assert sum(e["mult"] for e in rep.witness["spectrum"]) == 6
 
 
 def test_c3_campaign_empty():
