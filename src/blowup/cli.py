@@ -157,7 +157,7 @@ def cmd_search(args) -> int:
     elif args.method == "exhaustive":
         if args.n is None:
             raise ValueError("exhaustive search needs --n")
-        result = S.exhaustive_max(args.k, args.n, allow_large=args.allow_n8)
+        result = S.exhaustive_max(args.k, args.n)
     else:
         if args.n is None:
             raise ValueError("local search needs --n")
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--cooling", type=float, default=0.999)
     qp.add_argument("--g6-file", help="graph6 lines for --method stream, '-' for stdin")
     qp.add_argument("--on-error", choices=("raise", "skip"), default="raise")
-    qp.add_argument("--allow-n8", action="store_true", help="acknowledge 2^28 eigensolves at n=8")
     qp.add_argument("--json", action="store_true")
     qp.set_defaults(func=cmd_search)
 

@@ -470,37 +470,15 @@ class IntersectionArray:
         return "drg:" + ",".join(map(str, self.b)) + ";" + ",".join(map(str, self.c))
 
 
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for co in p:
-        acc = acc * x + co
-    return acc
+def _charpoly_at(arr: IntersectionArray, x: int) -> int:
+    """The intersection matrix's characteristic polynomial at an integer x.
 
-
-def _poly_deflate(p: list[Fraction], r: Fraction) -> list[Fraction]:
-    q = [p[0]]
-    for co in p[1:-1]:
-        q.append(co + r * q[-1])
-    return q
-
-
-def _intersection_charpoly(arr: IntersectionArray) -> list[Fraction]:
-    """Characteristic polynomial (descending, monic) of the tridiagonal intersection matrix."""
-    d = arr.diameter
-    prev = [Fraction(1)]
-    cur = [Fraction(1), Fraction(0)]  # x - a0 with a0 = 0
-    for i in range(1, d + 1):
-        ai = Fraction(arr.a(i))
-        bc = Fraction(arr.b[i - 1] * arr.c[i - 1])
-        shifted = cur + [Fraction(0)]
-        nxt = list(shifted)
-        off = len(nxt) - len(cur)
-        for idx, co in enumerate(cur):
-            nxt[idx + off] -= ai * co
-        off = len(nxt) - len(prev)
-        for idx, co in enumerate(prev):
-            nxt[idx + off] -= bc * co
-        prev, cur = cur, nxt
+    Evaluated exactly by the three-term recurrence of its leading minors,
+    p_{i+1} = (x - a_i) p_i - b_{i-1} c_{i-1} p_{i-1}, in O(d) steps.
+    """
+    prev, cur = 1, x  # p_0 and p_1 = x - a_0, a_0 = 0
+    for i in range(1, arr.diameter + 1):
+        prev, cur = cur, (x - arr.a(i)) * cur - arr.b[i - 1] * arr.c[i - 1] * prev
     return cur
 
 
@@ -537,26 +515,29 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
     off = np.sqrt([float(b * c) for b, c in zip(arr.b, arr.c)])
     diag = [float(arr.a(i)) for i in range(arr.diameter + 1)]
     sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    poly = _intersection_charpoly(arr)
-    roots: list[object] = []
+    ints: list[int] = []
     numeric: list[float] = []
     for x in map(float, eigenvalues(sym)[::-1]):
-        r = Fraction(round(x))
-        if abs(x - r) <= 1e-6 and _poly_eval(poly, r) == 0:
-            roots.append(Quadratic(r))
-            poly = _poly_deflate(poly, r)
+        r = round(x)
+        if abs(x - r) <= 1e-6 and r not in ints and _charpoly_at(arr, r) == 0:
+            ints.append(r)
         else:
             numeric.append(x)
-    deg = len(poly) - 1
+    roots: list[object] = [Quadratic(r) for r in ints]
+    # the residual factor's roots sum to the trace less the integer roots
+    rest = sum(arr.a(i) for i in range(arr.diameter + 1)) - sum(ints)
+    deg = len(numeric)
     if deg == 1:
-        roots.append(Quadratic(-poly[1]))
+        roots.append(Quadratic(rest))
     elif deg == 2:
-        bq, cq = poly[1], poly[2]
-        disc = bq * bq - 4 * cq
+        # x^2 - rest*x + c at x0 = b0 + 1, above every eigenvalue
+        x0 = arr.b[0] + 1
+        cq = Fraction(_charpoly_at(arr, x0), math.prod(x0 - r for r in ints)) - x0 * (x0 - rest)
+        disc = rest * rest - 4 * cq
         if disc.denominator != 1 or disc <= 0:
             raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
-        roots.append(Quadratic(-bq / 2, Fraction(1, 2), int(disc)))
-        roots.append(Quadratic(-bq / 2, Fraction(-1, 2), int(disc)))
+        roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
+        roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
     elif deg >= 3:
         roots.extend(numeric)
 

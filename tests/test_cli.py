@@ -181,7 +181,8 @@ def test_search_json_fields(capsys):
     assert obj["best_ratio"] == pytest.approx(1 / 3)
     assert obj["threshold"] == pytest.approx(1 / 3)
     assert obj["exceeded"] is False
-    assert obj["evaluations"] == 32768
+    # the 34 classes on 5 vertices, each with its 32 one-vertex extensions
+    assert obj["evaluations"] == 1088
 
 
 def test_search_anneal_seeded(capsys):
@@ -217,10 +218,19 @@ def test_search_missing_n_is_usage(capsys):
     assert code == 2
 
 
-def test_search_n8_gate(capsys):
-    code, _, err = run(capsys, "search", "--k", "3", "--n", "8", "--method", "exhaustive")
+def test_search_n9_refused(capsys):
+    code, _, err = run(capsys, "search", "--k", "3", "--n", "9", "--method", "exhaustive")
     assert code == 2
-    assert "allow" in err.lower() or "n=8" in err or "2^28" in err
+    assert "capped at n = 8" in err
+
+
+def test_search_exhaustive_n8(capsys):
+    code, out, _ = run(capsys, "search", "--k", "3", "--n", "8", "--method", "exhaustive", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["best_ratio"] <= 1 / 3 + 1e-9
+    # the 1,044 classes on 7 vertices, each with its 128 one-vertex extensions
+    assert obj["evaluations"] == 133632
 
 
 def test_exceedance_exit_ten(capsys, monkeypatch, tmp_path):

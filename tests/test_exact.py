@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.exact import Quadratic, squarefree_split
 
@@ -147,3 +149,36 @@ def test_compact_forms():
     assert Quadratic.sqrt(5).compact() == "sqrt5"
     assert (-Quadratic.sqrt(5)).compact() == "-sqrt5"
     assert Quadratic(1, 2, 5).compact() == "1+2*sqrt5"
+
+
+# -- field laws ------------------------------------------------------------------
+
+#: Q(sqrt 5) with bounded rational parts
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_field = st.builds(lambda a, b: Quadratic(a, b, 5), _rationals, _rationals)
+
+_laws = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@_laws
+@given(_field, _field, _field)
+def test_field_ring_laws(x, y, z):
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x
+    assert x + (-x) == Quadratic(0) and x - y == -(y - x)
+    assert float(x * y) == pytest.approx(float(x) * float(y), rel=1e-9, abs=1e-9)
+
+
+@_laws
+@given(_field, _field)
+def test_field_inverses(x, y):
+    if x:
+        assert x * (1 / x) == Quadratic(1)
+        assert (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x

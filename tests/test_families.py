@@ -310,6 +310,16 @@ def test_drg_large_cycles_match_cosines():
         assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12), n
 
 
+def test_drg_c2001_parses():
+    # diameter 1000: roots are tested by the recurrence, not an expanded polynomial
+    n, d = 2001, 1000
+    expr = "drg:2" + ",1" * (d - 1) + ";" + ",".join(["1"] * d)
+    desc = parse_expression(expr)
+    assert desc.n == n
+    expect = sorted((2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
+    assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12)
+
+
 def test_drg_complete_graph_array():
     d = drg_spectrum(IntersectionArray((4,), (1,)))
     assert exact_entries(d) == ((Quadratic(4), 1), (Quadratic(-1), 4))

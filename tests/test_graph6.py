@@ -5,9 +5,11 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowup.errors import GraphParseError
-from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph
+from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph, triu_pair_arrays
 
 
 def nx_roundtrip_encode(g: Graph) -> str:
@@ -77,6 +79,28 @@ def test_order_field_boundary_against_networkx():
             assert s.startswith(head)
             assert s == nx_roundtrip_encode(g)
             assert g6_decode(s) == g
+
+
+@st.composite
+def graphs(draw):
+    """Any graph on 1..16 vertices, or on 62 or 63 either side of the order field's width."""
+    n = draw(st.integers(1, 16) | st.sampled_from([62, 63]))
+    ii, jj = triu_pair_arrays(n)
+    size = (len(ii) + 7) // 8
+    raw = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=np.uint8)
+    bits = np.unpackbits(raw)[: len(ii)].astype(bool)
+    return Graph.from_edges(n, zip(ii[bits].tolist(), jj[bits].tolist()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(graphs())
+@example(complete(62))
+@example(empty(63))
+def test_roundtrip_property(g):
+    s = g6_encode(g)
+    assert g6_decode(s) == g
+    assert g6_encode(g6_decode(s)) == s
+    assert s == nx_roundtrip_encode(g)
 
 
 def test_decode_errors_carry_offsets():

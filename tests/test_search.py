@@ -4,13 +4,14 @@ import io
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from blowup import search
 from blowup.cli import EXIT_NUMERIC, main
 from blowup.errors import GraphParseError, NumericError
-from blowup.graphs import Graph, complete, g6_decode, g6_encode
+from blowup.graphs import Graph, complete, g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
 from blowup.search import (
     C3_THRESHOLD,
     THRESHOLD_TOL,
@@ -48,7 +49,8 @@ def test_exhaustive_k2_n4():
     assert r.best_ratio == pytest.approx(0.5, abs=1e-12)
     g = g6_decode(r.best_graph)
     assert ratio_of(g, 2) == pytest.approx(r.best_ratio, abs=1e-12)
-    assert r.evaluations == 64
+    # the 4 classes on 3 vertices, each with its 8 one-vertex extensions
+    assert r.evaluations == 32
 
 
 def test_exhaustive_k3_n6():
@@ -98,14 +100,98 @@ def test_exhaustive_tie_break_lex_smallest():
 
 
 def test_exhaustive_size_gates():
-    with pytest.raises(ValueError):
-        exhaustive_max(3, 8)
-    with pytest.raises(ValueError):
-        exhaustive_max(3, 9, allow_large=True)
+    with pytest.raises(ValueError, match="capped at n = 8"):
+        exhaustive_max(3, 9)
     with pytest.raises(ValueError):
         exhaustive_max(0, 4)
     with pytest.raises(ValueError):
         exhaustive_max(5, 4)
+
+
+def labeled_sweep(n: int):
+    """Ratio oracle over every labeled graph on n vertices, one batched solve.
+
+    Returns (k -> (best ratio, witness)) by the documented rule: the smallest
+    graph6 among the graphs whose ratios round to the maximum at 12 decimals.
+    """
+    m = n * (n - 1) // 2
+    masks = np.arange(1 << m)
+    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.uint8)  # mask bit e = graph6 bit e
+    ii, jj = triu_pair_arrays(n)
+    a = np.zeros((len(masks), n, n))
+    a[:, ii, jj] = bits
+    a[:, jj, ii] = bits
+    w = np.linalg.eigvalsh(a)
+    labels = (bits.astype(np.int64) << np.arange(m - 1, -1, -1)).sum(axis=1)
+    out = {}
+    for k in range(1, n + 1):
+        ratios = np.maximum(0.0, (w[:, n - k] + 1.0) / n)
+        rounded = np.array([round(float(r), 12) for r in ratios])
+        tied = rounded == rounded.max()
+        best = np.flatnonzero(tied)[np.argmin(labels[tied])]
+        out[k] = (float(ratios.max()), g6_encode_bits(n, bits[best]))
+    return out
+
+
+def test_class_counts_match_oeis_a000088():
+    counts = [len(search._classes(n)) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_classes_are_canonical_and_distinct():
+    # each kept graph is the smallest label among its relabelings, and no two agree
+    for n in (4, 5):
+        reps = search._classes(n)
+        labels = [g6_encode_bits(n, row) for row in reps]
+        assert labels == sorted(set(labels))
+        for label in labels:
+            g = g6_decode(label)
+            assert label == min(g6_encode(g.relabeled(p)) for p in itertools.permutations(range(n)))
+
+
+def test_exhaustive_matches_labeled_sweep():
+    for n in range(1, 7):
+        sweep = labeled_sweep(n)
+        for k in range(1, n + 1):
+            r = exhaustive_max(k, n)
+            ratio, witness = sweep[k]
+            assert r.best_graph == witness, (k, n)
+            assert abs(r.best_ratio - ratio) <= 1e-15, (k, n)
+
+
+def test_exhaustive_n7_against_atlas():
+    # witnesses measured against the labeled sweep over all 2^21 graphs
+    witnesses = {2: "F@LAG", 3: "F@Ue?", 4: "F@QM?", 5: "F????"}
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    w = np.linalg.eigvalsh(np.stack([nx.to_numpy_array(g, nodelist=range(7)) for g in atlas]))
+    for k in range(1, 8):
+        r = exhaustive_max(k, 7)
+        expect = float(np.maximum(0.0, (w[:, 7 - k] + 1.0) / 7).max())
+        assert r.best_ratio == pytest.approx(expect, abs=1e-12), k
+        assert r.best_graph == witnesses.get(k, r.best_graph), k
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Number of matrices handed to numpy.linalg.eigvalsh during a test."""
+    count = [0]
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return count
+
+
+def test_exhaustive_solve_count_n7(solved):
+    # 156 classes on 6 vertices times 2^6 neighbourhoods, plus the witness's
+    # self-check; a labeled sweep would solve 2^21
+    r = exhaustive_max(3, 7)
+    assert r.evaluations == 9984
+    assert solved[0] == 9984 + 1
 
 
 # -- stream ------------------------------------------------------------------------
