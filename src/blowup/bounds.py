@@ -44,10 +44,7 @@ DOMINANCE_TOL = 1e-12
 def finite_ratio(base: SpectralDescriptor, t: int, k: int):
     """lambda_k(G^[t]) / (n t) over the whole blowup multiset, new -1s included;
     exact when the base spectrum is exact."""
-    lam = blowup_transform(base.spectrum, t).kth(k)
-    if isinstance(lam, Quadratic):
-        return lam / (base.n * t)
-    return float(lam) / (base.n * t)
+    return blowup_transform(base.spectrum, t).kth(k) / (base.n * t)
 
 
 # -- limit ratios ----------------------------------------------------------------
@@ -68,15 +65,11 @@ def limit_ratio(s: Spectrum, k: int) -> LimitRatio:
     Equals (lambda_k + 1)/n when lambda_k >= -1; otherwise the blowup
     ratios are negative for every t and the supremum is 0, not attained.
     """
-    n = s.n
     lam = s.kth(k)
-    if isinstance(lam, Quadratic):
-        if lam > Quadratic(-1):
-            return LimitRatio((lam + 1) / n, True)
-        return LimitRatio(Quadratic(0), False)
-    if lam > -1.0:
-        return LimitRatio((lam + 1.0) / n, True)
-    return LimitRatio(0.0, False)
+    if lam > -1:
+        return LimitRatio((lam + 1) / s.n, True)
+    # a typed zero, so the JSON "exact" field still follows the spectrum
+    return LimitRatio(Quadratic(0) if isinstance(lam, Quadratic) else 0.0, False)
 
 
 # -- reference bounds --------------------------------------------------------------
@@ -94,13 +87,6 @@ def reference_lower(k: int) -> float:
     if k < 5:
         raise ValueError("the floor 1/(k-1/2) is stated for k >= 5")
     return 1.0 / (k - 0.5)
-
-
-def asymptotic_lower(k: int) -> float:
-    """Display-only asymptotic floor 1/(2*sqrt(k-1) + k^(1/3)) for k >= 2."""
-    if k < 2:
-        raise ValueError("needs k >= 2")
-    return 1.0 / (2.0 * math.sqrt(k - 1) + k ** (1.0 / 3.0))
 
 
 # -- certificates -------------------------------------------------------------------
@@ -158,8 +144,8 @@ def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
 # -- the reference table of best-known lower bounds ----------------------------------
 #
 # Rows k = 4..24. Each row: printed decimal of record, exact expected ratio,
-# and the descriptor builders that realize it. Row 24 rests on an asserted
-# descriptor and keeps that status.
+# and the descriptor builders that realize it. Rows 17-24 rest on srg
+# parameters or an intersection array, so they are `exact-formula`.
 
 _SRG_57 = SrgParams(57, 24, 11, 9)
 _SRG_125 = SrgParams(125, 72, 45, 36)

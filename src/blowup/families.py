@@ -1,10 +1,10 @@
 """Named graph families, parameter-level spectra, and spectral descriptors.
 
-A SpectralDescriptor carries a name, an order, a spectrum, and a provenance
-tree saying where the spectrum came from. Its leaves are an explicit graph
-(cross-checked against the numeric eigensolver once, at construction),
-strongly regular or intersection-array parameters (derived by exact
-formula), or a bare assertion with a note; a Derived node is the union or
+A SpectralDescriptor carries a name and a provenance tree; its spectrum and
+order are derived from the tree once, at construction, and from nothing
+else. The leaves are an explicit graph (solved once; stated exact values
+must agree with the solve), strongly regular parameters, or an
+intersection array (both by exact formula); a Derived node is the union or
 closed blowup of described parts, taken at spectrum level.
 
 The module also owns the textual name grammar shared with the CLI:
@@ -17,9 +17,8 @@ The module also owns the textual name grammar shared with the CLI:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -59,25 +58,31 @@ def _check_dense_order(n: int, name: str) -> None:
         )
 
 
-# -- the provenance tree: four kinds of leaf and one Derived node ---------------
+# -- the provenance tree: three kinds of leaf and one Derived node ----------------
 
 VERIFIED = "verified"
 EXACT_FORMULA = "exact-formula"
-ASSERTED = "asserted"
-_STRENGTHS = (ASSERTED, EXACT_FORMULA, VERIFIED)  # weakest first
+_STRENGTHS = (EXACT_FORMULA, VERIFIED)  # weakest first
 
 
 @dataclass(frozen=True)
 class Explicit:
-    """Leaf: an adjacency matrix, checked against the stated spectrum once, at construction."""
+    """Leaf: an adjacency matrix, solved once; stated exact pairs must agree with the solve."""
 
     graph: Graph
+    exact: tuple | None = None
     strength = VERIFIED
 
-    @cached_property
-    def numeric(self) -> Spectrum:
-        """The eigensolver's spectrum of the graph, solved on first use only."""
-        return eigen_spectrum(self.graph)
+    def spectrum(self) -> Spectrum:
+        numeric = eigen_spectrum(self.graph)
+        if self.exact is None:
+            return numeric
+        stated = Spectrum(self.exact)
+        if not stated.allclose(numeric, NUMERIC_SPECTRUM_TOL):
+            raise ValueError(
+                f"stated spectrum disagrees with the eigensolver beyond {NUMERIC_SPECTRUM_TOL}"
+            )
+        return stated
 
     def to_json_obj(self) -> dict:
         return {"kind": "explicit", "graph6": g6_encode(self.graph)}
@@ -89,6 +94,9 @@ class FromSrg:
 
     params: "SrgParams"
     strength = EXACT_FORMULA
+
+    def spectrum(self) -> Spectrum:
+        return _srg_formula(self.params)
 
     def to_json_obj(self) -> dict:
         q = self.params
@@ -102,19 +110,11 @@ class FromIntersectionArray:
     array: "IntersectionArray"
     strength = EXACT_FORMULA
 
+    def spectrum(self) -> Spectrum:
+        return _drg_formula(self.array)
+
     def to_json_obj(self) -> dict:
         return {"kind": "intersection-array", "b": list(self.array.b), "c": list(self.array.c)}
-
-
-@dataclass(frozen=True)
-class Asserted:
-    """Leaf: a spectrum taken on trust; only its trace and order are checked."""
-
-    note: str
-    strength = ASSERTED
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "asserted", "note": self.note}
 
 
 @dataclass(frozen=True)
@@ -153,36 +153,26 @@ def strength(p) -> str:
 
 @dataclass(frozen=True)
 class SpectralDescriptor:
-    """A named spectrum with its order and provenance, validated once, on build.
+    """A named provenance with the spectrum and order it gives, derived once, on build.
 
-    Descriptors and graphs are immutable, so nothing downstream checks again.
+    The spectrum comes only from the provenance, so a descriptor cannot
+    state one its provenance does not give. Descriptors and graphs are
+    immutable, so nothing downstream checks again.
     """
 
     name: str
-    n: int
-    spectrum: Spectrum
-    provenance: Explicit | FromSrg | FromIntersectionArray | Asserted | Derived
+    provenance: Explicit | FromSrg | FromIntersectionArray | Derived
+    spectrum: Spectrum = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        spectrum = self.provenance.spectrum()
+        if spectrum.n < 1:
             raise ValueError("descriptor order must be >= 1")
-        if self.spectrum.n != self.n:
-            raise ValueError(
-                f"{self.name}: multiplicities sum to {self.spectrum.n}, expected {self.n}"
-            )
-        if not self.spectrum.trace_is_zero():
+        if not spectrum.trace_is_zero():
             raise ValueError(f"{self.name}: spectrum trace is not zero")
-        p = self.provenance
-        if isinstance(p, Explicit):
-            if p.graph.n != self.n:
-                raise ValueError(f"{self.name}: graph order {p.graph.n} != descriptor order {self.n}")
-            if not self.spectrum.allclose(p.numeric, NUMERIC_SPECTRUM_TOL):
-                raise ValueError(
-                    f"{self.name}: stated spectrum disagrees with the eigensolver "
-                    f"beyond {NUMERIC_SPECTRUM_TOL}"
-                )
-        elif isinstance(p, Derived) and self.spectrum != p.spectrum():
-            raise ValueError(f"{self.name}: stated spectrum is not the {p.op} of its parts")
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "n", spectrum.n)
 
     def to_json_obj(self) -> dict:
         return {
@@ -194,15 +184,8 @@ class SpectralDescriptor:
 
 
 def explicit_descriptor(g: Graph, name: str, exact_pairs=None) -> SpectralDescriptor:
-    """Descriptor for a concrete graph; exact_pairs overrides the numeric spectrum."""
-    leaf = Explicit(g)
-    spectrum = Spectrum(exact_pairs) if exact_pairs is not None else leaf.numeric
-    return SpectralDescriptor(name, g.n, spectrum, leaf)
-
-
-def asserted_descriptor(name: str, n: int, pairs, note: str) -> SpectralDescriptor:
-    """Descriptor taken on trust; only the trace and multiplicity sums are checked."""
-    return SpectralDescriptor(name, n, Spectrum(pairs), Asserted(note))
+    """Descriptor for a concrete graph; exact_pairs, checked against the solve, replace it."""
+    return SpectralDescriptor(name, Explicit(g, None if exact_pairs is None else tuple(exact_pairs)))
 
 
 # -- simple families ----------------------------------------------------------
@@ -326,7 +309,7 @@ def paley(q: int) -> Graph:
 def paley_descriptor(q: int) -> SpectralDescriptor:
     g = paley(q)
     params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    pairs = srg_spectrum(params).spectrum.entries
+    pairs = _srg_formula(params).entries
     return explicit_descriptor(g, f"paley:{q}", pairs)
 
 
@@ -356,6 +339,11 @@ class SrgParams:
 
 
 def srg_spectrum(p: SrgParams) -> SpectralDescriptor:
+    """Descriptor named srg:v,k,l,m whose spectrum comes from the parameters."""
+    return SpectralDescriptor(f"srg:{p.v},{p.k},{p.lam},{p.mu}", FromSrg(p))
+
+
+def _srg_formula(p: SrgParams) -> Spectrum:
     """Exact spectrum from strongly regular parameters.
 
     The non-principal eigenvalues are r, s = ((lam-mu) +- sqrt(D))/2 with
@@ -408,7 +396,7 @@ def srg_spectrum(p: SrgParams) -> SpectralDescriptor:
                     f"Krein condition fails: (x+1)(k+x+2rs) > (k+x)(y+1)^2 for x={x}, y={y}"
                 )
     pairs = [(Quadratic(k), 1)] + [(val, mult) for val, mult in ((r, f), (s, g)) if mult]
-    return SpectralDescriptor(f"srg:{v},{k},{lam},{mu}", v, Spectrum(pairs), FromSrg(p))
+    return Spectrum(pairs)
 
 
 # -- intersection arrays -------------------------------------------------------
@@ -482,21 +470,28 @@ def _charpoly_at(arr: IntersectionArray, x: int) -> int:
     return cur
 
 
-def _multiplicity(theta, arr: IntersectionArray, n: int):
-    """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence."""
-    d = arr.diameter
-    kj = arr.valencies()
+def _multiplicity(theta, arr: IntersectionArray, kj: tuple[int, ...], a: list[int], n: int):
+    """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence.
+
+    theta is one exact root, or a numpy array of float roots that run the
+    recurrence together; kj and a are the array's valencies and a_i.
+    """
     u_prev = Quadratic(1) if isinstance(theta, Quadratic) else 1.0
     u_cur = theta / arr.b[0]
     total = kj[0] * (u_prev * u_prev) + kj[1] * (u_cur * u_cur)
-    for j in range(1, d):
-        u_next = ((theta - arr.a(j)) * u_cur - arr.c[j - 1] * u_prev) / arr.b[j]
+    for j in range(1, arr.diameter):
+        u_next = ((theta - a[j]) * u_cur - arr.c[j - 1] * u_prev) / arr.b[j]
         total = total + kj[j + 1] * (u_next * u_next)
         u_prev, u_cur = u_cur, u_next
     return n / total
 
 
 def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
+    """Descriptor named drg:b;c whose spectrum comes from the intersection array."""
+    return SpectralDescriptor(arr.name(), FromIntersectionArray(arr))
+
+
+def _drg_formula(arr: IntersectionArray) -> Spectrum:
     """Exact spectrum from an intersection array.
 
     Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
@@ -510,11 +505,12 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
     must come out as positive integers (exactly for exact eigenvalues,
     within 1e-6 after rounding for numeric ones) or the array is rejected.
     """
-    n = arr.n
     _check_dense_order(arr.diameter + 1, f"drg of diameter {arr.diameter}")
+    kj = arr.valencies()
+    a = [arr.a(i) for i in range(arr.diameter + 1)]
+    n = sum(kj)
     off = np.sqrt([float(b * c) for b, c in zip(arr.b, arr.c)])
-    diag = [float(arr.a(i)) for i in range(arr.diameter + 1)]
-    sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    sym = np.diag([float(x) for x in a]) + np.diag(off, 1) + np.diag(off, -1)
     ints: list[int] = []
     numeric: list[float] = []
     for x in map(float, eigenvalues(sym)[::-1]):
@@ -523,9 +519,9 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
             ints.append(r)
         else:
             numeric.append(x)
-    roots: list[object] = [Quadratic(r) for r in ints]
+    roots = [Quadratic(r) for r in ints]
     # the residual factor's roots sum to the trace less the integer roots
-    rest = sum(arr.a(i) for i in range(arr.diameter + 1)) - sum(ints)
+    rest = sum(a) - sum(ints)
     deg = len(numeric)
     if deg == 1:
         roots.append(Quadratic(rest))
@@ -538,53 +534,47 @@ def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
             raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
         roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
         roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
-    elif deg >= 3:
-        roots.extend(numeric)
 
     pairs = []
-    total_mult = 0
     for theta in roots:
-        m = _multiplicity(theta, arr, n)
-        if isinstance(m, Quadratic):
-            if not m.is_rational or m.as_fraction().denominator != 1 or m <= 0:
-                raise InfeasibleIntersectionArray(
-                    f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
-                )
-            mult = int(m.as_fraction())
-        else:
+        m = _multiplicity(theta, arr, kj, a, n)
+        if not m.is_rational or m.as_fraction().denominator != 1 or m <= 0:
+            raise InfeasibleIntersectionArray(
+                f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
+            )
+        pairs.append((theta, int(m.as_fraction())))
+    if deg >= 3:
+        mults = _multiplicity(np.array(numeric), arr, kj, a, n).tolist()
+        for theta, m in zip(numeric, mults):
             mult = round(m)
             if mult < 1 or abs(m - mult) > 1e-6:
                 raise InfeasibleIntersectionArray(
                     f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer"
                 )
-        pairs.append((theta, mult))
-        total_mult += mult
+            pairs.append((theta, mult))
+    total_mult = sum(mult for _, mult in pairs)
     if total_mult != n:
         raise InfeasibleIntersectionArray(
             f"multiplicities sum to {total_mult}, expected order {n}"
         )
-    return SpectralDescriptor(arr.name(), n, Spectrum(pairs), FromIntersectionArray(arr))
+    return Spectrum(pairs)
 
 
 def gosset_descriptor() -> SpectralDescriptor:
     """Gosset graph preset: intersection array {27,10,1;1,10,27} on 56 vertices."""
-    d = drg_spectrum(IntersectionArray((27, 10, 1), (1, 10, 27)))
-    return replace(d, name="gosset")
+    arr = IntersectionArray((27, 10, 1), (1, 10, 27))
+    return SpectralDescriptor("gosset", FromIntersectionArray(arr))
 
 
 def taylor_co3_descriptor() -> SpectralDescriptor:
-    """Asserted 552-vertex descriptor whose 24th eigenvalue is 55.
+    """Taylor graph preset: intersection array {275,112,1;1,112,275} on 552 vertices.
 
-    Shipped on trust: the spectrum matches an antipodal double cover of
-    K_276, but no explicit graph or intersection array is carried here, so
-    certificates built on it stay at 'asserted' strength.
+    The Taylor double cover of the regular two-graph on 276 points
+    (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989); its
+    24th eigenvalue, 55, gives table row 24.
     """
-    return asserted_descriptor(
-        "taylor-co3",
-        552,
-        [(Quadratic(275), 1), (Quadratic(55), 23), (Quadratic(-1), 275), (Quadratic(-5), 253)],
-        "antipodal double cover structure on 552 vertices; only lambda_24 = 55 is load-bearing",
-    )
+    arr = IntersectionArray((275, 112, 1), (1, 112, 275))
+    return SpectralDescriptor("taylor-co3", FromIntersectionArray(arr))
 
 
 # -- descriptor combinators ----------------------------------------------------
@@ -592,14 +582,12 @@ def taylor_co3_descriptor() -> SpectralDescriptor:
 
 def union_descriptor(a: SpectralDescriptor, b: SpectralDescriptor) -> SpectralDescriptor:
     """Disjoint union: spectra merge as multisets, orders add."""
-    node = Derived("union", (a, b))
-    return SpectralDescriptor(f"union:{a.name}+{b.name}", a.n + b.n, node.spectrum(), node)
+    return SpectralDescriptor(f"union:{a.name}+{b.name}", Derived("union", (a, b)))
 
 
 def blowup_descriptor(a: SpectralDescriptor, t: int) -> SpectralDescriptor:
     """Closed t-blowup, by the spectrum transform (checked by `blowup verify`)."""
-    node = Derived("blowup", (a,), t)
-    return SpectralDescriptor(f"blowup:{a.name},{t}", a.n * t, node.spectrum(), node)
+    return SpectralDescriptor(f"blowup:{a.name},{t}", Derived("blowup", (a,), t))
 
 
 def _graph(d: SpectralDescriptor) -> Graph:

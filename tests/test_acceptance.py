@@ -39,7 +39,7 @@ def test_criterion_1_table_reproduction():
     assert elapsed < 5.0, f"table took {elapsed:.2f}s, budget 5s"
     assert len(rows) == 21
     assert all(r.match for r in rows)
-    # row 24 is the asserted 56/552 = 7/69
+    # row 24 is the Taylor graph's 56/552 = 7/69
     assert rows[-1].expected == Quadratic(Fraction(7, 69))
     # every certificate equals its row's exact expected value
     for r in rows:

@@ -1,7 +1,9 @@
-"""The public names, and the names the benchmark's tracer patches, resolve.
+"""The public names, and the names the benchmark looks up, resolve.
 
-bench/blowbench/tracing.py looks each traced name up with no fallback, so a
-rename in the package would otherwise only show up as a failed traced run.
+bench/blowbench/tracing.py looks each traced name up with no fallback, and
+the benchmark's table oracle finds each certificate's closed form by its
+descriptor name, so a rename in the package would otherwise only show up as
+a failed benchmark run.
 """
 
 import importlib
@@ -9,8 +11,10 @@ import importlib.util
 from pathlib import Path
 
 import blowup
+from blowup.bounds import reproduce_table
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "blowbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "blowbench" / "tracing.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowup"
 
 
@@ -32,6 +36,21 @@ def test_bench_traced_names_resolve():
         if cls is None or attr not in vars(cls):
             missing.append(f"{modname}.{clsname}.{attr}")
     assert missing == []
+
+
+def test_bench_table_names_have_closed_forms(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("blowbench.workloads")
+    oracles = importlib.import_module("blowbench.oracles")
+    wrong = []
+    for row in reproduce_table():
+        for cert in row.certificates:
+            spec, _ = workloads.spectrum_of(cert.base.name)
+            n = sum(mult for _, mult in spec)
+            ratio, _ = oracles.limit_ratio(oracles.kth(spec, row.k), n)
+            if abs(ratio - float(row.expected)) > oracles.RATIO_TOL:
+                wrong.append((row.k, cert.base.name, ratio))
+    assert wrong == []
 
 
 def test_one_eigensolver_call_site():

@@ -9,7 +9,6 @@ import pytest
 
 from blowup import bounds
 from blowup.bounds import (
-    asymptotic_lower,
     best_known_ratio,
     certify,
     finite_ratio,
@@ -21,7 +20,6 @@ from blowup.bounds import (
 from blowup.errors import InternalConsistencyError, TableMismatchError
 from blowup.exact import Quadratic
 from blowup.families import (
-    asserted_descriptor,
     blowup_descriptor,
     complete_descriptor,
     cycle_descriptor,
@@ -101,8 +99,6 @@ def test_reference_bound_formulas():
     assert nikiforov_upper(2) == pytest.approx(0.5)
     assert nikiforov_upper(5) == pytest.approx(0.25)
     assert reference_lower(5) == pytest.approx(1 / 4.5)
-    for k in range(2, 40):
-        assert asymptotic_lower(k) < nikiforov_upper(k)
     with pytest.raises(ValueError):
         nikiforov_upper(1)
     with pytest.raises(ValueError):
@@ -146,9 +142,10 @@ def test_certify_derived_strength_is_weakest_leaf():
 
 def test_validate_once_solve_counts(solves):
     # each explicit base is solved once, where its descriptor is built; the
-    # table also solves gosset's 4x4 intersection matrix to locate its roots
+    # table also solves the 4x4 intersection matrices of gosset and
+    # taylor-co3 to locate their roots
     reproduce_table()
-    assert len(solves) == 15 and solves.count(4) == 1
+    assert len(solves) == 16 and solves.count(4) == 2
     solves.clear()
     cert = certify(parse_expression("blowup:johnson:16,2,10"), 5)
     assert solves == [120]
@@ -156,7 +153,7 @@ def test_validate_once_solve_counts(solves):
     solves.clear()
     certify(parse_expression("union:petersen+icosahedron"), 3)
     assert sorted(solves) == [10, 12]
-    # a leaf without an exact spectrum reads its one numeric solve twice
+    # a leaf without an exact spectrum is solved once, like any other
     for expr, want in [("cycle:9", [9]), ("g6:Ch", [4]), ("complement:petersen", [10, 10])]:
         solves.clear()
         parse_expression(expr)
@@ -170,14 +167,13 @@ def test_certify_range_checks():
         certify(icosahedron_descriptor(), 13)
 
 
-def test_certify_rejects_ceiling_violation():
-    # a bogus asserted spectrum claiming lambda_2 = 3 on 4 vertices would
-    # certify c_2 >= 1 > 1/2; certify must refuse loudly
-    bogus = asserted_descriptor(
-        "bogus", 4, [(Quadratic(3), 2), (Quadratic(-3), 2)], "made up for the test"
-    )
-    with pytest.raises(InternalConsistencyError):
-        certify(bogus, 2)
+def test_certify_rejects_ceiling_violation(monkeypatch):
+    # no descriptor can state a spectrum, so a real certificate (the
+    # icosahedron's 0.2697 at k = 4) meets a ceiling lowered beneath it;
+    # certify must refuse loudly
+    monkeypatch.setattr(bounds, "nikiforov_upper", lambda k: 0.25)
+    with pytest.raises(InternalConsistencyError, match="exceeds the proven ceiling"):
+        certify(icosahedron_descriptor(), 4)
 
 
 def test_certify_k1_has_no_ceiling():
@@ -196,8 +192,10 @@ def test_table_reproduces_and_is_fast():
     assert by_k[4].expected == Quadratic(Fraction(1, 12), Fraction(1, 12), 5)
     assert by_k[16].expected == Quadratic(Fraction(13, 120))
     assert by_k[24].expected == Quadratic(Fraction(7, 69))
-    # row 24 carries the asserted status, never "verified"
-    assert {c.verification for c in by_k[24].certificates} == {"asserted"}
+    # row 24 rests on the Taylor graph's intersection array
+    assert {c.verification for c in by_k[24].certificates} == {"exact-formula"}
+    assert [c.base.provenance.to_json_obj() for c in by_k[24].certificates] == [
+        {"kind": "intersection-array", "b": [275, 112, 1], "c": [1, 112, 275]}]
     # decimal strings stay within their printed precision
     for r in rows:
         places = len(r.printed.partition(".")[2])

@@ -1,5 +1,6 @@
 """Named families, parameter-determined spectra, and the expression grammar."""
 
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -15,9 +16,10 @@ from blowup.errors import (
 )
 from blowup.exact import Quadratic
 from blowup.families import (
-    Asserted,
     Derived,
     Explicit,
+    FromIntersectionArray,
+    FromSrg,
     IntersectionArray,
     SpectralDescriptor,
     SrgParams,
@@ -43,7 +45,7 @@ from blowup.families import (
     union_descriptor,
 )
 from blowup.graphs import closed_blowup_graph, complement, complete, disjoint_union, g6_encode
-from blowup.spectra import eigen_spectrum
+from blowup.spectra import Spectrum, blowup_transform, eigen_spectrum
 
 
 def exact_entries(desc):
@@ -338,13 +340,21 @@ def test_drg_root_search_is_not_a_scan_over_b0():
     assert exact_entries(d) == ((Quadratic(10**9), 1), (Quadratic(-1), 10**9))
 
 
-# -- asserted row -----------------------------------------------------------------
+# -- table row 24 -----------------------------------------------------------------
 
 
 def test_taylor_co3():
     d = taylor_co3_descriptor()
+    assert d.name == "taylor-co3"
     assert d.n == 552
-    assert isinstance(d.provenance, Asserted)
+    assert d.provenance == FromIntersectionArray(IntersectionArray((275, 112, 1), (1, 112, 275)))
+    assert strength(d.provenance) == "exact-formula"
+    assert exact_entries(d) == (
+        (Quadratic(275), 1),
+        (Quadratic(55), 23),
+        (Quadratic(-1), 275),
+        (Quadratic(-5), 253),
+    )
     assert d.spectrum.kth(24) == Quadratic(55)
     assert d.spectrum.trace_is_zero()
     # regular of degree 275: second moment equals n * k
@@ -366,15 +376,15 @@ def test_union_descriptor_explicit():
         "name": "complete:3", "n": 3, "provenance": {"kind": "explicit", "graph6": "Bw"}}
 
 
-def test_union_descriptor_asserted_operand():
+def test_union_descriptor_formula_operand():
     d = union_descriptor(taylor_co3_descriptor(), complete_descriptor(2))
     assert d.n == 554
-    assert strength(d.provenance) == "asserted"
+    assert strength(d.provenance) == "exact-formula"
     assert d.spectrum.kth(1) == Quadratic(275)
-    # a formula operand is weaker than an explicit one, stronger than an asserted one
+    # a formula operand is weaker than an explicit one
     srg = srg_spectrum(SrgParams(57, 24, 11, 9))
     assert strength(union_descriptor(srg, complete_descriptor(2)).provenance) == "exact-formula"
-    assert strength(union_descriptor(srg, d).provenance) == "asserted"
+    assert strength(union_descriptor(srg, d).provenance) == "exact-formula"
 
 
 def test_complement_descriptor():
@@ -399,10 +409,29 @@ def test_blowup_descriptor():
     assert strength(d.provenance) == "verified"
     assert d.spectrum.kth(1) == Quadratic(5)
     assert d.provenance.to_json_obj()["t"] == 2
-    # a derived spectrum must be the one its parts give
-    wrong = blowup_descriptor(cycle_descriptor(5), 3).spectrum
-    with pytest.raises(ValueError, match="blowup of its parts"):
-        SpectralDescriptor("broken", 15, wrong, Derived("blowup", (complete_descriptor(5),), 3))
+    # a derived spectrum is the one its parts give
+    assert d.spectrum == blowup_transform(cycle_descriptor(5).spectrum, 2)
+
+
+def test_descriptor_spectrum_comes_from_provenance():
+    # C5's parameters with a made-up 25-vertex spectrum would certify
+    # c_4 >= 7/25 = 0.28 at exact-formula, above the 0.2697 record
+    fake = Spectrum([(6, 4), (0, 17), (-6, 4)])
+    leaf = FromSrg(SrgParams(5, 2, 0, 1))
+    with pytest.raises(TypeError):
+        SpectralDescriptor("fake", 25, fake, leaf)
+    with pytest.raises(TypeError):
+        SpectralDescriptor("fake", leaf, spectrum=fake)
+    assert list(inspect.signature(SpectralDescriptor).parameters) == ["name", "provenance"]
+    assert SpectralDescriptor("c5", leaf).spectrum.n == 5
+    # every grammar leaf and operator: the spectrum is the provenance's own
+    for expr in ["complete:4", "cycle:5", "cycle:9", "johnson:6,2", "paley:13", "petersen",
+                 "icosahedron", "gosset", "srg:16,5,0,2", "drg:2,1,1;1,1,1", "g6:Ch",
+                 "complement:petersen", "union:petersen+gosset", "blowup:srg:10,3,0,1,3"]:
+        d = parse_expression(expr)
+        assert d.spectrum == d.provenance.spectrum(), expr
+        assert d.n == d.spectrum.n, expr
+    assert taylor_co3_descriptor().spectrum == taylor_co3_descriptor().provenance.spectrum()
 
 
 # -- grammar -----------------------------------------------------------------------
