@@ -16,18 +16,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, TableMismatchError
 from .exact import Quadratic
-from .families import (
-    SpectralDescriptor,
-    SrgParams,
-    gosset_descriptor,
-    icosahedron_descriptor,
-    johnson_descriptor,
-    paley_descriptor,
-    petersen_descriptor,
-    srg_spectrum,
-    strength,
-    taylor_co3_descriptor,
-)
+from .families import SpectralDescriptor, parse_expression, strength
 from .graphs import closed_blowup_graph, random_graph
 from .spectra import (
     NUMERIC_SPECTRUM_TOL,
@@ -89,6 +78,14 @@ def reference_lower(k: int) -> float:
     return 1.0 / (k - 0.5)
 
 
+def check_ceiling(ratio: float, k: int, source: str) -> None:
+    """Raise InternalConsistencyError if ratio, from source, exceeds the proven ceiling (k >= 2)."""
+    if k >= 2 and ratio > nikiforov_upper(k) + DOMINANCE_TOL:
+        raise InternalConsistencyError(
+            f"{source} ratio {ratio} for k={k} exceeds the proven ceiling {nikiforov_upper(k)}"
+        )
+
+
 # -- certificates -------------------------------------------------------------------
 
 
@@ -133,59 +130,39 @@ def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
     if k > base.n:
         raise ValueError(f"k={k} exceeds the order {base.n} of {base.name}")
     lr = limit_ratio(base.spectrum, k)
-    if k >= 2 and float(lr.value) > nikiforov_upper(k) + DOMINANCE_TOL:
-        raise InternalConsistencyError(
-            f"{base.name}: ratio {float(lr.value)} for k={k} exceeds the proven "
-            f"ceiling {nikiforov_upper(k)}"
-        )
+    check_ceiling(float(lr.value), k, f"{base.name}:")
     return BoundCertificate(k, base, lr.value, lr.attained, strength(base.provenance))
 
 
 # -- the reference table of best-known lower bounds ----------------------------------
 #
 # Rows k = 4..24. Each row: printed decimal of record, exact expected ratio,
-# and the descriptor builders that realize it. Rows 17-24 rest on srg
+# and the expressions of the descriptors that realize it, so every printed
+# source name rebuilds its own certificate. Rows 17-24 rest on srg
 # parameters or an intersection array, so they are `exact-formula`.
 
-_SRG_57 = SrgParams(57, 24, 11, 9)
-_SRG_125 = SrgParams(125, 72, 45, 36)
-_SRG_243 = SrgParams(243, 132, 81, 60)
-
-
-_TABLE_ENTRIES: dict[int, tuple[str, Quadratic, tuple]] = {
-    4: (
-        "0.26967",
-        Quadratic(Fraction(1, 12), Fraction(1, 12), 5),
-        (icosahedron_descriptor,),
-    ),
-    5: ("0.2222", Quadratic(Fraction(2, 9)), (lambda: paley_descriptor(9),)),
-    6: (
-        "0.2",
-        Quadratic(Fraction(1, 5)),
-        (petersen_descriptor, lambda: johnson_descriptor(6, 2)),
-    ),
-    7: ("0.190476", Quadratic(Fraction(4, 21)), (lambda: johnson_descriptor(7, 2),)),
-    8: (
-        "0.178571",
-        Quadratic(Fraction(5, 28)),
-        (lambda: johnson_descriptor(8, 2), gosset_descriptor),
-    ),
-    9: ("0.1666", Quadratic(Fraction(1, 6)), (lambda: johnson_descriptor(9, 2),)),
-    10: ("0.1555", Quadratic(Fraction(7, 45)), (lambda: johnson_descriptor(10, 2),)),
-    11: ("0.14545", Quadratic(Fraction(8, 55)), (lambda: johnson_descriptor(11, 2),)),
-    12: ("0.13636", Quadratic(Fraction(3, 22)), (lambda: johnson_descriptor(12, 2),)),
-    13: ("0.128205", Quadratic(Fraction(5, 39)), (lambda: johnson_descriptor(13, 2),)),
-    14: ("0.1208791", Quadratic(Fraction(11, 91)), (lambda: johnson_descriptor(14, 2),)),
-    15: ("0.1142857", Quadratic(Fraction(4, 35)), (lambda: johnson_descriptor(15, 2),)),
-    16: ("0.108333", Quadratic(Fraction(13, 120)), (lambda: johnson_descriptor(16, 2),)),
-    17: ("0.10526", Quadratic(Fraction(2, 19)), (lambda: srg_spectrum(_SRG_57),)),
-    18: ("0.10526", Quadratic(Fraction(2, 19)), (lambda: srg_spectrum(_SRG_57),)),
-    19: ("0.10526", Quadratic(Fraction(2, 19)), (lambda: srg_spectrum(_SRG_57),)),
-    20: ("0.104", Quadratic(Fraction(13, 125)), (lambda: srg_spectrum(_SRG_125),)),
-    21: ("0.104", Quadratic(Fraction(13, 125)), (lambda: srg_spectrum(_SRG_125),)),
-    22: ("0.10288", Quadratic(Fraction(25, 243)), (lambda: srg_spectrum(_SRG_243),)),
-    23: ("0.10288", Quadratic(Fraction(25, 243)), (lambda: srg_spectrum(_SRG_243),)),
-    24: ("0.101449", Quadratic(Fraction(56, 552)), (taylor_co3_descriptor,)),
+_TABLE_ENTRIES: dict[int, tuple[str, Quadratic, tuple[str, ...]]] = {
+    4: ("0.26967", Quadratic(Fraction(1, 12), Fraction(1, 12), 5), ("icosahedron",)),
+    5: ("0.2222", Quadratic(Fraction(2, 9)), ("paley:9",)),
+    6: ("0.2", Quadratic(Fraction(1, 5)), ("petersen", "johnson:6,2")),
+    7: ("0.190476", Quadratic(Fraction(4, 21)), ("johnson:7,2",)),
+    8: ("0.178571", Quadratic(Fraction(5, 28)), ("johnson:8,2", "gosset")),
+    9: ("0.1666", Quadratic(Fraction(1, 6)), ("johnson:9,2",)),
+    10: ("0.1555", Quadratic(Fraction(7, 45)), ("johnson:10,2",)),
+    11: ("0.14545", Quadratic(Fraction(8, 55)), ("johnson:11,2",)),
+    12: ("0.13636", Quadratic(Fraction(3, 22)), ("johnson:12,2",)),
+    13: ("0.128205", Quadratic(Fraction(5, 39)), ("johnson:13,2",)),
+    14: ("0.1208791", Quadratic(Fraction(11, 91)), ("johnson:14,2",)),
+    15: ("0.1142857", Quadratic(Fraction(4, 35)), ("johnson:15,2",)),
+    16: ("0.108333", Quadratic(Fraction(13, 120)), ("johnson:16,2",)),
+    17: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
+    18: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
+    19: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
+    20: ("0.104", Quadratic(Fraction(13, 125)), ("srg:125,72,45,36",)),
+    21: ("0.104", Quadratic(Fraction(13, 125)), ("srg:125,72,45,36",)),
+    22: ("0.10288", Quadratic(Fraction(25, 243)), ("srg:243,132,81,60",)),
+    23: ("0.10288", Quadratic(Fraction(25, 243)), ("srg:243,132,81,60",)),
+    24: ("0.101449", Quadratic(Fraction(56, 552)), ("taylor-co3",)),
 }
 
 TABLE_K_MIN = 4
@@ -222,8 +199,8 @@ def _printed_tolerance(printed: str) -> float:
 
 
 def _build_row(k: int) -> TableRow:
-    printed, expected, builders = _TABLE_ENTRIES[k]
-    certs = tuple(certify(b(), k) for b in builders)
+    printed, expected, sources = _TABLE_ENTRIES[k]
+    certs = tuple(certify(parse_expression(src), k) for src in sources)
     ok = all(isinstance(c.ratio, Quadratic) and c.ratio == expected for c in certs)
     ok = ok and abs(float(expected) - float(printed)) <= _printed_tolerance(printed)
     return TableRow(k, expected, printed, certs, ok)
@@ -270,9 +247,8 @@ def blowup_residual() -> float:
 
 def _family_spectra():
     # building an explicit descriptor checks it against the eigensolver
-    fams = [icosahedron_descriptor(), petersen_descriptor()]
-    fams += [johnson_descriptor(m, 2) for m in range(4, 17)]
-    fams += [paley_descriptor(q) for q in (5, 9, 13)]
+    exprs = ["icosahedron", "petersen", "paley:5", "paley:9", "paley:13"]
+    fams = [parse_expression(e) for e in exprs + [f"johnson:{m},2" for m in range(4, 17)]]
     return True, f"{len(fams)} families agree within {NUMERIC_SPECTRUM_TOL}"
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NumericError,
     TableMismatchError,
 )
-from .families import parse_expression
+from .families import GRAMMAR, parse_expression
 from .spectra import Spectrum
 
 EXIT_OK = 0
@@ -32,11 +32,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_EXCEEDED = 10
 
-GRAMMAR_HELP = (
-    "expression grammar: complete:n | cycle:n | johnson:m,r | paley:q | "
-    "petersen | icosahedron | gosset | srg:v,k,l,m | drg:b0,..;c1,.. | "
-    "g6:<string> | union:<a>+<b> | complement:<a> | blowup:<a>,t"
-)
+GRAMMAR_HELP = f"expression grammar: {GRAMMAR}"
 
 
 def _sig6(x: float) -> str:
@@ -253,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     qp.add_argument("--seed", type=int, default=S.DEFAULT_SEED,
                     help=f"RNG seed for local search (default {S.DEFAULT_SEED})")
-    qp.add_argument("--budget", type=int, default=10_000)
-    qp.add_argument("--restarts", type=int, default=10)
-    qp.add_argument("--t0", type=float, default=0.05)
-    qp.add_argument("--cooling", type=float, default=0.999)
+    qp.add_argument("--budget", type=int, default=S.SearchConfig.budget)
+    qp.add_argument("--restarts", type=int, default=S.SearchConfig.restarts)
+    qp.add_argument("--t0", type=float, default=S.SearchConfig.t0)
+    qp.add_argument("--cooling", type=float, default=S.SearchConfig.cooling)
     qp.add_argument("--g6-file", help="graph6 lines for --method stream, '-' for stdin")
     qp.add_argument("--on-error", choices=("raise", "skip"), default="raise")
     qp.add_argument("--json", action="store_true")

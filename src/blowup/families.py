@@ -7,11 +7,9 @@ must agree with the solve), strongly regular parameters, or an
 intersection array (both by exact formula); a Derived node is the union or
 closed blowup of described parts, taken at spectrum level.
 
-The module also owns the textual name grammar shared with the CLI:
-
-    complete:n  cycle:n  johnson:m,r  paley:q  petersen  icosahedron
-    gosset  srg:v,k,l,m  drg:b0,..,b_{d-1};c1,..,cd  g6:<string>
-    union:<a>+<b>  complement:<a>  blowup:<a>,t
+The module also owns the expression grammar, the one way the package names
+and builds a graph: the `_PRESETS` and `_INTEGER_HEADS` tables, plus the
+heads with their own syntax in `_parse_expr`. `GRAMMAR` renders it.
 """
 
 from __future__ import annotations
@@ -534,6 +532,11 @@ def _drg_formula(arr: IntersectionArray) -> Spectrum:
             raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
         roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
         roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
+    if deg >= 3 and n >= 2**52:
+        # every float64 from 2^52 up is an integer: the test below would pass anything
+        raise InfeasibleIntersectionArray(
+            f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
+        )
 
     pairs = []
     for theta in roots:
@@ -634,36 +637,48 @@ def parse_expression(text: str) -> SpectralDescriptor:
     return _parse_expr(text.strip(), 0)
 
 
+#: parameterless names and their builders
+_PRESETS = {
+    "petersen": petersen_descriptor,
+    "icosahedron": icosahedron_descriptor,
+    "gosset": gosset_descriptor,
+    "taylor-co3": taylor_co3_descriptor,
+}
+
+#: heads that take a fixed list of integers: parameter names and builder
+_INTEGER_HEADS = {
+    "complete": ("n", complete_descriptor),
+    "cycle": ("n", cycle_descriptor),
+    "johnson": ("m,r", johnson_descriptor),
+    "paley": ("q", paley_descriptor),
+    "srg": ("v,k,l,m", lambda *p: srg_spectrum(SrgParams(*p))),
+}
+
+#: one line naming every expression form, for help text
+GRAMMAR = " | ".join(
+    [f"{head}:{params}" for head, (params, _) in _INTEGER_HEADS.items()]
+    + list(_PRESETS)
+    + ["drg:b0,..;c1,..", "g6:<string>", "union:<a>+<b>", "complement:<a>", "blowup:<a>,t"]
+)
+
+
 def _parse_expr(s: str, off: int) -> SpectralDescriptor:
     if not s:
         raise GraphParseError("empty graph expression", off)
-    if s == "petersen":
-        return petersen_descriptor()
-    if s == "icosahedron":
-        return icosahedron_descriptor()
-    if s == "gosset":
-        return gosset_descriptor()
+    if s in _PRESETS:
+        return _PRESETS[s]()
     head, sep, rest = s.partition(":")
     if not sep:
         raise GraphParseError(f"unknown graph name '{s}'", off)
     roff = off + len(head) + 1
 
-    if head == "complete":
-        return complete_descriptor(_parse_int(rest, roff))
-    if head == "cycle":
-        return cycle_descriptor(_parse_int(rest, roff))
-    if head == "johnson":
-        vals = _parse_int_list(rest, roff)
-        if len(vals) != 2:
-            raise GraphParseError("johnson takes exactly two integers m,r", roff)
-        return johnson_descriptor(*vals)
-    if head == "paley":
-        return paley_descriptor(_parse_int(rest, roff))
-    if head == "srg":
-        vals = _parse_int_list(rest, roff)
-        if len(vals) != 4:
-            raise GraphParseError("srg takes exactly four integers v,k,l,m", roff)
-        return srg_spectrum(SrgParams(*vals))
+    if head in _INTEGER_HEADS:
+        params, build = _INTEGER_HEADS[head]
+        arity = params.count(",") + 1
+        if not rest or rest.count(",") + 1 != arity:
+            plural = "s" if arity > 1 else ""
+            raise GraphParseError(f"{head} takes exactly {arity} integer{plural} {params}", roff)
+        return build(*_parse_int_list(rest, roff))
     if head == "drg":
         bpart, sep2, cpart = rest.partition(";")
         if not sep2:
@@ -677,6 +692,7 @@ def _parse_expr(s: str, off: int) -> SpectralDescriptor:
         except GraphParseError as e:
             shift = roff + (e.offset or 0)
             raise GraphParseError(f"bad graph6 literal: {e.args[0]}", shift) from None
+        _check_dense_order(g.n, "g6 literal")
         return explicit_descriptor(g, f"g6:{rest}")
     if head == "union":
         cut = rest.rfind("+")

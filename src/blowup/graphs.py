@@ -61,8 +61,8 @@ class Graph:
     def edge_count(self) -> int:
         return int(self._adj.sum()) // 2
 
-    def matrix(self, dtype=np.float64) -> np.ndarray:
-        return self._adj.astype(dtype)
+    def matrix(self) -> np.ndarray:
+        return self._adj.astype(np.float64)
 
     def triangle_count(self) -> int:
         a = self._adj.astype(np.int64)

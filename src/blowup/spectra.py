@@ -23,6 +23,9 @@ from .graphs import Graph
 #: absolute agreement required between an exact spectrum and the eigensolver
 NUMERIC_SPECTRUM_TOL = 1e-8
 
+#: slack of the float trace and power-sum identities
+IDENTITY_TOL = 1e-6
+
 #: grouping gap when pretty-printing float spectra
 DISPLAY_MERGE_GAP = 1e-7
 
@@ -95,8 +98,8 @@ class Spectrum:
     def power_sum(self, p: int) -> float:
         return float(math.fsum((float(v) ** p) * m for v, m in self.entries))
 
-    def trace_is_zero(self, tol: float = 1e-6) -> bool:
-        """Exact zero test when all entries are exact, else a float test."""
+    def trace_is_zero(self) -> bool:
+        """Exact zero test when all entries are exact, else a float test within IDENTITY_TOL."""
         rat = Fraction(0)
         irr: dict[int, Fraction] = {}
         fl = []
@@ -111,7 +114,7 @@ class Spectrum:
             return rat == 0 and all(s == 0 for s in irr.values())
         total = float(rat) + math.fsum(fl)
         total += math.fsum(float(s) * math.sqrt(d) for d, s in irr.items())
-        return abs(total) <= tol
+        return abs(total) <= IDENTITY_TOL
 
     # -- comparisons ----------------------------------------------------------
 
@@ -215,10 +218,10 @@ def eigen_spectrum(g: Graph) -> Spectrum:
     return Spectrum.from_floats(eigenvalues(g.matrix())[::-1])
 
 
-def spectrum_invariant_checks(g: Graph, s: Spectrum, tol: float = 1e-6) -> bool:
-    """Check sum(lambda) == 0, sum(lambda^2) == 2E, sum(lambda^3) == 6T within tol."""
+def spectrum_invariant_checks(g: Graph, s: Spectrum) -> bool:
+    """Check sum(lambda) == 0, sum(lambda^2) == 2E, sum(lambda^3) == 6T within IDENTITY_TOL."""
     return (
-        abs(s.power_sum(1)) <= tol
-        and abs(s.power_sum(2) - 2 * g.edge_count) <= tol
-        and abs(s.power_sum(3) - 6 * g.triangle_count()) <= tol
+        abs(s.power_sum(1)) <= IDENTITY_TOL
+        and abs(s.power_sum(2) - 2 * g.edge_count) <= IDENTITY_TOL
+        and abs(s.power_sum(3) - 6 * g.triangle_count()) <= IDENTITY_TOL
     )

@@ -286,3 +286,43 @@ def test_verify_json(capsys):
     assert len(obj["checks"]) == 4
     # the blowup check is acceptance criterion 4's residual
     assert obj["checks"][1]["detail"] == f"max residual {bounds.blowup_residual():.2e}"
+
+
+def test_grammar_help_names_every_table_entry(capsys):
+    from blowup import families
+    from blowup.cli import GRAMMAR_HELP
+
+    for name in [*families._PRESETS, *families._INTEGER_HEADS]:
+        assert name in GRAMMAR_HELP, name
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "taylor-co3" in capsys.readouterr().out
+
+
+def test_table_sources_are_expressions(capsys):
+    # the table's row 24 source name rebuilds its certificate from the CLI
+    code, out, _ = run(capsys, "bound", "taylor-co3", "--k", "24", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ratio"]["exact"] == "7/69"
+    assert obj["verification"] == "exact-formula"
+    assert obj["descriptor"]["n"] == 552
+
+
+def test_huge_drg_array_exits_two(capsys):
+    # diameter 1100: valencies 3*2^(j-1) pass the float range
+    d = 1100
+    expr = "drg:3" + ",2" * (d - 1) + ";" + ",".join(["1"] * d)
+    code, _, err = run(capsys, "spectrum", expr)
+    assert code == 2
+    assert "2^52" in err and "Traceback" not in err
+
+
+def test_search_defaults_are_search_config_defaults():
+    from blowup.cli import build_parser
+    from blowup.search import SearchConfig
+
+    args = build_parser().parse_args(["search", "--k", "3", "--n", "5"])
+    cfg = SearchConfig(k=3, n=5)
+    for name in ("budget", "restarts", "t0", "cooling", "seed"):
+        assert getattr(args, name) == getattr(cfg, name), name

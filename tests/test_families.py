@@ -475,6 +475,9 @@ def test_parse_errors_have_positions():
         ("johnson:x,2", "integer"),
         ("complete:", "integer"),
         ("srg:9,4,1", "srg"),
+        ("complete:3,4", "complete takes exactly 1 integer n"),
+        ("johnson:5", "johnson takes exactly 2 integers m,r"),
+        ("srg:", "srg takes exactly 4 integers v,k,l,m"),
         ("blowup:petersen", "blowup"),
         ("union:petersen", "union"),
         ("g6:B", "graph6"),
@@ -495,3 +498,53 @@ def test_parse_offset_points_into_text():
     assert "offset" in msg
     # 'z' sits at index 25 of the whole expression
     assert "(at offset 25)" in msg
+
+
+def test_g6_literal_is_under_the_dense_ceiling(monkeypatch):
+    # like every other explicit leaf, a decoded graph6 literal is refused
+    # above the ceiling before it is solved
+    import blowup.families as fam
+
+    monkeypatch.setattr(fam, "_MAX_DENSE_ORDER", 10)
+    for text in ("g6:JhCGGC@?K?_", "cycle:11", "complement:g6:JhCGGC@?K?_"):
+        with pytest.raises(ValueError, match="ceiling 10"):
+            parse_expression(text)
+    assert parse_expression("g6:Ch").n == 4
+
+
+# every head and operator of the grammar, nested where they nest
+GRAMMAR_CORPUS = (
+    "complete:5", "cycle:7", "johnson:7,3", "paley:13", "srg:16,5,0,2",
+    "petersen", "icosahedron", "gosset", "taylor-co3",
+    "drg:3,2;1,1", "drg:2,1,1;1,1,1", "g6:Ch", "union:petersen+cycle:5",
+    "complement:johnson:6,2", "blowup:srg:16,5,0,2,3",
+    "union:blowup:petersen,2+complement:g6:Ch", "blowup:union:gosset+paley:9,4",
+)
+
+
+def test_every_name_rebuilds_its_descriptor():
+    import blowup.families as fam
+    from blowup.bounds import reproduce_table
+
+    heads = {e.partition(":")[0] for e in GRAMMAR_CORPUS}
+    assert set(fam._PRESETS) | set(fam._INTEGER_HEADS) <= heads
+    assert {"drg", "g6", "union", "complement", "blowup"} <= heads
+    table = [c.base for row in reproduce_table() for c in row.certificates]
+    for d in table + [parse_expression(e) for e in GRAMMAR_CORPUS]:
+        again = parse_expression(d.name)
+        assert again.name == d.name
+        assert again.spectrum == d.spectrum, d.name
+        assert again.provenance.to_json_obj() == d.provenance.to_json_obj(), d.name
+
+
+def test_drg_order_beyond_float_integrality_is_refused():
+    # above 2^52 every float64 is an integer, so float multiplicities would
+    # pass the integrality test whatever they are; the array is refused first
+    d = 200
+    expr = "drg:3" + ",2" * (d - 1) + ";" + ",".join(["1"] * d)
+    with pytest.raises(InfeasibleIntersectionArray, match=r"at least 2\^52"):
+        parse_expression(expr)
+    # all roots integer: exact arithmetic throughout, so size is no obstacle
+    q60 = drg_spectrum(IntersectionArray(tuple(range(60, 0, -1)), tuple(range(1, 61))))
+    assert q60.n == 2**60
+    assert q60.spectrum.is_exact

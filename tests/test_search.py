@@ -108,6 +108,17 @@ def test_exhaustive_size_gates():
         exhaustive_max(5, 4)
 
 
+def test_search_meets_the_certify_ceiling_check(monkeypatch):
+    # search results meet the same ceiling check as certificates: (2, 4)
+    # reaches exactly 1/2, so a ceiling patched below it must raise
+    from blowup import bounds
+    from blowup.errors import InternalConsistencyError
+
+    monkeypatch.setattr(bounds, "nikiforov_upper", lambda k: 0.49)
+    with pytest.raises(InternalConsistencyError, match="exceeds the proven ceiling"):
+        exhaustive_max(2, 4)
+
+
 def labeled_sweep(n: int):
     """Ratio oracle over every labeled graph on n vertices, one batched solve.
 
