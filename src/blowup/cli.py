@@ -145,10 +145,13 @@ def cmd_table(args) -> int:
 
 def cmd_search(args) -> int:
     if args.method == "stream":
+        if args.g6_file is None:
+            raise ValueError("stream search needs --g6-file")
         if args.g6_file == "-":
             result = S.stream_max(args.k, sys.stdin, on_error=args.on_error)
         else:
-            with open(args.g6_file, encoding="ascii") as fh:
+            # a non-ASCII byte stays in its line, which g6_decode then rejects
+            with open(args.g6_file, encoding="ascii", errors="surrogateescape") as fh:
                 result = S.stream_max(args.k, fh, on_error=args.on_error)
     elif args.method == "exhaustive":
         if args.n is None:

@@ -1,4 +1,4 @@
-"""Named graph families, parameter-level spectra, and spectral descriptors.
+"""Named graph families, parameter-level spectra, and the expression parser.
 
 A SpectralDescriptor carries a name and a provenance tree; its spectrum and
 order are derived from the tree once, at construction, and from nothing
@@ -7,9 +7,12 @@ must agree with the solve), strongly regular parameters, or an
 intersection array (both by exact formula); a Derived node is the union or
 closed blowup of described parts, taken at spectrum level.
 
-The module also owns the expression grammar, the one way the package names
-and builds a graph: the `_PRESETS` and `_INTEGER_HEADS` tables, plus the
-heads with their own syntax in `_parse_expr`. `GRAMMAR` renders it.
+An expression is the one way to name and build a descriptor. The family
+builders are private and return a provenance, not a descriptor; the
+`_PRESETS` and `_INTEGER_HEADS` tables map a head to one. `_parse_expr`
+handles the heads with their own syntax, renders every canonical name, and
+is the one place a SpectralDescriptor is constructed. `GRAMMAR` renders the
+grammar for help text.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .spectra import (
 )
 
 _MAX_DENSE_ORDER = 5000  # ceiling for graphs we will build explicitly
+_MAX_NESTING = 64  # deepest operator nesting an expression may have
 
 
 def _check_dense_order(n: int, name: str) -> None:
@@ -181,38 +185,33 @@ class SpectralDescriptor:
         }
 
 
-def explicit_descriptor(g: Graph, name: str, exact_pairs=None) -> SpectralDescriptor:
-    """Descriptor for a concrete graph; exact_pairs, checked against the solve, replace it."""
-    return SpectralDescriptor(name, Explicit(g, None if exact_pairs is None else tuple(exact_pairs)))
+# -- simple families: each builder returns the provenance of its graph -------------
 
 
-# -- simple families ----------------------------------------------------------
-
-
-def complete_descriptor(n: int) -> SpectralDescriptor:
+def _complete(n: int) -> Explicit:
     _check_dense_order(n, f"complete:{n}")
     pairs = [(Quadratic(n - 1), 1)]
     if n > 1:
         pairs.append((Quadratic(-1), n - 1))
-    return explicit_descriptor(complete(n), f"complete:{n}", pairs)
+    return Explicit(complete(n), tuple(pairs))
 
 
 _SMALL_CYCLE_SPECTRA = {
-    3: [(2, 1), (-1, 2)],
-    4: [(2, 1), (0, 2), (-2, 1)],
-    5: [
+    3: ((2, 1), (-1, 2)),
+    4: ((2, 1), (0, 2), (-2, 1)),
+    5: (
         (2, 1),
         (Quadratic(Fraction(-1, 2), Fraction(1, 2), 5), 2),
         (Quadratic(Fraction(-1, 2), Fraction(-1, 2), 5), 2),
-    ],
-    6: [(2, 1), (1, 2), (-1, 2), (-2, 1)],
+    ),
+    6: ((2, 1), (1, 2), (-1, 2), (-2, 1)),
 }
 
 
-def cycle_descriptor(n: int) -> SpectralDescriptor:
+def _cycle(n: int) -> Explicit:
     """Cycle spectrum; exact through n = 6, numeric beyond (roots stop being quadratic)."""
     _check_dense_order(n, f"cycle:{n}")
-    return explicit_descriptor(cycle(n), f"cycle:{n}", _SMALL_CYCLE_SPECTRA.get(n))
+    return Explicit(cycle(n), _SMALL_CYCLE_SPECTRA.get(n))
 
 
 def johnson(m: int, r: int = 2) -> Graph:
@@ -231,7 +230,7 @@ def johnson(m: int, r: int = 2) -> Graph:
     return Graph(inc @ inc.T == r - 1)
 
 
-def johnson_descriptor(m: int, r: int = 2) -> SpectralDescriptor:
+def _johnson(m: int, r: int) -> Explicit:
     """Johnson graph with its exact spectrum.
 
     Eigenvalues are (r-j)(m-r-j) - j with multiplicity C(m,j) - C(m,j-1)
@@ -243,7 +242,7 @@ def johnson_descriptor(m: int, r: int = 2) -> SpectralDescriptor:
         mult = math.comb(m, j) - (math.comb(m, j - 1) if j >= 1 else 0)
         if mult > 0:
             pairs.append((Quadratic((r - j) * (m - r - j) - j), mult))
-    return explicit_descriptor(g, f"johnson:{m},{r}", pairs)
+    return Explicit(g, tuple(pairs))
 
 
 # Pentagonal antiprism plus two apex vertices: 0 above the ring 1..5,
@@ -263,10 +262,9 @@ def icosahedron() -> Graph:
     return Graph.from_edges(12, _ICOSAHEDRON_EDGES)
 
 
-def icosahedron_descriptor() -> SpectralDescriptor:
+def _icosahedron() -> Explicit:
     r5 = Quadratic.sqrt(5)
-    pairs = [(Quadratic(5), 1), (r5, 3), (Quadratic(-1), 5), (-r5, 3)]
-    return explicit_descriptor(icosahedron(), "icosahedron", pairs)
+    return Explicit(icosahedron(), ((Quadratic(5), 1), (r5, 3), (Quadratic(-1), 5), (-r5, 3)))
 
 
 def petersen() -> Graph:
@@ -274,9 +272,8 @@ def petersen() -> Graph:
     return complement(johnson(5, 2))
 
 
-def petersen_descriptor() -> SpectralDescriptor:
-    pairs = [(Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4)]
-    return explicit_descriptor(petersen(), "petersen", pairs)
+def _petersen() -> Explicit:
+    return Explicit(petersen(), ((Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4)))
 
 
 def _is_prime(q: int) -> bool:
@@ -304,11 +301,10 @@ def paley(q: int) -> Graph:
     return Graph.from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q) if (i - j) % q in squares])
 
 
-def paley_descriptor(q: int) -> SpectralDescriptor:
+def _paley(q: int) -> Explicit:
     g = paley(q)
     params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    pairs = _srg_formula(params).entries
-    return explicit_descriptor(g, f"paley:{q}", pairs)
+    return Explicit(g, _srg_formula(params).entries)
 
 
 # -- strongly regular parameters ----------------------------------------------
@@ -334,11 +330,6 @@ class SrgParams:
             raise InfeasibleSrgParameters(
                 f"counting identity fails: k(k-lambda-1)={lhs} != (v-k-1)mu={rhs}"
             )
-
-
-def srg_spectrum(p: SrgParams) -> SpectralDescriptor:
-    """Descriptor named srg:v,k,l,m whose spectrum comes from the parameters."""
-    return SpectralDescriptor(f"srg:{p.v},{p.k},{p.lam},{p.mu}", FromSrg(p))
 
 
 def _srg_formula(p: SrgParams) -> Spectrum:
@@ -452,9 +443,6 @@ class IntersectionArray:
     def n(self) -> int:
         return sum(self.valencies())
 
-    def name(self) -> str:
-        return "drg:" + ",".join(map(str, self.b)) + ";" + ",".join(map(str, self.c))
-
 
 def _charpoly_at(arr: IntersectionArray, x: int) -> int:
     """The intersection matrix's characteristic polynomial at an integer x.
@@ -482,11 +470,6 @@ def _multiplicity(theta, arr: IntersectionArray, kj: tuple[int, ...], a: list[in
         total = total + kj[j + 1] * (u_next * u_next)
         u_prev, u_cur = u_cur, u_next
     return n / total
-
-
-def drg_spectrum(arr: IntersectionArray) -> SpectralDescriptor:
-    """Descriptor named drg:b;c whose spectrum comes from the intersection array."""
-    return SpectralDescriptor(arr.name(), FromIntersectionArray(arr))
 
 
 def _drg_formula(arr: IntersectionArray) -> Spectrum:
@@ -563,34 +546,7 @@ def _drg_formula(arr: IntersectionArray) -> Spectrum:
     return Spectrum(pairs)
 
 
-def gosset_descriptor() -> SpectralDescriptor:
-    """Gosset graph preset: intersection array {27,10,1;1,10,27} on 56 vertices."""
-    arr = IntersectionArray((27, 10, 1), (1, 10, 27))
-    return SpectralDescriptor("gosset", FromIntersectionArray(arr))
-
-
-def taylor_co3_descriptor() -> SpectralDescriptor:
-    """Taylor graph preset: intersection array {275,112,1;1,112,275} on 552 vertices.
-
-    The Taylor double cover of the regular two-graph on 276 points
-    (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989); its
-    24th eigenvalue, 55, gives table row 24.
-    """
-    arr = IntersectionArray((275, 112, 1), (1, 112, 275))
-    return SpectralDescriptor("taylor-co3", FromIntersectionArray(arr))
-
-
 # -- descriptor combinators ----------------------------------------------------
-
-
-def union_descriptor(a: SpectralDescriptor, b: SpectralDescriptor) -> SpectralDescriptor:
-    """Disjoint union: spectra merge as multisets, orders add."""
-    return SpectralDescriptor(f"union:{a.name}+{b.name}", Derived("union", (a, b)))
-
-
-def blowup_descriptor(a: SpectralDescriptor, t: int) -> SpectralDescriptor:
-    """Closed t-blowup, by the spectrum transform (checked by `blowup verify`)."""
-    return SpectralDescriptor(f"blowup:{a.name},{t}", Derived("blowup", (a,), t))
 
 
 def _graph(d: SpectralDescriptor) -> Graph:
@@ -602,13 +558,12 @@ def _graph(d: SpectralDescriptor) -> Graph:
     return disjoint_union(*graphs) if p.op == "union" else closed_blowup_graph(graphs[0], p.t)
 
 
-def complement_descriptor(a: SpectralDescriptor) -> SpectralDescriptor:
+def _complement(a: SpectralDescriptor, name: str) -> Explicit:
     """Complement of a graph built from the tree; only explicit leaves are verified."""
     if strength(a.provenance) != VERIFIED:
         raise ValueError(f"complement needs an explicit graph, got {a.name}")
-    name = f"complement:{a.name}"
     _check_dense_order(a.n, name)
-    return explicit_descriptor(complement(_graph(a)), name)
+    return Explicit(complement(_graph(a)))
 
 
 # -- name grammar ----------------------------------------------------------------
@@ -634,24 +589,27 @@ def _parse_int_list(tok: str, off: int) -> list[int]:
 
 def parse_expression(text: str) -> SpectralDescriptor:
     """Evaluate a graph/descriptor expression in the shared name grammar."""
-    return _parse_expr(text.strip(), 0)
+    return _parse_expr(text.strip(), 0, 0)
 
 
 #: parameterless names and their builders
 _PRESETS = {
-    "petersen": petersen_descriptor,
-    "icosahedron": icosahedron_descriptor,
-    "gosset": gosset_descriptor,
-    "taylor-co3": taylor_co3_descriptor,
+    "petersen": _petersen,
+    "icosahedron": _icosahedron,
+    "gosset": lambda: FromIntersectionArray(IntersectionArray((27, 10, 1), (1, 10, 27))),
+    # The Taylor double cover of the regular two-graph on 276 points (Brouwer,
+    # Cohen and Neumaier, Distance-Regular Graphs, 1989), 552 vertices; its
+    # 24th eigenvalue, 55, gives table row 24.
+    "taylor-co3": lambda: FromIntersectionArray(IntersectionArray((275, 112, 1), (1, 112, 275))),
 }
 
 #: heads that take a fixed list of integers: parameter names and builder
 _INTEGER_HEADS = {
-    "complete": ("n", complete_descriptor),
-    "cycle": ("n", cycle_descriptor),
-    "johnson": ("m,r", johnson_descriptor),
-    "paley": ("q", paley_descriptor),
-    "srg": ("v,k,l,m", lambda *p: srg_spectrum(SrgParams(*p))),
+    "complete": ("n", _complete),
+    "cycle": ("n", _cycle),
+    "johnson": ("m,r", _johnson),
+    "paley": ("q", _paley),
+    "srg": ("v,k,l,m", lambda *p: FromSrg(SrgParams(*p))),
 }
 
 #: one line naming every expression form, for help text
@@ -662,52 +620,64 @@ GRAMMAR = " | ".join(
 )
 
 
-def _parse_expr(s: str, off: int) -> SpectralDescriptor:
+def _parse_expr(s: str, off: int, depth: int) -> SpectralDescriptor:
+    """The descriptor s names; depth counts the operators s is nested in.
+
+    Every branch yields the canonical name and the provenance, and the one
+    construction below derives the spectrum from them.
+    """
+    if depth > _MAX_NESTING:
+        raise GraphParseError(f"expression nests more than {_MAX_NESTING} operators deep", off)
     if not s:
         raise GraphParseError("empty graph expression", off)
-    if s in _PRESETS:
-        return _PRESETS[s]()
     head, sep, rest = s.partition(":")
-    if not sep:
-        raise GraphParseError(f"unknown graph name '{s}'", off)
     roff = off + len(head) + 1
-
-    if head in _INTEGER_HEADS:
+    if s in _PRESETS:
+        name, prov = s, _PRESETS[s]()
+    elif not sep:
+        raise GraphParseError(f"unknown graph name '{s}'", off)
+    elif head in _INTEGER_HEADS:
         params, build = _INTEGER_HEADS[head]
         arity = params.count(",") + 1
         if not rest or rest.count(",") + 1 != arity:
             plural = "s" if arity > 1 else ""
             raise GraphParseError(f"{head} takes exactly {arity} integer{plural} {params}", roff)
-        return build(*_parse_int_list(rest, roff))
-    if head == "drg":
+        ints = _parse_int_list(rest, roff)
+        name, prov = f"{head}:{','.join(map(str, ints))}", build(*ints)
+    elif head == "drg":
         bpart, sep2, cpart = rest.partition(";")
         if not sep2:
             raise GraphParseError("drg needs ';' between the b and c sequences", roff)
         b = _parse_int_list(bpart, roff)
         c = _parse_int_list(cpart, roff + len(bpart) + 1)
-        return drg_spectrum(IntersectionArray(tuple(b), tuple(c)))
-    if head == "g6":
+        name = f"drg:{','.join(map(str, b))};{','.join(map(str, c))}"
+        prov = FromIntersectionArray(IntersectionArray(tuple(b), tuple(c)))
+    elif head == "g6":
         try:
             g = g6_decode(rest)
         except GraphParseError as e:
             shift = roff + (e.offset or 0)
             raise GraphParseError(f"bad graph6 literal: {e.args[0]}", shift) from None
         _check_dense_order(g.n, "g6 literal")
-        return explicit_descriptor(g, f"g6:{rest}")
-    if head == "union":
+        name, prov = s, Explicit(g)
+    elif head == "union":
         cut = rest.rfind("+")
         if cut < 0:
             raise GraphParseError("union needs '+' between two operands", roff)
-        a = _parse_expr(rest[:cut], roff)
-        b = _parse_expr(rest[cut + 1 :], roff + cut + 1)
-        return union_descriptor(a, b)
-    if head == "complement":
-        return complement_descriptor(_parse_expr(rest, roff))
-    if head == "blowup":
+        a = _parse_expr(rest[:cut], roff, depth + 1)
+        b = _parse_expr(rest[cut + 1 :], roff + cut + 1, depth + 1)
+        name, prov = f"union:{a.name}+{b.name}", Derived("union", (a, b))
+    elif head == "complement":
+        a = _parse_expr(rest, roff, depth + 1)
+        name = f"complement:{a.name}"
+        prov = _complement(a, name)
+    elif head == "blowup":
         cut = rest.rfind(",")
         if cut < 0:
             raise GraphParseError("blowup needs ',t' after the operand", roff)
         t = _parse_int(rest[cut + 1 :], roff + cut + 1)
-        base = _parse_expr(rest[:cut], roff)
-        return blowup_descriptor(base, t)
-    raise GraphParseError(f"unknown constructor '{head}'", off)
+        a = _parse_expr(rest[:cut], roff, depth + 1)
+        name, prov = f"blowup:{a.name},{t}", Derived("blowup", (a,), t)
+    else:
+        raise GraphParseError(f"unknown constructor '{head}'", off)
+    return SpectralDescriptor(name, prov)

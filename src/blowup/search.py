@@ -77,8 +77,8 @@ class SearchConfig:
             raise ValueError(f"unknown method '{self.method}'")
         if self.budget < 1 or self.restarts < 0:
             raise ValueError("budget must be positive, restarts nonnegative")
-        if not (0 < self.cooling <= 1) or self.t0 <= 0:
-            raise ValueError("need 0 < cooling <= 1 and t0 > 0")
+        if not (0 < self.cooling <= 1) or not (0 < self.t0 < math.inf):
+            raise ValueError("need 0 < cooling <= 1 and a finite t0 > 0")
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,7 @@ from blowup.bounds import (
     reproduce_table,
 )
 from blowup.exact import Quadratic
-from blowup.families import (
-    IntersectionArray,
-    SrgParams,
-    drg_spectrum,
-    gosset_descriptor,
-    icosahedron_descriptor,
-    johnson_descriptor,
-    srg_spectrum,
-)
+from blowup.families import parse_expression
 from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph
 from blowup.search import SearchConfig, exhaustive_max, local_search
 from blowup.spectra import eigen_spectrum
@@ -50,7 +42,7 @@ def test_criterion_1_table_reproduction():
 
 
 def test_criterion_2_icosahedron_certificate():
-    cert = certify(icosahedron_descriptor(), 4)
+    cert = certify(parse_expression("icosahedron"), 4)
     assert cert.ratio == Quadratic(Fraction(1, 12), Fraction(1, 12), 5)
     assert cert.attained
     assert abs(cert.ratio_float() - 0.26967) < 1e-5
@@ -58,7 +50,7 @@ def test_criterion_2_icosahedron_certificate():
 
 def test_criterion_3_johnson_family_certificates():
     for k in range(6, 17):
-        cert = certify(johnson_descriptor(k, 2), k)
+        cert = certify(parse_expression(f"johnson:{k},2"), k)
         assert cert.ratio == Quadratic(Fraction(2 * (k - 3), k * (k - 1))), k
         assert cert.ratio_float() > 1.0 / k
         assert cert.ratio_float() > reference_lower(k)
@@ -77,8 +69,8 @@ def test_criterion_4_blowup_equivalence():
 def test_criterion_5_srg_drg_identities():
     param_sets = [(9, 4, 1, 2), (10, 3, 0, 1), (57, 24, 11, 9),
                   (125, 72, 45, 36), (243, 132, 81, 60)]
-    descriptors = [srg_spectrum(SrgParams(*p)) for p in param_sets]
-    descriptors.append(drg_spectrum(IntersectionArray((27, 10, 1), (1, 10, 27))))
+    descriptors = [parse_expression("srg:" + ",".join(map(str, p))) for p in param_sets]
+    descriptors.append(parse_expression("drg:27,10,1;1,10,27"))
     orders = [p[0] for p in param_sets] + [56]
     valencies = [p[1] for p in param_sets] + [27]
     for d, v, k in zip(descriptors, orders, valencies):
@@ -90,8 +82,8 @@ def test_criterion_5_srg_drg_identities():
         assert total == Quadratic(v)
         assert first == Quadratic(0)
         assert second == Quadratic(v * k)
-    gosset_cert = certify(gosset_descriptor(), 8)
-    johnson_cert = certify(johnson_descriptor(8, 2), 8)
+    gosset_cert = certify(parse_expression("gosset"), 8)
+    johnson_cert = certify(parse_expression("johnson:8,2"), 8)
     assert gosset_cert.ratio == johnson_cert.ratio == Quadratic(Fraction(5, 28))
 
 
@@ -132,12 +124,10 @@ def test_criterion_7_upper_bound_dominance():
         assert r.best_ratio <= nikiforov_upper(r.k) + 1e-9
     # certificates of random explicit graphs
     rng = random.Random(77)
-    from blowup.families import explicit_descriptor
-
     for _ in range(40):
         g = random_graph(rng.randint(2, 10), rng)
         for k in range(2, min(7, g.n + 1)):
-            cert = certify(explicit_descriptor(g, "random"), k)
+            cert = certify(parse_expression(f"g6:{g6_encode(g)}"), k)
             assert cert.ratio_float() <= nikiforov_upper(k) + 1e-9
 
 

@@ -59,3 +59,20 @@ def test_one_eigensolver_call_site():
     uses = {p.name: p.read_text().count("eigvalsh") for p in PACKAGE.rglob("*.py")}
     assert {name: count for name, count in uses.items() if count} == {"spectra.py": 1}
     assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1
+
+
+def test_one_descriptor_construction_site():
+    # The parser renders every descriptor name and is the one place a
+    # descriptor is built; the family builders return provenances.
+    uses = {p.name: p.read_text().count("SpectralDescriptor(") for p in PACKAGE.rglob("*.py")}
+    assert {name: count for name, count in uses.items() if count} == {"families.py": 1}
+    source = (PACKAGE / "families.py").read_text()
+    parser = source[source.index("def _parse_expr("):]
+    assert parser.count("SpectralDescriptor(") == 1
+    removed = {
+        "complete_descriptor", "cycle_descriptor", "johnson_descriptor", "icosahedron_descriptor",
+        "petersen_descriptor", "paley_descriptor", "srg_spectrum", "drg_spectrum", "gosset_descriptor",
+        "taylor_co3_descriptor", "union_descriptor", "blowup_descriptor", "complement_descriptor",
+        "explicit_descriptor",
+    }
+    assert removed.isdisjoint(blowup.__all__)

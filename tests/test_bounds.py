@@ -19,15 +19,7 @@ from blowup.bounds import (
 )
 from blowup.errors import InternalConsistencyError, TableMismatchError
 from blowup.exact import Quadratic
-from blowup.families import (
-    blowup_descriptor,
-    complete_descriptor,
-    cycle_descriptor,
-    gosset_descriptor,
-    icosahedron_descriptor,
-    johnson_descriptor,
-    parse_expression,
-)
+from blowup.families import parse_expression
 
 
 @pytest.fixture
@@ -45,7 +37,7 @@ def solves(monkeypatch):
 
 
 def test_blowup_spectrum_icosahedron():
-    b = blowup_descriptor(icosahedron_descriptor(), 2)
+    b = parse_expression("blowup:icosahedron,2")
     assert b.n == 24
     assert b.spectrum.entries == (
         (Quadratic(11), 1),
@@ -56,22 +48,22 @@ def test_blowup_spectrum_icosahedron():
 
 
 def test_blowup_t1_identity():
-    d = icosahedron_descriptor()
-    assert blowup_descriptor(d, 1).spectrum == d.spectrum
+    d = parse_expression("icosahedron")
+    assert parse_expression("blowup:icosahedron,1").spectrum == d.spectrum
 
 
 def test_finite_ratio_merges_new_minus_ones():
     # C4: {2, 0, 0, -2} -> t=2 gives {5, 1, 1, -3} plus four fresh -1s.
     # The 4th largest of the merged multiset is -1, NOT the transform of
     # the base 4th eigenvalue (which would be -3).
-    d = cycle_descriptor(4)
+    d = parse_expression("cycle:4")
     assert finite_ratio(d, 2, 4) == Quadratic(Fraction(-1, 8))
     assert finite_ratio(d, 2, 8) == Quadratic(Fraction(-3, 8))
     assert finite_ratio(d, 2, 2) == Quadratic(Fraction(1, 8))
 
 
 def test_finite_ratio_monotone_in_t():
-    d = icosahedron_descriptor()
+    d = parse_expression("icosahedron")
     vals = [float(finite_ratio(d, t, 4)) for t in range(1, 10)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     lim = limit_ratio(d.spectrum, 4)
@@ -80,17 +72,17 @@ def test_finite_ratio_monotone_in_t():
 
 
 def test_limit_ratio_values():
-    d = icosahedron_descriptor()
+    d = parse_expression("icosahedron")
     lr = limit_ratio(d.spectrum, 4)
     assert lr.attained
     assert lr.value == Quadratic(Fraction(1, 12), Fraction(1, 12), 5)
     # lambda_2(K5) = -1: ratios approach 0 from below
-    k5 = complete_descriptor(5)
+    k5 = parse_expression("complete:5")
     lr = limit_ratio(k5.spectrum, 2)
     assert lr.value == Quadratic(0)
     assert not lr.attained
     # lambda below -1 also gives unattained 0
-    lr = limit_ratio(complete_descriptor(3).spectrum, 3)
+    lr = limit_ratio(parse_expression("complete:3").spectrum, 3)
     assert lr.value == Quadratic(0)
     assert not lr.attained
 
@@ -106,7 +98,7 @@ def test_reference_bound_formulas():
 
 
 def test_certify_icosahedron():
-    c = certify(icosahedron_descriptor(), 4)
+    c = certify(parse_expression("icosahedron"), 4)
     assert c.ratio == Quadratic(Fraction(1, 12), Fraction(1, 12), 5)
     assert c.attained
     assert c.verification == "verified"
@@ -116,7 +108,7 @@ def test_certify_icosahedron():
 
 def test_certify_johnson_row_formula():
     for k in range(6, 17):
-        c = certify(johnson_descriptor(k, 2), k)
+        c = certify(parse_expression(f"johnson:{k},2"), k)
         assert c.ratio == Quadratic(Fraction(2 * (k - 3), k * (k - 1)))
         assert c.ratio_float() > 1 / k
         assert c.ratio_float() > 1 / (k - 0.5)
@@ -124,8 +116,8 @@ def test_certify_johnson_row_formula():
 
 
 def test_certify_gosset_matches_johnson_at_8():
-    a = certify(johnson_descriptor(8, 2), 8)
-    b = certify(gosset_descriptor(), 8)
+    a = certify(parse_expression("johnson:8,2"), 8)
+    b = certify(parse_expression("gosset"), 8)
     assert a.ratio == b.ratio == Quadratic(Fraction(5, 28))
     assert b.verification == "exact-formula"
 
@@ -162,9 +154,9 @@ def test_validate_once_solve_counts(solves):
 
 def test_certify_range_checks():
     with pytest.raises(ValueError):
-        certify(icosahedron_descriptor(), 0)
+        certify(parse_expression("icosahedron"), 0)
     with pytest.raises(ValueError):
-        certify(icosahedron_descriptor(), 13)
+        certify(parse_expression("icosahedron"), 13)
 
 
 def test_certify_rejects_ceiling_violation(monkeypatch):
@@ -173,12 +165,12 @@ def test_certify_rejects_ceiling_violation(monkeypatch):
     # certify must refuse loudly
     monkeypatch.setattr(bounds, "nikiforov_upper", lambda k: 0.25)
     with pytest.raises(InternalConsistencyError, match="exceeds the proven ceiling"):
-        certify(icosahedron_descriptor(), 4)
+        certify(parse_expression("icosahedron"), 4)
 
 
 def test_certify_k1_has_no_ceiling():
     # k = 1 has no 1/(2 sqrt(k-1)) ceiling; complete graphs approach 1
-    c = certify(complete_descriptor(50), 1)
+    c = certify(parse_expression("complete:50"), 1)
     assert c.ratio == Quadratic(1)
 
 

@@ -213,6 +213,31 @@ def test_search_stream_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_search_stream_needs_a_file(capsys):
+    code, _, err = run(capsys, "search", "--k", "3", "--method", "stream")
+    assert code == 2
+    assert "stream search needs --g6-file" in err
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+def test_search_stream_non_ascii_file_matches_stdin(tmp_path, capsys, monkeypatch, on_error):
+    # a non-ASCII byte spoils its own line only, read from a file or from stdin
+    text = g6_encode(petersen()) + "\nB\u00e9w\nBw\n"
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(text.encode("utf-8"))
+    argv = ["search", "--k", "2", "--method", "stream", "--on-error", on_error, "--json"]
+    from_file = run(capsys, *argv, "--g6-file", str(path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    from_stdin = run(capsys, *argv, "--g6-file", "-")
+    assert from_file == from_stdin
+    if on_error == "raise":
+        assert from_file[0] == 2
+        assert "line 2: non-ASCII byte in graph6 input" in from_file[2]
+    else:
+        assert from_file[0] == 0
+        assert json.loads(from_file[1])["evaluations"] == 2
+
+
 def test_search_missing_n_is_usage(capsys):
     code, _, err = run(capsys, "search", "--k", "3", "--method", "exhaustive")
     assert code == 2
@@ -326,3 +351,18 @@ def test_search_defaults_are_search_config_defaults():
     cfg = SearchConfig(k=3, n=5)
     for name in ("budget", "restarts", "t0", "cooling", "seed"):
         assert getattr(args, name) == getattr(cfg, name), name
+
+
+def test_nesting_cap_exit_codes(capsys):
+    # bound --json renders the whole provenance tree, nested as deep as the cap
+    from blowup.families import _MAX_NESTING
+
+    for prefix, suffix in (("complement:", ""), ("union:", "+complete:1"), ("blowup:", ",1")):
+        at_cap = prefix * _MAX_NESTING + "petersen" + suffix * _MAX_NESTING
+        code, out, _ = run(capsys, "bound", at_cap, "--k", "1", "--json")
+        assert code == 0, prefix
+        assert json.loads(out)["descriptor"]["name"] == at_cap
+        beyond = prefix + at_cap + suffix
+        code, _, err = run(capsys, "bound", beyond, "--k", "1", "--json")
+        assert code == 2, prefix
+        assert f"nests more than {_MAX_NESTING} operators" in err

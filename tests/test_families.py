@@ -23,26 +23,12 @@ from blowup.families import (
     IntersectionArray,
     SpectralDescriptor,
     SrgParams,
-    blowup_descriptor,
-    complement_descriptor,
-    complete_descriptor,
-    cycle_descriptor,
-    drg_spectrum,
-    explicit_descriptor,
-    gosset_descriptor,
     icosahedron,
-    icosahedron_descriptor,
     johnson,
-    johnson_descriptor,
     paley,
-    paley_descriptor,
     parse_expression,
     petersen,
-    petersen_descriptor,
-    srg_spectrum,
     strength,
-    taylor_co3_descriptor,
-    union_descriptor,
 )
 from blowup.graphs import closed_blowup_graph, complement, complete, disjoint_union, g6_encode
 from blowup.spectra import Spectrum, blowup_transform, eigen_spectrum
@@ -52,12 +38,20 @@ def exact_entries(desc):
     return tuple((v, m) for v, m in desc.spectrum.entries)
 
 
+def srg(params):
+    return parse_expression("srg:" + ",".join(map(str, params)))
+
+
+def drg(b, c):
+    return parse_expression("drg:" + ",".join(map(str, b)) + ";" + ",".join(map(str, c)))
+
+
 # -- johnson ---------------------------------------------------------------
 
 
 def test_johnson_4_2_is_octahedron():
     # J(4,2) = complement of a perfect matching on 6 vertices
-    d = johnson_descriptor(4, 2)
+    d = parse_expression("johnson:4,2")
     assert exact_entries(d) == ((Quadratic(4), 1), (Quadratic(0), 3), (Quadratic(-2), 2))
     matching = disjoint_union(disjoint_union(complete(2), complete(2)), complete(2))
     oracle = eigen_spectrum(complement(matching))
@@ -65,7 +59,7 @@ def test_johnson_4_2_is_octahedron():
 
 
 def test_johnson_7_2_entries():
-    d = johnson_descriptor(7, 2)
+    d = parse_expression("johnson:7,2")
     assert d.n == 21
     assert exact_entries(d) == ((Quadratic(10), 1), (Quadratic(3), 6), (Quadratic(-2), 14))
     assert d.spectrum.kth(7) == Quadratic(3)
@@ -85,7 +79,7 @@ def johnson_by_pairs(m, r):
 def test_johnson_triple_subsets():
     # r = 3 and 4: more eigenvalue formula levels plus the valency
     for m, r in ((7, 3), (9, 3), (12, 3), (10, 4)):
-        d = johnson_descriptor(m, r)
+        d = parse_expression(f"johnson:{m},{r}")
         assert d.n == math.comb(m, r)
         g = johnson(m, r)
         assert np.array_equal(g.adj, johnson_by_pairs(m, r))
@@ -94,7 +88,7 @@ def test_johnson_triple_subsets():
 
 def test_johnson_general_against_eigensolver():
     for m in list(range(4, 10)) + [16]:
-        d = johnson_descriptor(m, 2)
+        d = parse_expression(f"johnson:{m},2")
         g = johnson(m, 2)
         assert np.array_equal(g.adj, johnson_by_pairs(m, 2))
         assert d.spectrum.allclose(eigen_spectrum(g))
@@ -120,7 +114,7 @@ def test_icosahedron():
     g = icosahedron()
     assert g.n == 12 and g.edge_count == 30
     assert (g.adj.sum(axis=1) == 5).all()
-    d = icosahedron_descriptor()
+    d = parse_expression("icosahedron")
     assert exact_entries(d) == (
         (Quadratic(5), 1),
         (Quadratic.sqrt(5), 3),
@@ -133,13 +127,13 @@ def test_corrupted_exact_spectrum_rejected():
     g = icosahedron()
     bad = [(Quadratic(5), 1), (Quadratic.sqrt(5), 3), (Quadratic(-1), 8)]
     with pytest.raises(ValueError):
-        explicit_descriptor(g, "broken", bad)
+        SpectralDescriptor("broken", Explicit(g, tuple(bad)))
 
 
 def test_petersen():
     g = petersen()
     assert g.n == 10 and g.edge_count == 15 and g.triangle_count() == 0
-    d = petersen_descriptor()
+    d = parse_expression("petersen")
     assert exact_entries(d) == ((Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4))
 
 
@@ -151,19 +145,19 @@ def test_paley_prime():
         g = paley(q)
         assert g.n == q
         assert (g.adj.sum(axis=1) == (q - 1) // 2).all()
-        d = paley_descriptor(q)
+        d = parse_expression(f"paley:{q}")
         assert d.spectrum.allclose(eigen_spectrum(g))
 
 
 def test_paley_9():
-    d = paley_descriptor(9)
+    d = parse_expression("paley:9")
     assert d.n == 9
     assert exact_entries(d) == ((Quadratic(4), 1), (Quadratic(1), 4), (Quadratic(-2), 4))
     assert isinstance(d.provenance, Explicit)
 
 
 def test_paley_13_conference_values():
-    d = paley_descriptor(13)
+    d = parse_expression("paley:13")
     theta = Quadratic(Fraction(-1, 2), Fraction(1, 2), 13)
     tau = Quadratic(Fraction(-1, 2), Fraction(-1, 2), 13)
     assert exact_entries(d) == ((Quadratic(6), 1), (theta, 6), (tau, 6))
@@ -200,7 +194,7 @@ def test_srg_integer_spectra():
         (243, 132, 81, 60): ((132, 1), (24, 22), (-3, 220)),
     }
     for params, expect in cases.items():
-        d = srg_spectrum(SrgParams(*params))
+        d = srg(params)
         assert exact_entries(d) == tuple((Quadratic(v), m) for v, m in expect)
         assert d.n == params[0]
 
@@ -209,7 +203,7 @@ def test_srg_moment_identities():
     for params in [(9, 4, 1, 2), (10, 3, 0, 1), (57, 24, 11, 9),
                    (125, 72, 45, 36), (243, 132, 81, 60), (13, 6, 2, 3)]:
         v, k = params[0], params[1]
-        d = srg_spectrum(SrgParams(*params))
+        d = srg(params)
         total = Quadratic(0)
         first = Quadratic(0)
         second = Quadratic(0)
@@ -226,25 +220,25 @@ def test_srg_feasibility_conditions():
     # srg(28,9,0,4) passes counting and integrality, but g = 6 gives the
     # absolute bound g(g+3)/2 = 27 < 28
     with pytest.raises(InfeasibleSrgParameters, match="absolute bound"):
-        srg_spectrum(SrgParams(28, 9, 0, 4))
+        parse_expression("srg:28,9,0,4")
     # r = 2, s = -15: (s+1)(k+s+2rs) = 336 > (k+s)(r+1)^2 = 324
     with pytest.raises(InfeasibleSrgParameters, match="Krein"):
-        srg_spectrum(SrgParams(154, 51, 8, 21))
+        parse_expression("srg:154,51,8,21")
     # graphs that exist: the table's three, Clebsch, Schlaefli (absolute
     # bound tight at 27 = 27), Paley 13 (conference), and imprimitive ones
     # (2 K3, K_{3,3}) that the primitive-only conditions must not reject
     for params in [(57, 24, 11, 9), (125, 72, 45, 36), (243, 132, 81, 60), (16, 5, 0, 2),
                    (27, 16, 10, 8), (13, 6, 2, 3), (6, 2, 1, 0), (6, 3, 0, 3)]:
-        assert srg_spectrum(SrgParams(*params)).n == params[0]
+        assert srg(params).n == params[0]
 
 
 def test_srg_conference_rejections():
     # counting identity holds but the conference condition fails
     with pytest.raises(InfeasibleSrgParameters):
-        srg_spectrum(SrgParams(13, 4, 1, 1))
+        parse_expression("srg:13,4,1,1")
     # square discriminant but fractional multiplicities
     with pytest.raises(InfeasibleSrgParameters):
-        srg_spectrum(SrgParams(22, 7, 0, 3))
+        parse_expression("srg:22,7,0,3")
 
 
 # -- drg -----------------------------------------------------------------------
@@ -260,18 +254,20 @@ def test_intersection_array_validation():
     arr = IntersectionArray((3, 2), (1, 1))
     assert arr.n == 10
     assert arr.valencies() == (1, 3, 6)
-    assert arr.name() == "drg:3,2;1,1"
+    d = parse_expression("drg:3,2;1,1")
+    assert d.name == "drg:3,2;1,1"
+    assert d.provenance == FromIntersectionArray(arr)
 
 
 def test_drg_petersen_matches_srg():
     # diameter 2: {k, k-lambda-1; 1, mu} must agree with the srg route
-    from_arr = drg_spectrum(IntersectionArray((3, 2), (1, 1)))
-    from_srg = srg_spectrum(SrgParams(10, 3, 0, 1))
+    from_arr = parse_expression("drg:3,2;1,1")
+    from_srg = parse_expression("srg:10,3,0,1")
     assert exact_entries(from_arr) == exact_entries(from_srg)
 
 
 def test_drg_gosset():
-    d = gosset_descriptor()
+    d = parse_expression("gosset")
     assert d.name == "gosset"
     assert d.n == 56
     assert exact_entries(d) == (
@@ -284,7 +280,7 @@ def test_drg_gosset():
 
 def test_drg_quadratic_branch_c5():
     # pentagon {2,1;1,1}: eigenvalues 2 and (-1 +- sqrt5)/2
-    d = drg_spectrum(IntersectionArray((2, 1), (1, 1)))
+    d = parse_expression("drg:2,1;1,1")
     assert d.n == 5
     theta = Quadratic(Fraction(-1, 2), Fraction(1, 2), 5)
     tau = Quadratic(Fraction(-1, 2), Fraction(-1, 2), 5)
@@ -293,7 +289,7 @@ def test_drg_quadratic_branch_c5():
 
 def test_drg_float_branch_c7():
     # heptagon {2,1,1;1,1,1}: minimal polynomial of degree 3, floats expected
-    d = drg_spectrum(IntersectionArray((2, 1, 1), (1, 1, 1)))
+    d = parse_expression("drg:2,1,1;1,1,1")
     assert d.n == 7
     assert not d.spectrum.is_exact
     expect = sorted((2 * math.cos(2 * math.pi * j / 7) for j in range(7)), reverse=True)
@@ -306,7 +302,7 @@ def test_drg_large_cycles_match_cosines():
     for n in (59, 64, 200, 201):
         d = n // 2
         c = (1,) * (d - 1) + ((1,) if n % 2 else (2,))
-        desc = drg_spectrum(IntersectionArray((2,) + (1,) * (d - 1), c))
+        desc = drg((2,) + (1,) * (d - 1), c)
         assert desc.n == n
         expect = sorted((2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
         assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12), n
@@ -323,14 +319,14 @@ def test_drg_c2001_parses():
 
 
 def test_drg_complete_graph_array():
-    d = drg_spectrum(IntersectionArray((4,), (1,)))
+    d = parse_expression("drg:4;1")
     assert exact_entries(d) == ((Quadratic(4), 1), (Quadratic(-1), 4))
 
 
 def test_drg_johnson_7_2_array():
     # J(7,2) as a distance regular graph: {10, 4; 1, 4}
-    d = drg_spectrum(IntersectionArray((10, 4), (1, 4)))
-    assert exact_entries(d) == exact_entries(johnson_descriptor(7, 2))
+    d = parse_expression("drg:10,4;1,4")
+    assert exact_entries(d) == exact_entries(parse_expression("johnson:7,2"))
 
 
 def test_drg_root_search_is_not_a_scan_over_b0():
@@ -344,7 +340,7 @@ def test_drg_root_search_is_not_a_scan_over_b0():
 
 
 def test_taylor_co3():
-    d = taylor_co3_descriptor()
+    d = parse_expression("taylor-co3")
     assert d.name == "taylor-co3"
     assert d.n == 552
     assert d.provenance == FromIntersectionArray(IntersectionArray((275, 112, 1), (1, 112, 275)))
@@ -366,7 +362,7 @@ def test_taylor_co3():
 
 
 def test_union_descriptor_explicit():
-    d = union_descriptor(petersen_descriptor(), complete_descriptor(3))
+    d = parse_expression("union:petersen+complete:3")
     assert d.n == 13
     assert isinstance(d.provenance, Derived)
     assert strength(d.provenance) == "verified"
@@ -377,40 +373,39 @@ def test_union_descriptor_explicit():
 
 
 def test_union_descriptor_formula_operand():
-    d = union_descriptor(taylor_co3_descriptor(), complete_descriptor(2))
+    d = parse_expression("union:taylor-co3+complete:2")
     assert d.n == 554
     assert strength(d.provenance) == "exact-formula"
     assert d.spectrum.kth(1) == Quadratic(275)
     # a formula operand is weaker than an explicit one
-    srg = srg_spectrum(SrgParams(57, 24, 11, 9))
-    assert strength(union_descriptor(srg, complete_descriptor(2)).provenance) == "exact-formula"
-    assert strength(union_descriptor(srg, d).provenance) == "exact-formula"
+    # (a union's right operand holds no '+', so the nested union comes first)
+    for expr in ("union:srg:57,24,11,9+complete:2", "union:union:taylor-co3+complete:2+srg:57,24,11,9"):
+        assert strength(parse_expression(expr).provenance) == "exact-formula"
 
 
 def test_complement_descriptor():
     # complement spectra come from the eigensolver, so values are floats
-    d = complement_descriptor(complete_descriptor(4))
+    d = parse_expression("complement:complete:4")
     assert float(d.spectrum.kth(1)) == pytest.approx(0.0, abs=1e-10)
     assert isinstance(d.provenance, Explicit)
     with pytest.raises(ValueError):
-        complement_descriptor(srg_spectrum(SrgParams(57, 24, 11, 9)))
+        parse_expression("complement:srg:57,24,11,9")
     # a derived tree with explicit leaves is built into a graph first
-    tree = union_descriptor(blowup_descriptor(petersen_descriptor(), 2), complete_descriptor(3))
     want = complement(disjoint_union(closed_blowup_graph(petersen(), 2), complete(3)))
-    assert complement_descriptor(tree).provenance.graph == want
+    assert parse_expression("complement:union:blowup:petersen,2+complete:3").provenance.graph == want
     with pytest.raises(ValueError, match="explicit"):
-        complement_descriptor(blowup_descriptor(gosset_descriptor(), 2))
+        parse_expression("complement:blowup:gosset,2")
 
 
 def test_blowup_descriptor():
-    d = blowup_descriptor(cycle_descriptor(5), 2)
+    d = parse_expression("blowup:cycle:5,2")
     assert d.n == 10
     assert isinstance(d.provenance, Derived)
     assert strength(d.provenance) == "verified"
     assert d.spectrum.kth(1) == Quadratic(5)
     assert d.provenance.to_json_obj()["t"] == 2
     # a derived spectrum is the one its parts give
-    assert d.spectrum == blowup_transform(cycle_descriptor(5).spectrum, 2)
+    assert d.spectrum == blowup_transform(parse_expression("cycle:5").spectrum, 2)
 
 
 def test_descriptor_spectrum_comes_from_provenance():
@@ -431,7 +426,8 @@ def test_descriptor_spectrum_comes_from_provenance():
         d = parse_expression(expr)
         assert d.spectrum == d.provenance.spectrum(), expr
         assert d.n == d.spectrum.n, expr
-    assert taylor_co3_descriptor().spectrum == taylor_co3_descriptor().provenance.spectrum()
+    d = parse_expression("taylor-co3")
+    assert d.spectrum == d.provenance.spectrum()
 
 
 # -- grammar -----------------------------------------------------------------------
@@ -453,7 +449,7 @@ def test_parse_g6():
     s = g6_encode(petersen())
     d = parse_expression(f"g6:{s}")
     assert d.n == 10
-    assert d.spectrum.allclose(petersen_descriptor().spectrum)
+    assert d.spectrum.allclose(parse_expression("petersen").spectrum)
 
 
 def test_parse_operators():
@@ -512,6 +508,30 @@ def test_g6_literal_is_under_the_dense_ceiling(monkeypatch):
     assert parse_expression("g6:Ch").n == 4
 
 
+def nested(op, depth):
+    """op applied depth times around petersen, each operand nested in the one before."""
+    prefix, suffix = {"complement": ("complement:", ""), "union": ("union:", "+complete:1"),
+                      "blowup": ("blowup:", ",1")}[op]
+    return prefix * depth + "petersen" + suffix * depth
+
+
+def test_nesting_is_capped():
+    # deeper nesting would exhaust the interpreter's stack in the parser or
+    # in the provenance's JSON; beyond the cap it is a parse error
+    import blowup.families as fam
+
+    cap = fam._MAX_NESTING
+    assert 2 < cap < 330
+    for op in ("complement", "union", "blowup"):
+        d = parse_expression(nested(op, cap))
+        assert d.name == nested(op, cap)
+        with pytest.raises(GraphParseError, match=f"more than {cap} operators") as ei:
+            parse_expression(nested(op, cap + 1))
+        # the offset is where the operand one level too deep starts
+        assert ei.value.offset == (len(op) + 1) * (cap + 1), op
+    assert parse_expression(nested("union", cap)).n == 10 + cap
+
+
 # every head and operator of the grammar, nested where they nest
 GRAMMAR_CORPUS = (
     "complete:5", "cycle:7", "johnson:7,3", "paley:13", "srg:16,5,0,2",
@@ -545,6 +565,6 @@ def test_drg_order_beyond_float_integrality_is_refused():
     with pytest.raises(InfeasibleIntersectionArray, match=r"at least 2\^52"):
         parse_expression(expr)
     # all roots integer: exact arithmetic throughout, so size is no obstacle
-    q60 = drg_spectrum(IntersectionArray(tuple(range(60, 0, -1)), tuple(range(1, 61))))
+    q60 = drg(range(60, 0, -1), range(1, 61))
     assert q60.n == 2**60
     assert q60.spectrum.is_exact

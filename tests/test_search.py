@@ -316,6 +316,10 @@ def test_search_config_validation():
         SearchConfig(k=2, n=5, budget=0)
     with pytest.raises(ValueError):
         SearchConfig(k=2, n=5, t0=-1.0)
+    # NaN would silently refuse every worsening move; inf would accept them all
+    for t0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite t0"):
+            SearchConfig(k=2, n=5, t0=t0)
 
 
 # -- campaign ----------------------------------------------------------------------
