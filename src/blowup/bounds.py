@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError, TableMismatchError
 from .exact import Quadratic
-from .families import SpectralDescriptor, parse_expression, strength
+from .families import SpectralDescriptor, parse_expression
 from .graphs import closed_blowup_graph, random_graph
 from .spectra import (
     NUMERIC_SPECTRUM_TOL,
@@ -120,7 +120,7 @@ class BoundCertificate:
 def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
     """Build a lower-bound certificate for c_k from a base descriptor.
 
-    The certificate is as strong as the base's provenance (`strength`); the
+    The certificate is as strong as the base's provenance (its `strength`); the
     base was validated when it was built and is not solved again. Any ratio
     above the proven ceiling (k >= 2) is a contradiction and raises
     InternalConsistencyError.
@@ -131,7 +131,7 @@ def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
         raise ValueError(f"k={k} exceeds the order {base.n} of {base.name}")
     lr = limit_ratio(base.spectrum, k)
     check_ceiling(float(lr.value), k, f"{base.name}:")
-    return BoundCertificate(k, base, lr.value, lr.attained, strength(base.provenance))
+    return BoundCertificate(k, base, lr.value, lr.attained, base.provenance.strength)
 
 
 # -- the reference table of best-known lower bounds ----------------------------------

@@ -17,15 +17,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
+#: trial division stops below this bound
+_TRIAL_BOUND = 1 << 17
+
+
+@lru_cache(maxsize=1024)  # Quadratic arithmetic in one field splits the same d again
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n == s*s*f and f squarefree, for n >= 1."""
+    """Return (s, f) with n == s*s*f and f squarefree, for n >= 1.
+
+    Trial division runs below _TRIAL_BOUND = B. A cofactor left with no prime
+    factor below B and smaller than B^3 has at most two prime factors, so it
+    is squarefree unless it is a square. A larger one is refused (ValueError)
+    rather than factored.
+    """
     if n < 1:
         raise ValueError("squarefree_split needs a positive integer")
     s, f, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p < _TRIAL_BOUND:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -35,6 +47,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= p
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        if m >= _TRIAL_BOUND**3:
+            raise ValueError(f"cannot split {n} into a square and a squarefree part: "
+                             f"its cofactor {m} has no prime factor below {_TRIAL_BOUND}")
+        root = math.isqrt(m)
+        if root * root == m:
+            return s * root, f
     return s, f * m
 
 

@@ -2,10 +2,13 @@
 
 A SpectralDescriptor carries a name and a provenance tree; its spectrum and
 order are derived from the tree once, at construction, and from nothing
-else. The leaves are an explicit graph (solved once; stated exact values
-must agree with the solve), strongly regular parameters, or an
-intersection array (both by exact formula); a Derived node is the union or
-closed blowup of described parts, taken at spectrum level.
+else. Every node of the tree answers the same three questions: its
+certificate `strength`, its `spectrum()` and its `to_json_obj()`. The
+leaves are an explicit graph (`Explicit`: solved once; stated exact values
+must agree with the solve), strongly regular parameters (`SrgParams`) or an
+intersection array (`IntersectionArray`), the last two by exact formula; a
+`Derived` node is the union or closed blowup of described parts, taken at
+spectrum level.
 
 An expression is the one way to name and build a descriptor. The family
 builders are private and return a provenance, not a descriptor; the
@@ -29,10 +32,11 @@ from .errors import (
     InfeasibleIntersectionArray,
     InfeasibleSrgParameters,
 )
-from .exact import Quadratic, squarefree_split
+from .exact import Quadratic
 from .graphs import (
     Graph,
     cartesian_product,
+    check_dense_order,
     closed_blowup_graph,
     complement,
     complete,
@@ -49,15 +53,7 @@ from .spectra import (
     eigenvalues,
 )
 
-_MAX_DENSE_ORDER = 5000  # ceiling for graphs we will build explicitly
 _MAX_NESTING = 64  # deepest operator nesting an expression may have
-
-
-def _check_dense_order(n: int, name: str) -> None:
-    if n > _MAX_DENSE_ORDER:
-        raise ValueError(
-            f"{name} needs a dense graph of order {n} or more, beyond the ceiling {_MAX_DENSE_ORDER}"
-        )
 
 
 # -- the provenance tree: three kinds of leaf and one Derived node ----------------
@@ -80,7 +76,7 @@ class Explicit:
         if self.exact is None:
             return numeric
         stated = Spectrum(self.exact)
-        if not stated.allclose(numeric, NUMERIC_SPECTRUM_TOL):
+        if not stated.allclose(numeric):
             raise ValueError(
                 f"stated spectrum disagrees with the eigensolver beyond {NUMERIC_SPECTRUM_TOL}"
             )
@@ -88,35 +84,6 @@ class Explicit:
 
     def to_json_obj(self) -> dict:
         return {"kind": "explicit", "graph6": g6_encode(self.graph)}
-
-
-@dataclass(frozen=True)
-class FromSrg:
-    """Leaf: strongly regular parameters that pass the feasibility conditions."""
-
-    params: "SrgParams"
-    strength = EXACT_FORMULA
-
-    def spectrum(self) -> Spectrum:
-        return _srg_formula(self.params)
-
-    def to_json_obj(self) -> dict:
-        q = self.params
-        return {"kind": "srg", "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
-
-
-@dataclass(frozen=True)
-class FromIntersectionArray:
-    """Leaf: an intersection array with positive integer multiplicities."""
-
-    array: "IntersectionArray"
-    strength = EXACT_FORMULA
-
-    def spectrum(self) -> Spectrum:
-        return _drg_formula(self.array)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "intersection-array", "b": list(self.array.b), "c": list(self.array.c)}
 
 
 @dataclass(frozen=True)
@@ -130,6 +97,17 @@ class Derived:
     op: str  # "union" or "blowup"
     parts: tuple["SpectralDescriptor", ...]
     t: int = 1
+
+    @property
+    def strength(self) -> str:
+        """The weakest strength among the parts: a certificate is as strong as its weakest leaf."""
+        return min((d.provenance.strength for d in self.parts), key=_STRENGTHS.index)
+
+    @property
+    def graph(self) -> Graph:
+        """The graph the tree describes; every leaf under it must be Explicit."""
+        graphs = [d.provenance.graph for d in self.parts]
+        return disjoint_union(*graphs) if self.op == "union" else closed_blowup_graph(graphs[0], self.t)
 
     def spectrum(self) -> Spectrum:
         if self.op == "union":
@@ -146,13 +124,6 @@ class Derived:
         return obj
 
 
-def strength(p) -> str:
-    """Certificate strength of a provenance: the weakest of the leaves under it."""
-    if isinstance(p, Derived):
-        return min((strength(d.provenance) for d in p.parts), key=_STRENGTHS.index)
-    return p.strength
-
-
 @dataclass(frozen=True)
 class SpectralDescriptor:
     """A named provenance with the spectrum and order it gives, derived once, on build.
@@ -163,7 +134,7 @@ class SpectralDescriptor:
     """
 
     name: str
-    provenance: Explicit | FromSrg | FromIntersectionArray | Derived
+    provenance: Explicit | SrgParams | IntersectionArray | Derived
     spectrum: Spectrum = field(init=False)
     n: int = field(init=False)
 
@@ -189,7 +160,7 @@ class SpectralDescriptor:
 
 
 def _complete(n: int) -> Explicit:
-    _check_dense_order(n, f"complete:{n}")
+    check_dense_order(n, f"complete:{n}")
     pairs = [(Quadratic(n - 1), 1)]
     if n > 1:
         pairs.append((Quadratic(-1), n - 1))
@@ -210,7 +181,7 @@ _SMALL_CYCLE_SPECTRA = {
 
 def _cycle(n: int) -> Explicit:
     """Cycle spectrum; exact through n = 6, numeric beyond (roots stop being quadratic)."""
-    _check_dense_order(n, f"cycle:{n}")
+    check_dense_order(n, f"cycle:{n}")
     return Explicit(cycle(n), _SMALL_CYCLE_SPECTRA.get(n))
 
 
@@ -223,7 +194,8 @@ def johnson(m: int, r: int = 2) -> Graph:
     if r < 1 or m < 2 * r:
         raise ValueError("johnson graph needs 1 <= r and m >= 2r")
     # C(m, r) >= m, so a huge m is refused before its binomial is formed
-    _check_dense_order(m if m > _MAX_DENSE_ORDER else math.comb(m, r), f"johnson({m},{r})")
+    check_dense_order(m, f"johnson({m},{r})")
+    check_dense_order(math.comb(m, r), f"johnson({m},{r})")
     subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
     inc = np.zeros((len(subsets), m), dtype=np.int32)
     np.put_along_axis(inc, subsets, 1, axis=1)
@@ -294,7 +266,7 @@ def paley(q: int) -> Graph:
     if q == 9:
         k3 = complete(3)
         return cartesian_product(k3, k3)
-    _check_dense_order(q, f"paley({q})")
+    check_dense_order(q, f"paley({q})")
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError(f"paley({q}): q must be 9 or a prime congruent to 1 mod 4")
     squares = {(x * x) % q for x in range(1, q)}
@@ -304,7 +276,7 @@ def paley(q: int) -> Graph:
 def _paley(q: int) -> Explicit:
     g = paley(q)
     params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    return Explicit(g, _srg_formula(params).entries)
+    return Explicit(g, params.spectrum().entries)
 
 
 # -- strongly regular parameters ----------------------------------------------
@@ -312,12 +284,13 @@ def _paley(q: int) -> Explicit:
 
 @dataclass(frozen=True)
 class SrgParams:
-    """Parameters (v, k, lambda, mu) of a strongly regular graph."""
+    """Leaf: parameters (v, k, lambda, mu) of a strongly regular graph, spectrum by exact formula."""
 
     v: int
     k: int
     lam: int
     mu: int
+    strength = EXACT_FORMULA
 
     def __post_init__(self):
         if not (0 < self.k < self.v):
@@ -331,61 +304,64 @@ class SrgParams:
                 f"counting identity fails: k(k-lambda-1)={lhs} != (v-k-1)mu={rhs}"
             )
 
+    def spectrum(self) -> Spectrum:
+        """Exact spectrum from the parameters.
 
-def _srg_formula(p: SrgParams) -> Spectrum:
-    """Exact spectrum from strongly regular parameters.
+        The non-principal eigenvalues are r, s = ((lam-mu) +- sqrt(D))/2 with
+        D = (lam-mu)^2 + 4(k-mu). Square D gives integer eigenvalues with
+        multiplicities f, g from the standard counting formula; non-square D
+        is the conference case and requires 2k + (v-1)(lam-mu) = 0, checked
+        before D is factored. Primitive parameters must also pass the two
+        Krein conditions and the absolute bound (Delsarte, Goethals and
+        Seidel 1975), compared exactly.
+        """
+        v, k, lam, mu = self.v, self.k, self.lam, self.mu
+        disc = (lam - mu) ** 2 + 4 * (k - mu)
+        if disc <= 0:
+            raise InfeasibleSrgParameters(f"degenerate discriminant {disc}")
+        root = math.isqrt(disc)
+        diff_term = 2 * k + (v - 1) * (lam - mu)
+        if root * root == disc:
+            r = Quadratic(Fraction(lam - mu + root, 2))
+            s = Quadratic(Fraction(lam - mu - root, 2))
+            half = Fraction(v - 1, 2)
+            corr = Fraction(diff_term, 2 * root)
+            f, g = half - corr, half + corr
+            for val, mult in ((r, f), (s, g)):
+                if mult.denominator != 1 or mult < 0:
+                    raise InfeasibleSrgParameters(
+                        f"multiplicity {mult} for eigenvalue {val} is not a nonnegative integer"
+                    )
+        else:
+            if diff_term != 0:
+                raise InfeasibleSrgParameters(
+                    "irrational eigenvalues need the conference condition 2k+(v-1)(lambda-mu)=0"
+                )
+            if (v - 1) % 2:
+                raise InfeasibleSrgParameters("conference parameters need odd v")
+            r = Quadratic(Fraction(lam - mu, 2), Fraction(1, 2), disc)
+            s = Quadratic(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
+            f = g = (v - 1) // 2
+        f, g = int(f), int(g)
+        # Absolute bound and Krein conditions (see Brouwer and Van Maldeghem,
+        # Strongly Regular Graphs, CUP 2022). They hold for primitive graphs only:
+        # a union of cliques or a complete multipartite graph fails the bound.
+        if 0 < mu < k < v - 1:
+            for name, m in (("f", f), ("g", g)):
+                if 2 * v > m * (m + 3):
+                    raise InfeasibleSrgParameters(
+                        f"absolute bound fails: v={v} > {name}({name}+3)/2 = {m * (m + 3) // 2}"
+                    )
+            for x, y in ((r, s), (s, r)):
+                if (x + 1) * (k + x + 2 * r * s) > (k + x) * (y + 1) * (y + 1):
+                    raise InfeasibleSrgParameters(
+                        f"Krein condition fails: (x+1)(k+x+2rs) > (k+x)(y+1)^2 for x={x}, y={y}"
+                    )
+        pairs = [(Quadratic(k), 1)] + [(val, mult) for val, mult in ((r, f), (s, g)) if mult]
+        return Spectrum(pairs)
 
-    The non-principal eigenvalues are r, s = ((lam-mu) +- sqrt(D))/2 with
-    D = (lam-mu)^2 + 4(k-mu). Square D gives integer eigenvalues with
-    multiplicities f, g from the standard counting formula; non-square D is
-    the conference case and requires 2k + (v-1)(lam-mu) = 0. Primitive
-    parameters must also pass the two Krein conditions and the absolute
-    bound (Delsarte, Goethals and Seidel 1975), compared exactly.
-    """
-    v, k, lam, mu = p.v, p.k, p.lam, p.mu
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    if disc <= 0:
-        raise InfeasibleSrgParameters(f"degenerate discriminant {disc}")
-    root, sqfree = squarefree_split(disc)
-    diff_term = 2 * k + (v - 1) * (lam - mu)
-    if sqfree == 1:
-        r = Quadratic(Fraction(lam - mu + root, 2))
-        s = Quadratic(Fraction(lam - mu - root, 2))
-        half = Fraction(v - 1, 2)
-        corr = Fraction(diff_term, 2 * root)
-        f, g = half - corr, half + corr
-        for val, mult in ((r, f), (s, g)):
-            if mult.denominator != 1 or mult < 0:
-                raise InfeasibleSrgParameters(
-                    f"multiplicity {mult} for eigenvalue {val} is not a nonnegative integer"
-                )
-    else:
-        if diff_term != 0:
-            raise InfeasibleSrgParameters(
-                "irrational eigenvalues need the conference condition 2k+(v-1)(lambda-mu)=0"
-            )
-        if (v - 1) % 2:
-            raise InfeasibleSrgParameters("conference parameters need odd v")
-        r = Quadratic(Fraction(lam - mu, 2), Fraction(1, 2), disc)
-        s = Quadratic(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
-        f = g = (v - 1) // 2
-    f, g = int(f), int(g)
-    # Absolute bound and Krein conditions (see Brouwer and Van Maldeghem,
-    # Strongly Regular Graphs, CUP 2022). They hold for primitive graphs only:
-    # a union of cliques or a complete multipartite graph fails the bound.
-    if 0 < mu < k < v - 1:
-        for name, m in (("f", f), ("g", g)):
-            if 2 * v > m * (m + 3):
-                raise InfeasibleSrgParameters(
-                    f"absolute bound fails: v={v} > {name}({name}+3)/2 = {m * (m + 3) // 2}"
-                )
-        for x, y in ((r, s), (s, r)):
-            if (x + 1) * (k + x + 2 * r * s) > (k + x) * (y + 1) * (y + 1):
-                raise InfeasibleSrgParameters(
-                    f"Krein condition fails: (x+1)(k+x+2rs) > (k+x)(y+1)^2 for x={x}, y={y}"
-                )
-    pairs = [(Quadratic(k), 1)] + [(val, mult) for val, mult in ((r, f), (s, g)) if mult]
-    return Spectrum(pairs)
+    def to_json_obj(self) -> dict:
+        return {"kind": "srg", "v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu}
 
 
 # -- intersection arrays -------------------------------------------------------
@@ -393,10 +369,12 @@ def _srg_formula(p: SrgParams) -> Spectrum:
 
 @dataclass(frozen=True)
 class IntersectionArray:
-    """Intersection array {b0,..,b_{d-1}; c1,..,cd} of a distance regular graph."""
+    """Leaf: the intersection array {b0,..,b_{d-1}; c1,..,cd} of a distance regular
+    graph, spectrum by exact formula."""
 
     b: tuple[int, ...]
     c: tuple[int, ...]
+    strength = EXACT_FORMULA
 
     def __post_init__(self):
         b, c = tuple(self.b), tuple(self.c)
@@ -443,127 +421,119 @@ class IntersectionArray:
     def n(self) -> int:
         return sum(self.valencies())
 
+    def _charpoly_at(self, x: int) -> int:
+        """The intersection matrix's characteristic polynomial at an integer x.
 
-def _charpoly_at(arr: IntersectionArray, x: int) -> int:
-    """The intersection matrix's characteristic polynomial at an integer x.
+        Evaluated exactly by the three-term recurrence of its leading minors,
+        p_{i+1} = (x - a_i) p_i - b_{i-1} c_{i-1} p_{i-1}, in O(d) steps.
+        """
+        prev, cur = 1, x  # p_0 and p_1 = x - a_0, a_0 = 0
+        for i in range(1, self.diameter + 1):
+            prev, cur = cur, (x - self.a(i)) * cur - self.b[i - 1] * self.c[i - 1] * prev
+        return cur
 
-    Evaluated exactly by the three-term recurrence of its leading minors,
-    p_{i+1} = (x - a_i) p_i - b_{i-1} c_{i-1} p_{i-1}, in O(d) steps.
-    """
-    prev, cur = 1, x  # p_0 and p_1 = x - a_0, a_0 = 0
-    for i in range(1, arr.diameter + 1):
-        prev, cur = cur, (x - arr.a(i)) * cur - arr.b[i - 1] * arr.c[i - 1] * prev
-    return cur
+    def spectrum(self) -> Spectrum:
+        """Exact spectrum from the array.
 
+        Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
+        matrix. It is similar to the symmetric tridiagonal matrix with
+        off-diagonals sqrt(b_i c_{i+1}) > 0, so its d+1 roots are real and
+        distinct. A solved root within 1e-6 of an integer at which the
+        characteristic polynomial vanishes exactly is kept as that integer; the
+        window keeps a near root (0.196 beside 0 in C_64) from taking its place.
+        A residual quadratic factor yields a conjugate surd pair, and a higher
+        degree residual keeps the other solved roots as floats. Multiplicities
+        must come out as positive integers (exactly for exact eigenvalues,
+        within 1e-6 after rounding for numeric ones) or the array is rejected.
+        """
+        d, b, c = self.diameter, self.b, self.c
+        check_dense_order(d + 1, f"drg of diameter {d}")
+        kj = self.valencies()
+        a = [self.a(i) for i in range(d + 1)]
+        n = sum(kj)
 
-def _multiplicity(theta, arr: IntersectionArray, kj: tuple[int, ...], a: list[int], n: int):
-    """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence.
+        def multiplicity(theta):
+            """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence.
 
-    theta is one exact root, or a numpy array of float roots that run the
-    recurrence together; kj and a are the array's valencies and a_i.
-    """
-    u_prev = Quadratic(1) if isinstance(theta, Quadratic) else 1.0
-    u_cur = theta / arr.b[0]
-    total = kj[0] * (u_prev * u_prev) + kj[1] * (u_cur * u_cur)
-    for j in range(1, arr.diameter):
-        u_next = ((theta - a[j]) * u_cur - arr.c[j - 1] * u_prev) / arr.b[j]
-        total = total + kj[j + 1] * (u_next * u_next)
-        u_prev, u_cur = u_cur, u_next
-    return n / total
+            theta is one exact root, or a numpy array of float roots that run
+            the recurrence together.
+            """
+            u_prev = Quadratic(1) if isinstance(theta, Quadratic) else 1.0
+            u_cur = theta / b[0]
+            total = kj[0] * (u_prev * u_prev) + kj[1] * (u_cur * u_cur)
+            for j in range(1, d):
+                u_next = ((theta - a[j]) * u_cur - c[j - 1] * u_prev) / b[j]
+                total = total + kj[j + 1] * (u_next * u_next)
+                u_prev, u_cur = u_cur, u_next
+            return n / total
 
-
-def _drg_formula(arr: IntersectionArray) -> Spectrum:
-    """Exact spectrum from an intersection array.
-
-    Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
-    matrix. It is similar to the symmetric tridiagonal matrix with
-    off-diagonals sqrt(b_i c_{i+1}) > 0, so its d+1 roots are real and
-    distinct. A solved root within 1e-6 of an integer at which the
-    characteristic polynomial vanishes exactly is kept as that integer; the
-    window keeps a near root (0.196 beside 0 in C_64) from taking its place.
-    A residual quadratic factor yields a conjugate surd pair, and a higher
-    degree residual keeps the other solved roots as floats. Multiplicities
-    must come out as positive integers (exactly for exact eigenvalues,
-    within 1e-6 after rounding for numeric ones) or the array is rejected.
-    """
-    _check_dense_order(arr.diameter + 1, f"drg of diameter {arr.diameter}")
-    kj = arr.valencies()
-    a = [arr.a(i) for i in range(arr.diameter + 1)]
-    n = sum(kj)
-    off = np.sqrt([float(b * c) for b, c in zip(arr.b, arr.c)])
-    sym = np.diag([float(x) for x in a]) + np.diag(off, 1) + np.diag(off, -1)
-    ints: list[int] = []
-    numeric: list[float] = []
-    for x in map(float, eigenvalues(sym)[::-1]):
-        r = round(x)
-        if abs(x - r) <= 1e-6 and r not in ints and _charpoly_at(arr, r) == 0:
-            ints.append(r)
-        else:
-            numeric.append(x)
-    roots = [Quadratic(r) for r in ints]
-    # the residual factor's roots sum to the trace less the integer roots
-    rest = sum(a) - sum(ints)
-    deg = len(numeric)
-    if deg == 1:
-        roots.append(Quadratic(rest))
-    elif deg == 2:
-        # x^2 - rest*x + c at x0 = b0 + 1, above every eigenvalue
-        x0 = arr.b[0] + 1
-        cq = Fraction(_charpoly_at(arr, x0), math.prod(x0 - r for r in ints)) - x0 * (x0 - rest)
-        disc = rest * rest - 4 * cq
-        if disc.denominator != 1 or disc <= 0:
-            raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
-        roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
-        roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
-    if deg >= 3 and n >= 2**52:
-        # every float64 from 2^52 up is an integer: the test below would pass anything
-        raise InfeasibleIntersectionArray(
-            f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
-        )
-
-    pairs = []
-    for theta in roots:
-        m = _multiplicity(theta, arr, kj, a, n)
-        if not m.is_rational or m.as_fraction().denominator != 1 or m <= 0:
+        off = np.sqrt([float(x * y) for x, y in zip(b, c)])
+        sym = np.diag([float(x) for x in a]) + np.diag(off, 1) + np.diag(off, -1)
+        ints: list[int] = []
+        numeric: list[float] = []
+        for x in map(float, eigenvalues(sym)[::-1]):
+            r = round(x)
+            if abs(x - r) <= 1e-6 and r not in ints and self._charpoly_at(r) == 0:
+                ints.append(r)
+            else:
+                numeric.append(x)
+        roots = [Quadratic(r) for r in ints]
+        # the residual factor's roots sum to the trace less the integer roots
+        rest = sum(a) - sum(ints)
+        deg = len(numeric)
+        if deg == 1:
+            roots.append(Quadratic(rest))
+        elif deg == 2:
+            # x^2 - rest*x + c at x0 = b0 + 1, above every eigenvalue
+            x0 = b[0] + 1
+            cq = Fraction(self._charpoly_at(x0), math.prod(x0 - r for r in ints)) - x0 * (x0 - rest)
+            disc = rest * rest - 4 * cq
+            if disc.denominator != 1 or disc <= 0:
+                raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
+            roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
+            roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
+        if deg >= 3 and n >= 2**52:
+            # every float64 from 2^52 up is an integer: the test below would pass anything
             raise InfeasibleIntersectionArray(
-                f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
+                f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
             )
-        pairs.append((theta, int(m.as_fraction())))
-    if deg >= 3:
-        mults = _multiplicity(np.array(numeric), arr, kj, a, n).tolist()
-        for theta, m in zip(numeric, mults):
-            mult = round(m)
-            if mult < 1 or abs(m - mult) > 1e-6:
+
+        pairs = []
+        for theta in roots:
+            m = multiplicity(theta)
+            if not m.is_rational or m.as_fraction().denominator != 1 or m <= 0:
                 raise InfeasibleIntersectionArray(
-                    f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer"
+                    f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
                 )
-            pairs.append((theta, mult))
-    total_mult = sum(mult for _, mult in pairs)
-    if total_mult != n:
-        raise InfeasibleIntersectionArray(
-            f"multiplicities sum to {total_mult}, expected order {n}"
-        )
-    return Spectrum(pairs)
+            pairs.append((theta, int(m.as_fraction())))
+        if deg >= 3:
+            for theta, m in zip(numeric, multiplicity(np.array(numeric)).tolist()):
+                mult = round(m)
+                if mult < 1 or abs(m - mult) > 1e-6:
+                    raise InfeasibleIntersectionArray(
+                        f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer"
+                    )
+                pairs.append((theta, mult))
+        total_mult = sum(mult for _, mult in pairs)
+        if total_mult != n:
+            raise InfeasibleIntersectionArray(
+                f"multiplicities sum to {total_mult}, expected order {n}"
+            )
+        return Spectrum(pairs)
+
+    def to_json_obj(self) -> dict:
+        return {"kind": "intersection-array", "b": list(self.b), "c": list(self.c)}
 
 
 # -- descriptor combinators ----------------------------------------------------
 
 
-def _graph(d: SpectralDescriptor) -> Graph:
-    """The graph a descriptor with only explicit leaves describes."""
-    p = d.provenance
-    if isinstance(p, Explicit):
-        return p.graph
-    graphs = [_graph(part) for part in p.parts]
-    return disjoint_union(*graphs) if p.op == "union" else closed_blowup_graph(graphs[0], p.t)
-
-
 def _complement(a: SpectralDescriptor, name: str) -> Explicit:
     """Complement of a graph built from the tree; only explicit leaves are verified."""
-    if strength(a.provenance) != VERIFIED:
+    if a.provenance.strength != VERIFIED:
         raise ValueError(f"complement needs an explicit graph, got {a.name}")
-    _check_dense_order(a.n, name)
-    return Explicit(complement(_graph(a)))
+    check_dense_order(a.n, name)
+    return Explicit(complement(a.provenance.graph))
 
 
 # -- name grammar ----------------------------------------------------------------
@@ -588,19 +558,22 @@ def _parse_int_list(tok: str, off: int) -> list[int]:
 
 
 def parse_expression(text: str) -> SpectralDescriptor:
-    """Evaluate a graph/descriptor expression in the shared name grammar."""
-    return _parse_expr(text.strip(), 0, 0)
+    """Evaluate a graph/descriptor expression in the shared name grammar.
+
+    Surrounding whitespace is ignored; error offsets count from text as given.
+    """
+    return _parse_expr(text.strip(), len(text) - len(text.lstrip()), 0)
 
 
 #: parameterless names and their builders
 _PRESETS = {
     "petersen": _petersen,
     "icosahedron": _icosahedron,
-    "gosset": lambda: FromIntersectionArray(IntersectionArray((27, 10, 1), (1, 10, 27))),
+    "gosset": lambda: IntersectionArray((27, 10, 1), (1, 10, 27)),
     # The Taylor double cover of the regular two-graph on 276 points (Brouwer,
     # Cohen and Neumaier, Distance-Regular Graphs, 1989), 552 vertices; its
     # 24th eigenvalue, 55, gives table row 24.
-    "taylor-co3": lambda: FromIntersectionArray(IntersectionArray((275, 112, 1), (1, 112, 275))),
+    "taylor-co3": lambda: IntersectionArray((275, 112, 1), (1, 112, 275)),
 }
 
 #: heads that take a fixed list of integers: parameter names and builder
@@ -609,7 +582,7 @@ _INTEGER_HEADS = {
     "cycle": ("n", _cycle),
     "johnson": ("m,r", _johnson),
     "paley": ("q", _paley),
-    "srg": ("v,k,l,m", lambda *p: FromSrg(SrgParams(*p))),
+    "srg": ("v,k,l,m", SrgParams),
 }
 
 #: one line naming every expression form, for help text
@@ -650,15 +623,13 @@ def _parse_expr(s: str, off: int, depth: int) -> SpectralDescriptor:
             raise GraphParseError("drg needs ';' between the b and c sequences", roff)
         b = _parse_int_list(bpart, roff)
         c = _parse_int_list(cpart, roff + len(bpart) + 1)
-        name = f"drg:{','.join(map(str, b))};{','.join(map(str, c))}"
-        prov = FromIntersectionArray(IntersectionArray(tuple(b), tuple(c)))
+        name, prov = f"drg:{','.join(map(str, b))};{','.join(map(str, c))}", IntersectionArray(b, c)
     elif head == "g6":
         try:
             g = g6_decode(rest)
         except GraphParseError as e:
             shift = roff + (e.offset or 0)
             raise GraphParseError(f"bad graph6 literal: {e.args[0]}", shift) from None
-        _check_dense_order(g.n, "g6 literal")
         name, prov = s, Explicit(g)
     elif head == "union":
         cut = rest.rfind("+")

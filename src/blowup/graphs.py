@@ -15,6 +15,17 @@ from .errors import GraphParseError
 
 G6_MAX_VERTICES = 258047  # largest order the 4-byte graph6 header can carry
 
+#: largest order of a graph the package builds as a dense matrix and solves
+MAX_DENSE_ORDER = 5000
+
+
+def check_dense_order(n: int, name: str) -> None:
+    """Refuse (ValueError) what needs a dense graph of order n above MAX_DENSE_ORDER."""
+    if n > MAX_DENSE_ORDER:
+        raise ValueError(
+            f"{name} needs a dense graph of order {n} or more, beyond the ceiling {MAX_DENSE_ORDER}"
+        )
+
 
 class Graph:
     """Undirected simple graph backed by a read-only boolean matrix."""
@@ -202,19 +213,17 @@ def g6_encode(g: Graph) -> str:
     return g6_encode_bits(g.n, g.adj[ii, jj])
 
 
-def g6_decode(text) -> Graph:
+def g6_decode(text: str) -> Graph:
     """Decode one graph6 string; accepts an optional '>>graph6<<' header.
 
     Raises GraphParseError with a byte offset on malformed input. Padding
-    bits must be zero and the byte count must be exact.
+    bits must be zero and the byte count must be exact. An order above
+    MAX_DENSE_ORDER is refused (ValueError) before the payload is read.
     """
-    if isinstance(text, str):
-        try:
-            raw = text.encode("ascii")
-        except UnicodeEncodeError as e:
-            raise GraphParseError("non-ASCII byte in graph6 input", e.start) from None
-    else:
-        raw = bytes(text)
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise GraphParseError("non-ASCII byte in graph6 input", e.start) from None
     if raw.startswith(b">>graph6<<"):
         raw = raw[len(b">>graph6<<") :]
     raw = raw.strip()
@@ -236,6 +245,7 @@ def g6_decode(text) -> Graph:
         pos = 1
     if n == 0:
         raise GraphParseError("order-0 graph6 string; graphs need at least one vertex", 0)
+    check_dense_order(n, "graph6 string")
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

@@ -279,10 +279,11 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
 def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchResult:
     """Maximum limit ratio over a stream of graph6 lines.
 
-    Blank lines and a '>>graph6<<' header are skipped. Malformed lines or
-    graphs with fewer than k vertices raise GraphParseError tagged with the
-    line number, or are counted and skipped with on_error='skip'. An empty
-    stream (no usable graphs) is an error.
+    Blank lines and a '>>graph6<<' header are skipped. Malformed lines,
+    graphs with fewer than k vertices and orders above the dense ceiling
+    (refused by g6_decode before any matrix is built) raise GraphParseError
+    tagged with the line number, or are counted and skipped with
+    on_error='skip'. An empty stream (no usable graphs) is an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,26 +342,21 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     rng = np.random.default_rng(cfg.seed)
     anneal = cfg.method == "anneal"
 
-    a = np.zeros((n, n))
-
-    def objective(state: np.ndarray) -> float:
-        a[ii, jj] = state
-        a[jj, ii] = state
-        return _ratio(a, k)
-
     evaluations = 0
     best_ratio = -math.inf
-    best_state: np.ndarray | None = None
+    best: np.ndarray | None = None
     history: list[tuple[int, float]] = []
 
     for _phase in range(cfg.restarts + 1):
         if evaluations >= cfg.budget:
             break
-        state = rng.random(m) < 0.5
-        current = objective(state)
+        # the state is the adjacency matrix itself; a move toggles one pair in place
+        a = np.zeros((n, n))
+        a[ii, jj] = a[jj, ii] = rng.random(m) < 0.5
+        current = _ratio(a, k)
         evaluations += 1
         if current > best_ratio:
-            best_ratio, best_state = current, state.copy()
+            best_ratio, best = current, a.copy()
             history.append((evaluations, current))
         temp = cfg.t0
         rejections = 0
@@ -368,8 +364,9 @@ def local_search(cfg: SearchConfig) -> SearchResult:
             if m == 0:
                 break
             e = int(rng.integers(m))
-            state[e] = not state[e]
-            value = objective(state)
+            i, j = ii[e], jj[e]
+            a[i, j] = a[j, i] = 1.0 - a[i, j]
+            value = _ratio(a, k)
             evaluations += 1
             delta = value - current
             if delta > 0:
@@ -384,16 +381,16 @@ def local_search(cfg: SearchConfig) -> SearchResult:
                 if anneal:
                     temp *= cfg.cooling
                 if value > best_ratio:
-                    best_ratio, best_state = value, state.copy()
+                    best_ratio, best = value, a.copy()
                     history.append((evaluations, value))
             else:
-                state[e] = not state[e]
+                a[i, j] = a[j, i] = 1.0 - a[i, j]
                 rejections += 1
         if m == 0:
             break
 
-    assert best_state is not None
-    witness = g6_encode_bits(n, best_state.astype(np.uint8))
+    assert best is not None
+    witness = g6_encode_bits(n, best[ii, jj].astype(np.uint8))
     result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=evaluations,
                           k=k, n=n, seed=cfg.seed, method=cfg.method, history=tuple(history))
     return _self_check(result)

@@ -118,11 +118,12 @@ class Spectrum:
 
     # -- comparisons ----------------------------------------------------------
 
-    def allclose(self, other: "Spectrum", tol: float = NUMERIC_SPECTRUM_TOL) -> bool:
+    def allclose(self, other: "Spectrum") -> bool:
+        """Same order, and every eigenvalue within NUMERIC_SPECTRUM_TOL of its counterpart."""
         if self.n != other.n:
             return False
         a, b = self.float_values(), other.float_values()
-        return bool(np.max(np.abs(a - b)) <= tol)
+        return bool(np.max(np.abs(a - b)) <= NUMERIC_SPECTRUM_TOL)
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):

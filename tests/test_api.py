@@ -76,3 +76,27 @@ def test_one_descriptor_construction_site():
         "explicit_descriptor",
     }
     assert removed.isdisjoint(blowup.__all__)
+
+
+def test_provenance_nodes_share_one_interface():
+    # every head of the grammar yields one of four node types, and each
+    # answers the same three questions; no wrapper or free function remains
+    import blowup.families as fam
+
+    nodes = (fam.Explicit, fam.SrgParams, fam.IntersectionArray, fam.Derived)
+    exprs = [f"{head}:{','.join(['5', '2', '0', '1'][: params.count(',') + 1])}"
+             for head, (params, _) in fam._INTEGER_HEADS.items()]
+    exprs += list(fam._PRESETS) + ["drg:3,2;1,1", "g6:Ch", "union:petersen+srg:5,2,0,1",
+                                   "complement:petersen", "blowup:gosset,2"]
+    seen = set()
+    for expr in exprs:
+        p = fam.parse_expression(expr).provenance
+        assert isinstance(p, nodes), expr
+        seen.add(type(p))
+        assert p.strength in (fam.VERIFIED, fam.EXACT_FORMULA), expr
+        assert p.spectrum().n >= 1, expr
+        assert "kind" in p.to_json_obj(), expr
+    assert seen == set(nodes)
+    assert {e.partition(":")[0] for e in exprs} >= set(fam._INTEGER_HEADS) | set(fam._PRESETS)
+    for gone in ("FromSrg", "FromIntersectionArray", "strength", "_graph"):
+        assert not hasattr(fam, gone), gone

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -115,6 +116,21 @@ def test_infeasible_srg_exits_two(capsys):
     code, _, err = run(capsys, "bound", "srg:28,9,0,4", "--k", "2")
     assert code == 2
     assert "absolute bound" in err
+
+
+def test_srg_large_discriminants_answer_fast(capsys):
+    # a prime discriminant near 10^15 fails the conference condition with no
+    # factoring; a conference discriminant near 10^13 splits by bounded
+    # trial division, however often the field's arithmetic needs it
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "spectrum", "srg:62500000000005000000000000101,250000000000010,0,1")
+    assert code == 2
+    assert "conference condition" in err
+    code, out, _ = run(capsys, "bound", "srg:10000000000037,5000000000018,2500000000008,2500000000009",
+                       "--k", "2")
+    assert code == 0
+    assert "c_2 >= 1/20000000000074+1/20000000000074*sqrt(10000000000037)" in out
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bound_unattained_message(capsys):

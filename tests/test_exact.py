@@ -31,6 +31,26 @@ def test_squarefree_split_identity():
             assert f % (p * p) != 0
 
 
+def test_squarefree_split_large_cofactors():
+    # trial division stops at a fixed bound B; a cofactor with no prime
+    # factor below B and smaller than B^3 is p, p*q or p^2
+    from blowup.exact import _TRIAL_BOUND as B
+
+    p, q = 131101, 131129  # primes above B
+    assert p > B and q > B
+    assert squarefree_split(p) == (1, p)
+    assert squarefree_split(p * q) == (1, p * q)
+    assert squarefree_split(p * p) == (p, 1)
+    assert squarefree_split(12 * p * p) == (2 * p, 3)
+    assert squarefree_split(10**13 + 37) == (1, 10**13 + 37)
+    # a larger cofactor would need factoring beyond the bound: refused
+    big = (10**15 + 37) ** 2
+    with pytest.raises(ValueError, match="no prime factor below"):
+        squarefree_split(big)
+    with pytest.raises(ValueError, match="no prime factor below"):
+        Quadratic(0, 1, big * 7)
+
+
 def test_rational_canonicalization():
     q = Quadratic(Fraction(3, 4))
     assert q.is_rational

@@ -18,8 +18,6 @@ from blowup.exact import Quadratic
 from blowup.families import (
     Derived,
     Explicit,
-    FromIntersectionArray,
-    FromSrg,
     IntersectionArray,
     SpectralDescriptor,
     SrgParams,
@@ -28,7 +26,6 @@ from blowup.families import (
     paley,
     parse_expression,
     petersen,
-    strength,
 )
 from blowup.graphs import closed_blowup_graph, complement, complete, disjoint_union, g6_encode
 from blowup.spectra import Spectrum, blowup_transform, eigen_spectrum
@@ -256,7 +253,7 @@ def test_intersection_array_validation():
     assert arr.valencies() == (1, 3, 6)
     d = parse_expression("drg:3,2;1,1")
     assert d.name == "drg:3,2;1,1"
-    assert d.provenance == FromIntersectionArray(arr)
+    assert d.provenance == arr
 
 
 def test_drg_petersen_matches_srg():
@@ -343,8 +340,8 @@ def test_taylor_co3():
     d = parse_expression("taylor-co3")
     assert d.name == "taylor-co3"
     assert d.n == 552
-    assert d.provenance == FromIntersectionArray(IntersectionArray((275, 112, 1), (1, 112, 275)))
-    assert strength(d.provenance) == "exact-formula"
+    assert d.provenance == IntersectionArray((275, 112, 1), (1, 112, 275))
+    assert d.provenance.strength == "exact-formula"
     assert exact_entries(d) == (
         (Quadratic(275), 1),
         (Quadratic(55), 23),
@@ -365,7 +362,7 @@ def test_union_descriptor_explicit():
     d = parse_expression("union:petersen+complete:3")
     assert d.n == 13
     assert isinstance(d.provenance, Derived)
-    assert strength(d.provenance) == "verified"
+    assert d.provenance.strength == "verified"
     assert d.spectrum.kth(1) == Quadratic(3)
     assert d.spectrum.kth(2) == Quadratic(2)
     assert d.provenance.to_json_obj()["parts"][1] == {
@@ -375,12 +372,12 @@ def test_union_descriptor_explicit():
 def test_union_descriptor_formula_operand():
     d = parse_expression("union:taylor-co3+complete:2")
     assert d.n == 554
-    assert strength(d.provenance) == "exact-formula"
+    assert d.provenance.strength == "exact-formula"
     assert d.spectrum.kth(1) == Quadratic(275)
     # a formula operand is weaker than an explicit one
     # (a union's right operand holds no '+', so the nested union comes first)
     for expr in ("union:srg:57,24,11,9+complete:2", "union:union:taylor-co3+complete:2+srg:57,24,11,9"):
-        assert strength(parse_expression(expr).provenance) == "exact-formula"
+        assert parse_expression(expr).provenance.strength == "exact-formula"
 
 
 def test_complement_descriptor():
@@ -401,7 +398,7 @@ def test_blowup_descriptor():
     d = parse_expression("blowup:cycle:5,2")
     assert d.n == 10
     assert isinstance(d.provenance, Derived)
-    assert strength(d.provenance) == "verified"
+    assert d.provenance.strength == "verified"
     assert d.spectrum.kth(1) == Quadratic(5)
     assert d.provenance.to_json_obj()["t"] == 2
     # a derived spectrum is the one its parts give
@@ -412,7 +409,7 @@ def test_descriptor_spectrum_comes_from_provenance():
     # C5's parameters with a made-up 25-vertex spectrum would certify
     # c_4 >= 7/25 = 0.28 at exact-formula, above the 0.2697 record
     fake = Spectrum([(6, 4), (0, 17), (-6, 4)])
-    leaf = FromSrg(SrgParams(5, 2, 0, 1))
+    leaf = SrgParams(5, 2, 0, 1)
     with pytest.raises(TypeError):
         SpectralDescriptor("fake", 25, fake, leaf)
     with pytest.raises(TypeError):
@@ -481,6 +478,11 @@ def test_parse_errors_have_positions():
         with pytest.raises(GraphParseError) as ei:
             parse_expression(text)
         assert frag.lower() in str(ei.value).lower(), (text, str(ei.value))
+    # offsets count from the text as given, leading whitespace included
+    with pytest.raises(GraphParseError) as ei:
+        parse_expression("  complete:x")
+    assert ei.value.offset == 11
+    assert parse_expression(" petersen ").name == "petersen"
     # syntactically fine but out of a constructor's domain: plain ValueError
     # naming the constraint
     with pytest.raises(ValueError, match="n >= 3"):
@@ -497,11 +499,11 @@ def test_parse_offset_points_into_text():
 
 
 def test_g6_literal_is_under_the_dense_ceiling(monkeypatch):
-    # like every other explicit leaf, a decoded graph6 literal is refused
-    # above the ceiling before it is solved
-    import blowup.families as fam
+    # like every other explicit leaf, a graph6 literal is refused above the
+    # ceiling; g6_decode refuses it before the payload is read
+    import blowup.graphs as graphs
 
-    monkeypatch.setattr(fam, "_MAX_DENSE_ORDER", 10)
+    monkeypatch.setattr(graphs, "MAX_DENSE_ORDER", 10)
     for text in ("g6:JhCGGC@?K?_", "cycle:11", "complement:g6:JhCGGC@?K?_"):
         with pytest.raises(ValueError, match="ceiling 10"):
             parse_expression(text)

@@ -251,6 +251,28 @@ def test_stream_skip_mode():
     assert r.evaluations == 1
 
 
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+def test_stream_line_above_dense_ceiling(monkeypatch, on_error):
+    # the order field alone refuses the line, before any n x n array exists
+    import blowup.graphs as graphs
+
+    monkeypatch.setattr(graphs, "MAX_DENSE_ORDER", 10)
+    lines = [g6_encode(complete(3)), g6_encode(complete(11))]
+    if on_error == "raise":
+        with pytest.raises(GraphParseError, match="line 2: .*beyond the ceiling 10"):
+            stream_max(1, iter(lines))
+        return
+    r = stream_max(1, iter(lines), on_error="skip")
+    assert r.evaluations == 1
+    assert r.best_graph == g6_encode(complete(3))
+
+
+def test_stream_order_field_above_the_real_ceiling():
+    # "~@MH" is only the order field of a graph on 5001 vertices
+    with pytest.raises(GraphParseError, match="line 1: .*order 5001 .*ceiling 5000"):
+        stream_max(1, iter(["~@MH"]))
+
+
 def test_stream_empty_is_error():
     with pytest.raises(ValueError, match="empty stream"):
         stream_max(3, iter([]))
@@ -284,6 +306,29 @@ def test_local_search_deterministic():
     c = local_search(SearchConfig(k=3, n=8, method="anneal", seed=1235,
                                   budget=3000, restarts=2))
     assert c.seed == 1235
+
+
+# Seeded outputs pinned from an earlier build: how the engine stores its state
+# must not change any RNG draw or any accepted move.
+PINNED_RUNS = [
+    # method, seed, k, n -> witness, evaluations, history length, last improvement, ratio
+    (("anneal", 3, 4, 12), ("K[C[`hkkmtuK", 1500, 10, 876, 0.21928248207679366)),
+    (("hillclimb", 5, 3, 30),
+     ("]NXrT`IcTihU|UqlO]{VjQ~{{ICIsaVzp}dKQh[ZwWHqzrOlVmp^i`MQJVOsTjrc\\a`NX]B?hg",
+      1500, 128, 1457, 0.2875971027142536)),
+    (("anneal", 0, 1, 1), ("@", 1, 1, 1, 1.0)),
+    (("hillclimb", 7, 2, 2), ("A?", 1500, 1, 1, 0.5)),
+    (("anneal", 11, 3, 8), ("GgZPsc", 1500, 17, 1323, 0.30177669529663687)),
+]
+
+
+@pytest.mark.parametrize("config,pinned", PINNED_RUNS)
+def test_local_search_matches_pinned_runs(config, pinned):
+    method, seed, k, n = config
+    r = local_search(SearchConfig(k=k, n=n, method=method, seed=seed, budget=1500, restarts=3))
+    *head, ratio = pinned
+    assert [r.best_graph, r.evaluations, len(r.history), r.history[-1][0]] == head
+    assert r.best_ratio == pytest.approx(ratio, abs=1e-12)
 
 
 def test_local_search_history_monotone():
