@@ -150,7 +150,7 @@ def cmd_search(args) -> int:
         if args.g6_file == "-":
             result = S.stream_max(args.k, sys.stdin, on_error=args.on_error)
         else:
-            # a non-ASCII byte stays in its line, which g6_decode then rejects
+            # a non-ASCII byte stays in its line, which the line check then rejects
             with open(args.g6_file, encoding="ascii", errors="surrogateescape") as fh:
                 result = S.stream_max(args.k, fh, on_error=args.on_error)
     elif args.method == "exhaustive":

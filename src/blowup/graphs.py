@@ -213,12 +213,18 @@ def g6_encode(g: Graph) -> str:
     return g6_encode_bits(g.n, g.adj[ii, jj])
 
 
-def g6_decode(text: str) -> Graph:
-    """Decode one graph6 string; accepts an optional '>>graph6<<' header.
+#: the graph6 alphabet, bytes 63..126
+_G6_ALPHABET = bytes(range(63, 127))
 
-    Raises GraphParseError with a byte offset on malformed input. Padding
-    bits must be zero and the byte count must be exact. An order above
-    MAX_DENSE_ORDER is refused (ValueError) before the payload is read.
+
+def g6_parse(text: str) -> tuple[int, bytes]:
+    """Check one graph6 string and split it into its order and payload bytes.
+
+    Accepts an optional '>>graph6<<' header. Raises GraphParseError with a
+    byte offset on malformed input: padding bits must be zero and the byte
+    count must be exact. An order above MAX_DENSE_ORDER is refused
+    (ValueError) before the payload is read. The package's only copy of the
+    graph6 line checks.
     """
     try:
         raw = text.encode("ascii")
@@ -229,9 +235,10 @@ def g6_decode(text: str) -> Graph:
     raw = raw.strip()
     if not raw:
         raise GraphParseError("empty graph6 string", 0)
-    for off, byte in enumerate(raw):
-        if not 63 <= byte <= 126:
-            raise GraphParseError(f"byte {byte} outside the graph6 range 63..126", off)
+    # one C-level scan; the first byte left over is the first bad one
+    bad = raw.translate(None, _G6_ALPHABET)
+    if bad:
+        raise GraphParseError(f"byte {bad[0]} outside the graph6 range 63..126", raw.index(bad[:1]))
 
     if raw[0] == 126:
         if len(raw) >= 2 and raw[1] == 126:
@@ -257,17 +264,28 @@ def g6_decode(text: str) -> Graph:
         )
     if len(payload) > nbytes:
         raise GraphParseError("trailing bytes after graph6 payload", pos + nbytes)
-
-    vals = np.frombuffer(payload, dtype=np.uint8).astype(np.uint8) - 63
-    bits = (vals[:, None] >> np.arange(5, -1, -1, dtype=np.uint8)) & 1
-    bits = bits.ravel()
-    if bits[nbits:].any():
+    if nbytes and (payload[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise GraphParseError("nonzero padding bits in graph6 payload", len(raw) - 1)
+    return n, payload
 
+
+def g6_unpack(payloads: bytes, n: int, count: int = 1) -> np.ndarray:
+    """Edge bits in graph6 order of count checked payloads of order n, joined.
+
+    Returns uint8 of shape (count, n*(n-1)//2).
+    """
+    nbits = n * (n - 1) // 2
+    vals = np.frombuffer(payloads, dtype=np.uint8).reshape(count, (nbits + 5) // 6) - 63
+    bits = (vals[:, :, None] >> np.arange(5, -1, -1, dtype=np.uint8)) & 1
+    return bits.reshape(count, -1)[:, :nbits]
+
+
+def g6_decode(text: str) -> Graph:
+    """Decode one graph6 string: g6_parse's checks, then the adjacency matrix."""
+    n, payload = g6_parse(text)
+    ii, jj = triu_pair_arrays(n)
+    edge_bits = g6_unpack(payload, n)[0].astype(bool)
     a = np.zeros((n, n), dtype=bool)
-    if n > 1:
-        ii, jj = triu_pair_arrays(n)
-        edge_bits = bits[:nbits].astype(bool)
-        a[ii, jj] = edge_bits
-        a[jj, ii] = edge_bits
+    a[ii, jj] = edge_bits
+    a[jj, ii] = edge_bits
     return Graph(a)

@@ -4,16 +4,19 @@ Three strategies: exhaustive search over every graph on up to 8 vertices,
 a streaming maximum over externally supplied graph6 lines, and seeded
 local search (hill climb or simulated annealing) over edge toggles. The
 exhaustive search builds one graph per isomorphism class, level by level,
-and solves the one-vertex extensions of the classes one vertex short. All
-of them score graphs with one evaluator, `_ratio`, over
-`spectra.eigenvalues`, and pick witnesses by one order, `_witness_key`.
+and solves the one-vertex extensions of the classes one vertex short. The
+stream checks each line as it is read and solves the checked lines of each
+order in one stack once they fill `_CELLS` matrix entries. All of them
+score graphs with one evaluator, `_ratio`, over `spectra.eigenvalues`, and
+pick witnesses by one order, `_witness_key`; the two batched engines fold
+their stacks into one running maximum, `_Best`.
 
 Determinism: a (seed, config) pair gives byte-identical results within one
 build. The generator is numpy's PCG64 behind default_rng. The best ratio
 and the improvement history follow the float maximum. The exhaustive and
 stream witness is the lexicographically smallest graph6 string among the
 graphs whose ratios equal that maximum to 12 decimals: relabelings of one
-graph differ by solver noise of about 1e-16, so chunked, serial and
+graph differ by solver noise of about 1e-16, so stacked, serial and
 reordered scans agree. The exhaustive search solves one labeling per
 extension and takes the smallest graph6 over all relabelings of the tied
 extensions. Local search keeps the first state that reaches the float
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import bounds
 from .errors import GraphParseError, InternalConsistencyError
-from .graphs import g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
+from .graphs import g6_decode, g6_encode_bits, g6_parse, g6_unpack, triu_pair_arrays
 from .spectra import eigen_spectrum, eigenvalues
 
 #: seed used when the caller does not provide one
@@ -48,6 +51,13 @@ EXHAUSTIVE_HARD_MAX = 8
 
 #: ratios equal to this many decimals tie for the witness
 _TIE_DECIMALS = 12
+
+#: every ratio tied with the maximum lies this close below it
+_TIE_WINDOW = 1e-11
+
+#: float64 entries per working array, 8 MiB: a batched eigensolve stack
+#: (16,384 graphs at n = 8), a stream's pending lines, a relabeling product
+_CELLS = 1 << 20
 
 #: consecutive rejections after which a local-search phase restarts
 _STALL = 5000
@@ -128,6 +138,48 @@ def _best_run(runs: Iterable[SearchResult]) -> SearchResult | None:
     return min(runs, key=lambda r: _witness_key(r.best_ratio, r.best_graph), default=None)
 
 
+def _adjacency_stack(bits: np.ndarray, n: int) -> np.ndarray:
+    """Float adjacency matrices, shape (len(bits), n, n), of rows of edge bits in graph6 order."""
+    ii, jj = triu_pair_arrays(n)
+    a = np.zeros((len(bits), n, n))
+    a[:, ii, jj] = bits
+    a[:, jj, ii] = bits
+    return a
+
+
+class _Best:
+    """Running maximum of the batched engines over solved stacks, in evaluation order.
+
+    The history lists the strict improvements of the float maximum. The
+    witness is the smallest graph6 among the graphs tied with the maximum
+    to 12 decimals, whichever stacks they were solved in.
+    """
+
+    def __init__(self):
+        self.ratio, self.key, self.evaluations = -math.inf, (math.inf, ""), 0
+        self.history: list[tuple[int, float]] = []
+
+    def add(self, ratios: np.ndarray, smallest_label) -> None:
+        """Fold in one stack; smallest_label(rows) is the smallest graph6 among those rows."""
+        earlier = np.maximum.accumulate(np.concatenate([[self.ratio], ratios[:-1]]))
+        self.history += [(self.evaluations + int(i) + 1, float(ratios[i]))
+                         for i in np.flatnonzero(ratios > earlier)]
+        top = ratios.max()
+        self.ratio = max(self.ratio, float(top))
+        top_key = _witness_key(top, "")
+        # the empty label sorts first: a stack that loses even with it cannot win
+        if top_key < self.key:
+            near = np.flatnonzero(ratios >= top - _TIE_WINDOW)
+            tied = near[[_witness_key(ratios[i], "") == top_key for i in near]]
+            self.key = min(self.key, _witness_key(top, smallest_label(tied)))
+        self.evaluations += len(ratios)
+
+    def result(self, k: int, n: int | None, method: str) -> SearchResult:
+        return _self_check(SearchResult(
+            best_ratio=self.ratio, best_graph=self.key[1], evaluations=self.evaluations,
+            k=k, n=n, seed=None, method=method, history=tuple(self.history)))
+
+
 def _self_check(result: SearchResult) -> SearchResult:
     """Recompute the witness ratio and enforce the proven ceiling."""
     again = _ratio(g6_decode(result.best_graph).matrix(), result.k)
@@ -169,16 +221,6 @@ def exceedance(result: SearchResult) -> tuple[dict, dict | None]:
 # -- exhaustive enumeration ------------------------------------------------------
 
 
-#: graphs per batched eigensolve
-_CHUNK = 1 << 16
-
-#: entries per relabeling product: 32 MiB of float64
-_PRODUCT_CELLS = 1 << 22
-
-#: every graph tied with the maximum lies this close below it
-_TIE_WINDOW = 1e-11
-
-
 @lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
 def _relabel_weights(n: int) -> np.ndarray:
     """Label weights of the edge bits on n vertices under every relabeling, shape (m, n!).
@@ -198,7 +240,7 @@ def _relabel_weights(n: int) -> np.ndarray:
 def _canonical_labels(bits: np.ndarray, n: int) -> np.ndarray:
     """Smallest label over all relabelings of each row of edge bits on n vertices."""
     w = _relabel_weights(n)
-    rows = max(1, _PRODUCT_CELLS // w.shape[1])
+    rows = max(1, _CELLS // w.shape[1])
     out = np.empty(len(bits), dtype=np.int64)
     for s in range(0, len(bits), rows):
         out[s : s + rows] = (bits[s : s + rows].astype(np.float64) @ w).min(axis=1)
@@ -251,26 +293,14 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
     graphs = _extensions(_classes(n - 1), n - 1)
-    ii, jj = triu_pair_arrays(n)
-    ratios = np.empty(len(graphs))
-    for start in range(0, len(graphs), _CHUNK):
-        bits = graphs[start : start + _CHUNK]
-        a = np.zeros((len(bits), n, n))
-        a[:, ii, jj] = bits
-        a[:, jj, ii] = bits
-        ratios[start : start + len(bits)] = _ratio(a, k)
-
-    earlier = np.maximum.accumulate(np.concatenate([[-math.inf], ratios[:-1]]))
-    history = tuple((int(i) + 1, float(ratios[i])) for i in np.flatnonzero(ratios > earlier))
-    best_ratio = float(ratios.max())
-    top = _witness_key(best_ratio, "")[0]
-    tied = [i for i in np.flatnonzero(ratios >= best_ratio - _TIE_WINDOW)
-            if _witness_key(ratios[i], "")[0] == top]
-    label = _canonical_labels(graphs[tied], n).min(keepdims=True)
-    witness = g6_encode_bits(n, _label_bits(label, len(ii))[0])
-    result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=len(graphs),
-                          k=k, n=n, seed=None, method="exhaustive", history=history)
-    return _self_check(result)
+    m = n * (n - 1) // 2
+    best = _Best()
+    per_stack = _CELLS // (n * n)
+    for start in range(0, len(graphs), per_stack):
+        bits = graphs[start : start + per_stack]
+        best.add(_ratio(_adjacency_stack(bits, n), k), lambda rows: g6_encode_bits(
+            n, _label_bits(_canonical_labels(bits[rows], n).min(keepdims=True), m)[0]))
+    return best.result(k, n, "exhaustive")
 
 
 # -- streaming maximum -------------------------------------------------------------
@@ -279,21 +309,34 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
 def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchResult:
     """Maximum limit ratio over a stream of graph6 lines.
 
-    Blank lines and a '>>graph6<<' header are skipped. Malformed lines,
-    graphs with fewer than k vertices and orders above the dense ceiling
-    (refused by g6_decode before any matrix is built) raise GraphParseError
-    tagged with the line number, or are counted and skipped with
-    on_error='skip'. An empty stream (no usable graphs) is an error.
+    Blank lines and a '>>graph6<<' header are skipped. Each line is checked
+    by g6_parse as it is read: malformed lines, graphs with fewer than k
+    vertices and orders above the dense ceiling raise GraphParseError tagged
+    with the line number, or are counted and skipped with on_error='skip'.
+    Checked lines wait as payload bytes until they fill _CELLS matrix
+    entries or the stream ends; then each order's lines are solved in one
+    stack, and a solver failure surfaces there. The result equals that of
+    one solve per line. An empty stream (no usable graphs) is an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    best_ratio = -math.inf
-    best_key = (math.inf, "")
-    evaluations = 0
-    skipped = 0
-    history: list[tuple[int, float]] = []
+    best = _Best()
+
+    def solve(orders: list[int], payloads: list[bytes]) -> None:
+        # one stack per order, its ratios put back in stream order
+        by_order, ratios = np.array(orders), np.empty(len(orders))
+        for n in set(orders):
+            rows = np.flatnonzero(by_order == n)
+            bits = g6_unpack(b"".join([payloads[i] for i in rows]), n, len(rows))
+            ratios[rows] = _ratio(_adjacency_stack(bits, n), k)
+        best.add(ratios, lambda rows: min(
+            g6_encode_bits(orders[i], g6_unpack(payloads[i], orders[i])[0]) for i in rows))
+
+    orders: list[int] = []
+    payloads: list[bytes] = []
+    cells = skipped = 0
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if text.startswith(">>graph6<<"):
@@ -301,27 +344,25 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
         if not text:
             continue
         try:
-            g = g6_decode(text)
-            if g.n < k:
-                raise GraphParseError(f"graph has n={g.n} < k={k}")
+            n, payload = g6_parse(text)
+            if n < k:
+                raise GraphParseError(f"graph has n={n} < k={k}")
         except (GraphParseError, ValueError) as e:
             if on_error == "skip":
                 skipped += 1
                 continue
             raise GraphParseError(f"line {lineno}: {e}") from None
-        evaluations += 1
-        ratio = _ratio(g.matrix(), k)
-        if ratio > best_ratio:
-            best_ratio = ratio
-            history.append((evaluations, ratio))
-        # the empty label sorts first: a line that loses even with it cannot win
-        if _witness_key(ratio, "") < best_key:
-            best_key = min(best_key, _witness_key(ratio, g6_encode(g)))
-    if not evaluations:
+        orders.append(n)
+        payloads.append(payload)
+        cells += n * n
+        if cells >= _CELLS:
+            solve(orders, payloads)
+            orders, payloads, cells = [], [], 0
+    if orders:
+        solve(orders, payloads)
+    if not best.evaluations:
         raise ValueError(f"empty stream: no usable graphs ({skipped} skipped)")
-    result = SearchResult(best_ratio=best_ratio, best_graph=best_key[1], evaluations=evaluations,
-                          k=k, n=None, seed=None, method="stream", history=tuple(history))
-    return _self_check(result)
+    return best.result(k, None, "stream")
 
 
 # -- local search --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """graph6 codec, cross-checked against networkx's implementation."""
 
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from blowup.errors import GraphParseError
 from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph, triu_pair_arrays
+from blowup.search import stream_max
 
 
 def nx_roundtrip_encode(g: Graph) -> str:
@@ -131,3 +133,25 @@ def test_padding_enforced():
 def test_rejects_unencodable():
     with pytest.raises(GraphParseError):
         g6_decode("~~" + "?" * 10)  # 8-byte order form unsupported
+
+
+def test_oversized_line_is_refused_in_one_scan():
+    # a 3.0 MB line of order 6000: the byte range is checked in one C-level
+    # scan before the order field meets the dense ceiling
+    n = 6000
+    body = "~" * ((n * (n - 1) // 2 + 5) // 6)
+    line = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)) + body
+    for refuse, message in ((g6_decode, ""), (lambda s: stream_max(1, [s]), "line 1: ")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{message}graph6 string needs .*order 6000"):
+            refuse(line)
+        assert time.perf_counter() - start < 0.05
+    # a bad byte is still located at its own offset
+    with pytest.raises(GraphParseError, match=f"byte 33 outside .*offset {len(line) - 1}\\)"):
+        g6_decode(line[:-1] + "!")
+
+
+def test_first_bad_byte_is_reported():
+    for text, byte, offset in (("B!w\x1f", 33, 1), ("Bw\x1f!", 31, 2), ("~??B \x7f", 32, 4)):
+        with pytest.raises(GraphParseError, match=f"^byte {byte} outside .*offset {offset}\\)"):
+            g6_decode(text)

@@ -2,20 +2,32 @@
 
 import io
 import itertools
+import math
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowup import search
 from blowup.cli import EXIT_NUMERIC, main
 from blowup.errors import GraphParseError, NumericError
-from blowup.graphs import Graph, complete, g6_decode, g6_encode, g6_encode_bits, triu_pair_arrays
+from blowup.graphs import (
+    Graph,
+    complete,
+    g6_decode,
+    g6_encode,
+    g6_encode_bits,
+    random_graph,
+    triu_pair_arrays,
+)
 from blowup.search import (
     C3_THRESHOLD,
     THRESHOLD_TOL,
     SearchConfig,
+    SearchResult,
     c3_campaign,
     exhaustive_max,
     local_search,
@@ -284,6 +296,159 @@ def test_stream_reads_file_objects():
     text = "\n".join(g6_encode(g) for g in itertools.islice(all_graphs(4), 20))
     r = stream_max(2, io.StringIO(text))
     assert r.evaluations == 20
+
+
+def per_line_stream(k: int, lines, on_error: str = "raise") -> SearchResult:
+    """Stream oracle: the documented rules applied one line at a time.
+
+    Each line is decoded by g6_decode and solved on its own; the witness is
+    the smallest re-encoded graph6 among the lines tied with the maximum to
+    12 decimals.
+    """
+    best_ratio, best_key, evaluations, skipped, history = -math.inf, (math.inf, ""), 0, 0, []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text.startswith(">>graph6<<"):
+            text = text[len(">>graph6<<") :]
+        if not text:
+            continue
+        try:
+            g = g6_decode(text)
+            if g.n < k:
+                raise GraphParseError(f"graph has n={g.n} < k={k}")
+        except (GraphParseError, ValueError) as e:
+            if on_error == "skip":
+                skipped += 1
+                continue
+            raise GraphParseError(f"line {lineno}: {e}") from None
+        evaluations += 1
+        ratio = search._ratio(g.matrix(), k)
+        if ratio > best_ratio:
+            best_ratio = ratio
+            history.append((evaluations, ratio))
+        best_key = min(best_key, search._witness_key(ratio, g6_encode(g)))
+    if not evaluations:
+        raise ValueError(f"empty stream: no usable graphs ({skipped} skipped)")
+    return SearchResult(best_ratio=best_ratio, best_graph=best_key[1], evaluations=evaluations,
+                        k=k, n=None, seed=None, method="stream", history=tuple(history))
+
+
+MALFORMED = ["!bad", "B", "Bx", "~", "~~??", "@@", "?", "C~~", "\u00e9B", "A`", "  ", ">>graph6<<"]
+
+
+def mixed_stream(seed: int, lines: int, orders=(*range(1, 13), 62, 63), bad: float = 0.1):
+    """A seeded graph6 stream: fresh graphs of the given orders, relabelings and
+    exact repeats of earlier lines, long-form order fields on small orders,
+    a header on the first line, and a share of blank or malformed lines."""
+    rng = random.Random(seed)
+    graphs, out = [], []
+    for _ in range(lines):
+        kind = rng.random()
+        if kind < bad:
+            out.append(rng.choice(MALFORMED))
+            continue
+        if kind < bad + 0.2 and graphs:
+            g = rng.choice(graphs)
+            out.append(g6_encode(g.relabeled(rng.sample(range(g.n), g.n))))
+        elif kind < bad + 0.3 and out:
+            out.append(rng.choice(out))
+        else:
+            graphs.append(random_graph(rng.choice(orders), rng))
+            line = g6_encode(graphs[-1])
+            if graphs[-1].n <= 62 and rng.random() < 0.2:
+                line = "~??" + line  # the same graph with the 4-byte order field
+            out.append(line)
+    out[0] = ">>graph6<<" + out[0]
+    return out
+
+
+def outcome(search_fn, *args):
+    try:
+        return search_fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("cells", [None, 150, 4000])
+@pytest.mark.parametrize("seed", range(4))
+def test_stream_matches_per_line_reference(seed, cells, monkeypatch):
+    # a small cell cap splits the stream into many solves; order 62 and 63
+    # lines fill one on their own
+    if cells:
+        monkeypatch.setattr(search, "_CELLS", cells)
+    lines = mixed_stream(seed, 160)
+    clean = mixed_stream(seed, 160, orders=(*range(5, 13), 62, 63), bad=0)
+    for k in range(1, 6):
+        for on_error in ("raise", "skip"):
+            want = outcome(per_line_stream, k, lines, on_error)
+            assert outcome(stream_max, k, lines, on_error) == want, (k, on_error)
+        assert stream_max(k, clean) == per_line_stream(k, clean), k
+
+
+def test_stream_longer_than_one_solve_matches_reference():
+    # 11,000 order-10 lines: two solves under the real cell cap
+    lines = mixed_stream(9, 11_000, orders=(10,), bad=0)
+    r = stream_max(3, lines)
+    assert r.evaluations > search._CELLS // 100
+    assert r == per_line_stream(3, lines)
+
+
+_LINE_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(st.characters(min_codepoint=9, max_codepoint=127), max_size=12),
+    st.builds(lambda head, n, body: head + chr(63 + n) + body,
+              st.sampled_from(["", " ", ">>graph6<<", "~??", ">>graph6<<~??"]),
+              st.integers(0, 8), st.text(st.characters(min_codepoint=60, max_codepoint=127), max_size=6)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_LINE_TEXT)
+@example("Bw")
+@example(" ~??Bw ")
+@example("A`")
+def test_stream_line_errors_match_g6_decode(s):
+    text = s.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<") :]
+    try:
+        g = g6_decode(text)
+    except (GraphParseError, ValueError) as e:
+        with pytest.raises(ValueError) as info:
+            stream_max(1, [s])
+        if text:
+            assert type(info.value) is GraphParseError
+            assert str(info.value) == f"line 1: {e}"
+        else:
+            assert str(info.value).startswith("empty stream")
+        return
+    assert stream_max(1, [s]).best_ratio == search._ratio(g.matrix(), 1)
+
+
+def test_stream_checks_lines_as_they_are_read():
+    # an endless stream: line 10 must raise before the rest is drained
+    lines = itertools.chain(["Bw"] * 9, ["!bad"], itertools.repeat("Bw"))
+    with pytest.raises(GraphParseError, match="^line 10: "):
+        stream_max(1, lines)
+
+
+def test_stream_solves_in_bounded_stacks(monkeypatch):
+    # pending lines are solved once they fill the cell cap, so no stack
+    # holds more than the cap plus one line
+    monkeypatch.setattr(search, "_CELLS", 1000)
+    shapes = []
+    solve = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    lines = mixed_stream(3, 500, orders=(9, 10, 11))
+    r = stream_max(2, lines, on_error="skip")
+    stacks = [shape for shape in shapes if len(shape) == 3]
+    assert sum(shape[0] for shape in stacks) == r.evaluations
+    assert max(shape[0] * shape[1] ** 2 for shape in stacks) < 1000 + 11**2
 
 
 # -- local search ---------------------------------------------------------------------
