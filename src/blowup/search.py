@@ -2,14 +2,20 @@
 
 Three strategies: exhaustive search over every graph on up to 8 vertices,
 a streaming maximum over externally supplied graph6 lines, and seeded
-local search (hill climb or simulated annealing) over edge toggles. The
-exhaustive search builds one graph per isomorphism class, level by level,
-and solves the one-vertex extensions of the classes one vertex short. The
-stream checks each line as it is read and solves the checked lines of each
-order in one stack once they fill `_CELLS` matrix entries. All of them
-score graphs with one evaluator, `_ratio`, over `spectra.eigenvalues`, and
-pick witnesses by one order, `_witness_key`; the two batched engines fold
-their stacks into one running maximum, `_Best`.
+local search (hill climb or simulated annealing) over edge toggles. All of
+them score graphs with one evaluator, `_ratio`, over `spectra.eigenvalues`,
+and pick witnesses by one order, `_witness_key`.
+
+The two batched engines are generators of batches that one function,
+`_drive`, solves and folds. A batch is the graphs of one solve, in
+evaluation order: an array of each graph's order, and a dict from each
+order to the edge bits of that order's graphs. `_drive` solves each order's
+graphs in one stack, puts the ratios back in batch order, folds them into
+the running maximum, history and witness, and self-checks the result. The
+exhaustive engine builds one graph per isomorphism class, level by level,
+and yields the one-vertex extensions of the classes one vertex short in
+single-order batches. The stream engine checks each line as it is read
+and yields its checked lines once they fill `_CELLS` matrix entries.
 
 Determinism: a (seed, config) pair gives byte-identical results within one
 build. The generator is numpy's PCG64 behind default_rng. The best ratio
@@ -27,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -58,6 +65,9 @@ _TIE_WINDOW = 1e-11
 #: float64 entries per working array, 8 MiB: a batched eigensolve stack
 #: (16,384 graphs at n = 8), a stream's pending lines, a relabeling product
 _CELLS = 1 << 20
+
+#: the whitespace a stream line is stripped of, as bytes.strip strips it
+_ASCII_SPACE = " \t\n\r\v\f"
 
 #: consecutive rejections after which a local-search phase restarts
 _STALL = 5000
@@ -134,10 +144,6 @@ def _witness_key(ratio: float, label: str) -> tuple:
     return (-round(float(ratio), _TIE_DECIMALS), label)
 
 
-def _best_run(runs: Iterable[SearchResult]) -> SearchResult | None:
-    return min(runs, key=lambda r: _witness_key(r.best_ratio, r.best_graph), default=None)
-
-
 def _adjacency_stack(bits: np.ndarray, n: int) -> np.ndarray:
     """Float adjacency matrices, shape (len(bits), n, n), of rows of edge bits in graph6 order."""
     ii, jj = triu_pair_arrays(n)
@@ -147,37 +153,40 @@ def _adjacency_stack(bits: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-class _Best:
-    """Running maximum of the batched engines over solved stacks, in evaluation order.
+def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
+           smallest: Callable[[int, np.ndarray], str], n: int | None, method: str) -> SearchResult:
+    """Solve and fold batches into one self-checked result, in evaluation order.
 
-    The history lists the strict improvements of the float maximum. The
-    witness is the smallest graph6 among the graphs tied with the maximum
-    to 12 decimals, whichever stacks they were solved in.
+    Each batch is (orders, stacks): each graph's order, and for each order
+    the edge bits of its graphs. smallest(order, bits) is the smallest
+    graph6 among those graphs. The history lists the strict improvements of
+    the float maximum. The witness is the smallest graph6 among the graphs
+    tied with the maximum to 12 decimals, whichever batches they were in.
     """
-
-    def __init__(self):
-        self.ratio, self.key, self.evaluations = -math.inf, (math.inf, ""), 0
-        self.history: list[tuple[int, float]] = []
-
-    def add(self, ratios: np.ndarray, smallest_label) -> None:
-        """Fold in one stack; smallest_label(rows) is the smallest graph6 among those rows."""
-        earlier = np.maximum.accumulate(np.concatenate([[self.ratio], ratios[:-1]]))
-        self.history += [(self.evaluations + int(i) + 1, float(ratios[i]))
-                         for i in np.flatnonzero(ratios > earlier)]
+    best, key, evaluations, history = -math.inf, (math.inf, ""), 0, []
+    for orders, stacks in batches:
+        ratios, rows = np.empty(len(orders)), {}
+        for order, bits in stacks.items():
+            rows[order] = np.flatnonzero(orders == order)
+            ratios[rows[order]] = _ratio(_adjacency_stack(bits, order), k)
+        earlier = np.maximum.accumulate(np.concatenate([[best], ratios[:-1]]))
+        history += [(evaluations + int(i) + 1, float(ratios[i]))
+                    for i in np.flatnonzero(ratios > earlier)]
         top = ratios.max()
-        self.ratio = max(self.ratio, float(top))
+        best = max(best, float(top))
         top_key = _witness_key(top, "")
-        # the empty label sorts first: a stack that loses even with it cannot win
-        if top_key < self.key:
+        # the empty label sorts first: a batch that loses even with it cannot win
+        if top_key < key:
             near = np.flatnonzero(ratios >= top - _TIE_WINDOW)
             tied = near[[_witness_key(ratios[i], "") == top_key for i in near]]
-            self.key = min(self.key, _witness_key(top, smallest_label(tied)))
-        self.evaluations += len(ratios)
-
-    def result(self, k: int, n: int | None, method: str) -> SearchResult:
-        return _self_check(SearchResult(
-            best_ratio=self.ratio, best_graph=self.key[1], evaluations=self.evaluations,
-            k=k, n=n, seed=None, method=method, history=tuple(self.history)))
+            at = orders[tied]
+            label = min(smallest(order, stacks[order][np.searchsorted(rows[order], tied[at == order])])
+                        for order in set(at.tolist()))
+            key = min(key, _witness_key(top, label))
+        evaluations += len(ratios)
+    return _self_check(SearchResult(
+        best_ratio=best, best_graph=key[1], evaluations=evaluations,
+        k=k, n=n, seed=None, method=method, history=tuple(history)))
 
 
 def _self_check(result: SearchResult) -> SearchResult:
@@ -293,14 +302,11 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
     graphs = _extensions(_classes(n - 1), n - 1)
-    m = n * (n - 1) // 2
-    best = _Best()
     per_stack = _CELLS // (n * n)
-    for start in range(0, len(graphs), per_stack):
-        bits = graphs[start : start + per_stack]
-        best.add(_ratio(_adjacency_stack(bits, n), k), lambda rows: g6_encode_bits(
-            n, _label_bits(_canonical_labels(bits[rows], n).min(keepdims=True), m)[0]))
-    return best.result(k, n, "exhaustive")
+    batches = ((np.full(len(bits), n), {n: bits})
+               for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))
+    return _drive(k, batches, lambda order, bits: g6_encode_bits(order, _label_bits(
+        _canonical_labels(bits, order).min(keepdims=True), bits.shape[1])[0]), n, "exhaustive")
 
 
 # -- streaming maximum -------------------------------------------------------------
@@ -309,7 +315,9 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
 def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchResult:
     """Maximum limit ratio over a stream of graph6 lines.
 
-    Blank lines and a '>>graph6<<' header are skipped. Each line is checked
+    Blank lines and a '>>graph6<<' header are skipped; blank means empty
+    after stripping ASCII whitespace (space, tab, CR, LF, VT, FF) from both
+    ends, so any other character spoils its line. Each line is checked
     by g6_parse as it is read: malformed lines, graphs with fewer than k
     vertices and orders above the dense ceiling raise GraphParseError tagged
     with the line number, or are counted and skipped with on_error='skip'.
@@ -322,23 +330,22 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
         raise ValueError("k must be >= 1")
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    best = _Best()
+    return _drive(k, _stream_batches(k, lines, on_error),
+                  lambda order, bits: min(g6_encode_bits(order, row) for row in bits), None, "stream")
 
-    def solve(orders: list[int], payloads: list[bytes]) -> None:
-        # one stack per order, its ratios put back in stream order
-        by_order, ratios = np.array(orders), np.empty(len(orders))
-        for n in set(orders):
-            rows = np.flatnonzero(by_order == n)
-            bits = g6_unpack(b"".join([payloads[i] for i in rows]), n, len(rows))
-            ratios[rows] = _ratio(_adjacency_stack(bits, n), k)
-        best.add(ratios, lambda rows: min(
-            g6_encode_bits(orders[i], g6_unpack(payloads[i], orders[i])[0]) for i in rows))
 
+def _stream_batches(k: int, lines: Iterable[str], on_error: str) -> Iterator[tuple[np.ndarray, dict]]:
+    """Batches of checked stream lines, each yielded once it fills _CELLS matrix entries."""
     orders: list[int] = []
-    payloads: list[bytes] = []
+    pending: defaultdict[int, list[bytes]] = defaultdict(list)
     cells = skipped = 0
+    solved = False
+
+    def batch():
+        return np.array(orders), {n: g6_unpack(b"".join(p), n, len(p)) for n, p in pending.items()}
+
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(_ASCII_SPACE)
         if text.startswith(">>graph6<<"):
             text = text[len(">>graph6<<") :]
         if not text:
@@ -353,16 +360,15 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
                 continue
             raise GraphParseError(f"line {lineno}: {e}") from None
         orders.append(n)
-        payloads.append(payload)
+        pending[n].append(payload)
         cells += n * n
         if cells >= _CELLS:
-            solve(orders, payloads)
-            orders, payloads, cells = [], [], 0
+            yield batch()
+            orders, pending, cells, solved = [], defaultdict(list), 0, True
     if orders:
-        solve(orders, payloads)
-    if not best.evaluations:
+        yield batch()
+    elif not solved:
         raise ValueError(f"empty stream: no usable graphs ({skipped} skipped)")
-    return best.result(k, None, "stream")
 
 
 # -- local search --------------------------------------------------------------------
@@ -435,57 +441,3 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=evaluations,
                           k=k, n=n, seed=cfg.seed, method=cfg.method, history=tuple(history))
     return _self_check(result)
-
-
-# -- the k = 3 campaign -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignReport:
-    """Outcome of an annealing sweep hunting for a ratio above 1/3 at k = 3."""
-
-    per_n: tuple[SearchResult, ...]
-    witness: dict | None
-
-    @property
-    def best(self) -> SearchResult | None:
-        return _best_run(self.per_n)
-
-    @property
-    def exceeded(self) -> bool:
-        return self.witness is not None
-
-    def to_json_obj(self) -> dict:
-        best = self.best
-        return {
-            "k": 3,
-            "threshold": C3_THRESHOLD,
-            "runs": [r.to_json_obj() for r in self.per_n],
-            "best": best.to_json_obj() if best else None,
-            "exceeded": self.exceeded,
-            "witness": self.witness,
-        }
-
-
-def c3_campaign(
-    ns: Iterable[int] = (6, 9, 12),
-    seeds: Iterable[int] = (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2),
-    budget: int = 30_000,
-    restarts: int = 10,
-) -> CampaignReport:
-    """Anneal for lambda_3 across several orders; flag any ratio above 1/3.
-
-    Returns the best run per n and, if the best of them beats the open
-    threshold, the witness block of `exceedance`. An empty ns gives an empty
-    report.
-    """
-    seeds = tuple(seeds)
-    best_per_n: list[SearchResult] = []
-    for n in ns:
-        runs = [
-            local_search(SearchConfig(k=3, n=n, method="anneal", seed=s, budget=budget, restarts=restarts))
-            for s in seeds
-        ]
-        best_per_n.append(_best_run(runs))
-    overall = _best_run(best_per_n)
-    return CampaignReport(tuple(best_per_n), exceedance(overall)[1] if overall else None)

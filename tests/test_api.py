@@ -8,9 +8,11 @@ a failed benchmark run.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import blowup
+from blowup import search
 from blowup.bounds import reproduce_table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -61,6 +63,16 @@ def test_one_eigensolver_call_site():
     assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1
 
 
+def test_batched_engines_share_drive():
+    # both batched engines return through _drive, the one place a stack of
+    # adjacency matrices is built and folded into a result
+    uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
+    assert {name: count for name, count in uses.items() if count} == {"search.py": 2}
+    assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
+    for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run"):
+        assert not hasattr(search, gone), gone
+
+
 def test_one_descriptor_construction_site():
     # The parser renders every descriptor name and is the one place a
     # descriptor is built; the family builders return provenances.
@@ -73,7 +85,7 @@ def test_one_descriptor_construction_site():
         "complete_descriptor", "cycle_descriptor", "johnson_descriptor", "icosahedron_descriptor",
         "petersen_descriptor", "paley_descriptor", "srg_spectrum", "drg_spectrum", "gosset_descriptor",
         "taylor_co3_descriptor", "union_descriptor", "blowup_descriptor", "complement_descriptor",
-        "explicit_descriptor",
+        "explicit_descriptor", "c3_campaign",
     }
     assert removed.isdisjoint(blowup.__all__)
 

@@ -254,6 +254,21 @@ def test_search_stream_non_ascii_file_matches_stdin(tmp_path, capsys, monkeypatc
         assert json.loads(from_file[1])["evaluations"] == 2
 
 
+def test_search_stream_unicode_space_refused_from_both_sources(tmp_path, capsys, monkeypatch):
+    # only ASCII whitespace is stripped, so an em space spoils its line
+    # whether the bytes come from a file or from stdin
+    data = "\u2003Bw\n".encode("utf-8")
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(data)
+    argv = ["search", "--k", "1", "--method", "stream"]
+    from_file = run(capsys, *argv, "--g6-file", str(path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = run(capsys, *argv, "--g6-file", "-")
+    assert from_file == from_stdin
+    assert from_file[0] == 2
+    assert "line 1: non-ASCII byte in graph6 input (at offset 0)" in from_file[2]
+
+
 def test_search_missing_n_is_usage(capsys):
     code, _, err = run(capsys, "search", "--k", "3", "--method", "exhaustive")
     assert code == 2

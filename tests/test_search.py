@@ -1,9 +1,11 @@
 """Exhaustive, stream, and local searches: oracles and determinism."""
 
+import functools
 import io
 import itertools
 import math
 import random
+import string
 
 import networkx as nx
 import numpy as np
@@ -28,7 +30,6 @@ from blowup.search import (
     THRESHOLD_TOL,
     SearchConfig,
     SearchResult,
-    c3_campaign,
     exhaustive_max,
     local_search,
     stream_max,
@@ -217,6 +218,56 @@ def test_exhaustive_solve_count_n7(solved):
     assert solved[0] == 9984 + 1
 
 
+@functools.cache
+def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
+    """Exhaustive oracle: the documented rules applied one extension at a time.
+
+    Each one-vertex extension of one graph per class on n - 1 vertices is
+    solved on its own, for every k; the history lists the strict improvements
+    of the float maximum, and the witness is the smallest graph6 over all
+    relabelings of the extensions tied with the maximum to 12 decimals.
+    """
+    ii, jj = triu_pair_arrays(n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    weights = 1 << np.arange(len(ii) - 1, -1, -1)
+    matrices = []
+    for bits in search._extensions(search._classes(n - 1), n - 1):
+        a = np.zeros((n, n))
+        a[ii, jj] = a[jj, ii] = bits
+        matrices.append(a)
+
+    @functools.cache
+    def smallest_relabeling(i: int) -> str:
+        relabeled = matrices[i][perms[:, ii], perms[:, jj]].astype(np.int64)  # one row per relabeling
+        return g6_encode_bits(n, relabeled[np.argmin(relabeled @ weights)].astype(np.uint8))
+
+    out = {}
+    for k in range(1, n + 1):
+        ratios = [search._ratio(a, k) for a in matrices]
+        best, history = -math.inf, []
+        for i, ratio in enumerate(ratios, start=1):
+            if ratio > best:
+                best = ratio
+                history.append((i, ratio))
+        witness = min(smallest_relabeling(i) for i, ratio in enumerate(ratios)
+                      if round(ratio, 12) == round(best, 12))
+        out[k] = SearchResult(best_ratio=best, best_graph=witness, evaluations=len(ratios),
+                              k=k, n=n, seed=None, method="exhaustive", history=tuple(history))
+    return out
+
+
+@pytest.mark.parametrize("cells", [None, 500])
+def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
+    # a small cell cap splits each search into many batches (10 at a time at
+    # n = 7), so the history and the witness fold across batches
+    if cells:
+        monkeypatch.setattr(search, "_CELLS", cells)
+    for n in range(1, 8):
+        want = per_extension_exhaustive(n)
+        for k in range(1, n + 1):
+            assert exhaustive_max(k, n) == want[k], (k, n)
+
+
 # -- stream ------------------------------------------------------------------------
 
 
@@ -307,7 +358,7 @@ def per_line_stream(k: int, lines, on_error: str = "raise") -> SearchResult:
     """
     best_ratio, best_key, evaluations, skipped, history = -math.inf, (math.inf, ""), 0, 0, []
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(string.whitespace)
         if text.startswith(">>graph6<<"):
             text = text[len(">>graph6<<") :]
         if not text:
@@ -408,7 +459,7 @@ _LINE_TEXT = st.one_of(
 @example(" ~??Bw ")
 @example("A`")
 def test_stream_line_errors_match_g6_decode(s):
-    text = s.strip()
+    text = s.strip(string.whitespace)
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<") :]
     try:
@@ -530,38 +581,6 @@ def test_search_config_validation():
     for t0 in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite t0"):
             SearchConfig(k=2, n=5, t0=t0)
-
-
-# -- campaign ----------------------------------------------------------------------
-
-
-def test_c3_campaign_small():
-    rep = c3_campaign(ns=(6,), seeds=(1729,), budget=6000, restarts=3)
-    assert len(rep.per_n) == 1
-    run = rep.per_n[0]
-    assert run.best_ratio == pytest.approx(1 / 3, abs=1e-9)
-    assert not rep.exceeded
-    assert rep.witness is None
-    assert rep.best == run
-    obj = rep.to_json_obj()
-    assert obj["threshold"] == pytest.approx(1 / 3)
-    assert obj["exceeded"] is False
-
-
-def test_c3_campaign_witness_block(monkeypatch):
-    # the campaign writes the same witness block as `blowup search`
-    monkeypatch.setattr(search, "C3_THRESHOLD", 0.1)
-    rep = c3_campaign(ns=(6,), seeds=(1729,), budget=200, restarts=0)
-    assert rep.exceeded
-    assert rep.witness["result"] == {**rep.best.to_json_obj(), "threshold": 0.1, "exceeded": True}
-    assert sum(e["mult"] for e in rep.witness["spectrum"]) == 6
-
-
-def test_c3_campaign_empty():
-    rep = c3_campaign(ns=(), seeds=(1,), budget=10, restarts=0)
-    assert rep.per_n == ()
-    assert rep.best is None
-    assert not rep.exceeded
 
 
 # -- solver failures --------------------------------------------------------------------
