@@ -10,6 +10,7 @@ threshold (witness written to the working directory).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -147,10 +148,16 @@ def cmd_search(args) -> int:
     if args.method == "stream":
         if args.g6_file is None:
             raise ValueError("stream search needs --g6-file")
+        # a non-ASCII byte stays in its line, which the line check then rejects
         if args.g6_file == "-":
-            result = S.stream_max(args.k, sys.stdin, on_error=args.on_error)
+            # stdin's bytes are decoded as a file's, whatever decoder the
+            # interpreter gave sys.stdin; detaching leaves the real stdin open
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
+            try:
+                result = S.stream_max(args.k, fh, on_error=args.on_error)
+            finally:
+                fh.detach()
         else:
-            # a non-ASCII byte stays in its line, which the line check then rejects
             with open(args.g6_file, encoding="ascii", errors="surrogateescape") as fh:
                 result = S.stream_max(args.k, fh, on_error=args.on_error)
     elif args.method == "exhaustive":

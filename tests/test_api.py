@@ -65,10 +65,13 @@ def test_one_eigensolver_call_site():
 
 def test_batched_engines_share_drive():
     # both batched engines return through _drive, the one place a stack of
-    # adjacency matrices is built and folded into a result
+    # adjacency matrices is built and folded into a result; the exhaustive
+    # engine's interlacing floor builds the only other stack, of classes it
+    # solves to prune, never folded into a result
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
-    assert {name: count for name, count in uses.items() if count} == {"search.py": 2}
+    assert {name: count for name, count in uses.items() if count} == {"search.py": 3}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search._interlacing_floor).count("_adjacency_stack(") == 1
     for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run"):
         assert not hasattr(search, gone), gone
 

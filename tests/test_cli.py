@@ -197,8 +197,9 @@ def test_search_json_fields(capsys):
     assert obj["best_ratio"] == pytest.approx(1 / 3)
     assert obj["threshold"] == pytest.approx(1 / 3)
     assert obj["exceeded"] is False
-    # the 34 classes on 5 vertices, each with its 32 one-vertex extensions
-    assert obj["evaluations"] == 1088
+    # the 6 of the 34 classes on 5 vertices that reach the interlacing floor
+    # 1/3, each with its 32 one-vertex extensions
+    assert obj["evaluations"] == 6 * 32
 
 
 def test_search_anneal_seeded(capsys):
@@ -210,9 +211,14 @@ def test_search_anneal_seeded(capsys):
     assert out1 == out2
 
 
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin over these bytes, with a strict UTF-8 decoder."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_search_stream_stdin(capsys, monkeypatch):
     text = g6_encode(petersen()) + "\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", stdin_of(text.encode()))
     code, out, _ = run(capsys, "search", "--k", "6", "--method", "stream",
                        "--g6-file", "-", "--json")
     assert code == 0
@@ -243,7 +249,7 @@ def test_search_stream_non_ascii_file_matches_stdin(tmp_path, capsys, monkeypatc
     path.write_bytes(text.encode("utf-8"))
     argv = ["search", "--k", "2", "--method", "stream", "--on-error", on_error, "--json"]
     from_file = run(capsys, *argv, "--g6-file", str(path))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", stdin_of(text.encode("utf-8")))
     from_stdin = run(capsys, *argv, "--g6-file", "-")
     assert from_file == from_stdin
     if on_error == "raise":
@@ -262,11 +268,33 @@ def test_search_stream_unicode_space_refused_from_both_sources(tmp_path, capsys,
     path.write_bytes(data)
     argv = ["search", "--k", "1", "--method", "stream"]
     from_file = run(capsys, *argv, "--g6-file", str(path))
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdin", stdin_of(data))
     from_stdin = run(capsys, *argv, "--g6-file", "-")
     assert from_file == from_stdin
     assert from_file[0] == 2
     assert "line 1: non-ASCII byte in graph6 input (at offset 0)" in from_file[2]
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip"])
+def test_search_stream_stdin_bytes_read_as_a_file(tmp_path, capsys, monkeypatch, on_error):
+    # a byte that stdin's own strict decoder cannot read spoils only its
+    # line, as it does in a file; the real stdin is left open
+    data = b"Bw\n\xffBw\n"
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(data)
+    argv = ["search", "--k", "1", "--method", "stream", "--on-error", on_error, "--json"]
+    from_file = run(capsys, *argv, "--g6-file", str(path))
+    stdin = stdin_of(data)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    from_stdin = run(capsys, *argv, "--g6-file", "-")
+    assert from_file == from_stdin
+    assert not stdin.closed
+    if on_error == "raise":
+        assert from_file[0] == 2
+        assert "line 2: non-ASCII byte in graph6 input (at offset 0)" in from_file[2]
+    else:
+        assert from_file[0] == 0
+        assert json.loads(from_file[1])["evaluations"] == 1
 
 
 def test_search_missing_n_is_usage(capsys):
@@ -285,8 +313,9 @@ def test_search_exhaustive_n8(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["best_ratio"] <= 1 / 3 + 1e-9
-    # the 1,044 classes on 7 vertices, each with its 128 one-vertex extensions
-    assert obj["evaluations"] == 133632
+    # the 262 of the 1,044 classes on 7 vertices that reach the interlacing
+    # floor, each with its 128 one-vertex extensions
+    assert obj["evaluations"] == 262 * 128
 
 
 def test_exceedance_exit_ten(capsys, monkeypatch, tmp_path):

@@ -92,6 +92,18 @@ def test_johnson_general_against_eigensolver():
         assert d.n == m * (m - 1) // 2
 
 
+def test_johnson_matches_integer_incidence_product():
+    # the float64 product gives the same bytes as the int32 one
+    for m in range(2, 13):
+        for r in range(1, m // 2 + 1):
+            subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
+            inc = np.zeros((len(subsets), m), dtype=np.int32)
+            np.put_along_axis(inc, subsets, 1, axis=1)
+            want = inc @ inc.T == r - 1
+            got = johnson(m, r).adj
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, r)
+
+
 def test_johnson_rejects():
     with pytest.raises(ValueError):
         johnson(3, 2)

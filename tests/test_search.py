@@ -62,8 +62,9 @@ def test_exhaustive_k2_n4():
     assert r.best_ratio == pytest.approx(0.5, abs=1e-12)
     g = g6_decode(r.best_graph)
     assert ratio_of(g, 2) == pytest.approx(r.best_ratio, abs=1e-12)
-    # the 4 classes on 3 vertices, each with its 8 one-vertex extensions
-    assert r.evaluations == 32
+    # of the 4 classes on 3 vertices, the empty one has lambda_1 = 0 and cannot
+    # reach the floor 1/2 of two disjoint edges; the other 3 have 8 extensions each
+    assert r.evaluations == 24
 
 
 def test_exhaustive_k3_n6():
@@ -211,11 +212,25 @@ def solved(monkeypatch):
 
 
 def test_exhaustive_solve_count_n7(solved):
-    # 156 classes on 6 vertices times 2^6 neighbourhoods, plus the witness's
-    # self-check; a labeled sweep would solve 2^21
+    # the 34 classes on 5 vertices and the 155 on 6 built from the 33 kept,
+    # one stack each; 60 of those 155 keep their 2^6 extensions. Plus the
+    # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
     r = exhaustive_max(3, 7)
-    assert r.evaluations == 9984
-    assert solved[0] == 9984 + 1
+    assert r.evaluations == 60 * 64
+    assert solved[0] == 34 + 155 + 60 * 64 + 1
+
+
+@pytest.mark.parametrize("k,n,levels,kept", [
+    (2, 4, [4], 3),  # unpruned: 4 classes on 3 vertices
+    (3, 6, [11, 33], 6),  # unpruned: 34 classes on 5 vertices
+    (3, 8, [156, 1043], 262),  # unpruned: 1044 classes on 7 vertices
+])
+def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
+    # the class stacks of the levels j > n - k, the extensions of the kept
+    # classes on n - 1 vertices, and the witness's self-check
+    r = exhaustive_max(k, n)
+    assert r.evaluations == kept << (n - 1)
+    assert solved[0] == sum(levels) + r.evaluations + 1
 
 
 @functools.cache
@@ -223,9 +238,12 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
     """Exhaustive oracle: the documented rules applied one extension at a time.
 
     Each one-vertex extension of one graph per class on n - 1 vertices is
-    solved on its own, for every k; the history lists the strict improvements
-    of the float maximum, and the witness is the smallest graph6 over all
-    relabelings of the extensions tied with the maximum to 12 decimals.
+    solved on its own, for every k, with no pruning; the history lists the
+    strict improvements of the float maximum, and the witness is the smallest
+    graph6 over all relabelings of the extensions tied with the maximum to 12
+    decimals. Beside each result is a ceiling on any interlacing floor: the
+    clique floor floor(n/k)/n or the best ratio of a graph with an isolated
+    vertex, whichever is larger.
     """
     ii, jj = triu_pair_arrays(n)
     perms = np.array(list(itertools.permutations(range(n))))
@@ -241,6 +259,7 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
         relabeled = matrices[i][perms[:, ii], perms[:, jj]].astype(np.int64)  # one row per relabeling
         return g6_encode_bits(n, relabeled[np.argmin(relabeled @ weights)].astype(np.uint8))
 
+    isolated = [not a.any(axis=0).all() for a in matrices]
     out = {}
     for k in range(1, n + 1):
         ratios = [search._ratio(a, k) for a in matrices]
@@ -251,21 +270,60 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
                 history.append((i, ratio))
         witness = min(smallest_relabeling(i) for i, ratio in enumerate(ratios)
                       if round(ratio, 12) == round(best, 12))
-        out[k] = SearchResult(best_ratio=best, best_graph=witness, evaluations=len(ratios),
+        result = SearchResult(best_ratio=best, best_graph=witness, evaluations=len(ratios),
                               k=k, n=n, seed=None, method="exhaustive", history=tuple(history))
+        ceiling = max([(n // k) / n] + [r for r, iso in zip(ratios, isolated) if iso])
+        out[k] = result, ceiling
     return out
 
 
 @pytest.mark.parametrize("cells", [None, 500])
 def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
     # a small cell cap splits each search into many batches (10 at a time at
-    # n = 7), so the history and the witness fold across batches
+    # n = 7), so the history and the witness fold across batches. Pruning
+    # drops only extensions below the floor, so the ratio and the witness
+    # are the unpruned ones, and so are the history entries at or above any
+    # floor the engine can reach; k = 1 prunes nothing.
     if cells:
         monkeypatch.setattr(search, "_CELLS", cells)
     for n in range(1, 8):
         want = per_extension_exhaustive(n)
         for k in range(1, n + 1):
-            assert exhaustive_max(k, n) == want[k], (k, n)
+            got, (unpruned, ceiling) = exhaustive_max(k, n), want[k]
+            assert (got.best_ratio, got.best_graph) == (unpruned.best_ratio, unpruned.best_graph), (k, n)
+            above = [[r for _, r in result.history if r >= ceiling] for result in (got, unpruned)]
+            assert above[0] == above[1], (k, n)
+            assert got.evaluations <= unpruned.evaluations, (k, n)
+            if k == 1:
+                assert got == unpruned, n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_interlacing_bounds_each_vertex_deletion(data):
+    # lambda_k(G) <= lambda_{k-d}(G - S) for every d-set S, on the solver alone
+    n = data.draw(st.integers(1, 10))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    ii, jj = triu_pair_arrays(n)
+    a = np.zeros((n, n))
+    a[ii, jj] = a[jj, ii] = bits
+    deleted = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    rest = [v for v in range(n) if v not in deleted]
+    w = np.linalg.eigvalsh(a)[::-1]
+    h = np.linalg.eigvalsh(a[np.ix_(rest, rest)])[::-1]
+    d = len(deleted)
+    for k in range(d + 1, n + 1):
+        assert w[k - 1] <= h[k - d - 1] + 1e-12, (k, d)
+
+
+def test_clique_floor_is_reached():
+    # k disjoint cliques on floor(n/k) vertices, plus isolated vertices
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            m = n // k
+            edges = [(c * m + i, c * m + j) for c in range(k) for j in range(m) for i in range(j)]
+            g = Graph.from_edges(n, edges)
+            assert abs(search._ratio(g.matrix(), k) - m / n) <= 1e-15, (k, n)
 
 
 # -- stream ------------------------------------------------------------------------
