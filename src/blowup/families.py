@@ -4,9 +4,10 @@ A SpectralDescriptor carries a name and a provenance tree; its spectrum and
 order are derived from the tree once, at construction, and from nothing
 else. Every node of the tree answers the same three questions: its
 certificate `strength`, its `spectrum()` and its `to_json_obj()`. The
-leaves are an explicit graph (`Explicit`: solved once; stated exact values
-must agree with the solve), strongly regular parameters (`SrgParams`) or an
-intersection array (`IntersectionArray`), the last two by exact formula; a
+leaves are an explicit graph (`Explicit`: a stated exact spectrum is checked
+exactly by Hoffman's polynomial identity, an unstated one is solved once),
+strongly regular parameters (`SrgParams`) or an intersection array
+(`IntersectionArray`), the last two by exact formula; a
 `Derived` node is the union or closed blowup of described parts, taken at
 spectrum level.
 
@@ -46,9 +47,9 @@ from .graphs import (
     g6_encode,
 )
 from .spectra import (
-    NUMERIC_SPECTRUM_TOL,
     Spectrum,
     blowup_transform,
+    check_stated_spectrum,
     eigen_spectrum,
     eigenvalues,
 )
@@ -65,21 +66,18 @@ _STRENGTHS = (EXACT_FORMULA, VERIFIED)  # weakest first
 
 @dataclass(frozen=True)
 class Explicit:
-    """Leaf: an adjacency matrix, solved once; stated exact pairs must agree with the solve."""
+    """Leaf: an adjacency matrix. A stated exact spectrum is checked exactly
+    (check_stated_spectrum) and returned as stated; an unstated one is solved once."""
 
     graph: Graph
     exact: tuple | None = None
     strength = VERIFIED
 
     def spectrum(self) -> Spectrum:
-        numeric = eigen_spectrum(self.graph)
         if self.exact is None:
-            return numeric
+            return eigen_spectrum(self.graph)
         stated = Spectrum(self.exact)
-        if not stated.allclose(numeric):
-            raise ValueError(
-                f"stated spectrum disagrees with the eigensolver beyond {NUMERIC_SPECTRUM_TOL}"
-            )
+        check_stated_spectrum(self.graph, stated)
         return stated
 
     def to_json_obj(self) -> dict:
@@ -203,19 +201,23 @@ def johnson(m: int, r: int = 2) -> Graph:
     return Graph(inc @ inc.T == r - 1)
 
 
-def _johnson(m: int, r: int) -> Explicit:
-    """Johnson graph with its exact spectrum.
+def _johnson_spectrum(m: int, r: int) -> tuple:
+    """Exact spectrum of the Johnson graph J(m, r), m >= 2r.
 
     Eigenvalues are (r-j)(m-r-j) - j with multiplicity C(m,j) - C(m,j-1)
     for j = 0..r; for r = 2 this is 2(m-2), m-4, and -2.
     """
-    g = johnson(m, r)
     pairs = []
     for j in range(r + 1):
         mult = math.comb(m, j) - (math.comb(m, j - 1) if j >= 1 else 0)
         if mult > 0:
             pairs.append((Quadratic((r - j) * (m - r - j) - j), mult))
-    return Explicit(g, tuple(pairs))
+    return tuple(pairs)
+
+
+def _johnson(m: int, r: int) -> Explicit:
+    """Johnson graph with its exact spectrum."""
+    return Explicit(johnson(m, r), _johnson_spectrum(m, r))
 
 
 # Pentagonal antiprism plus two apex vertices: 0 above the ring 1..5,
@@ -270,8 +272,10 @@ def paley(q: int) -> Graph:
     check_dense_order(q, f"paley({q})")
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError(f"paley({q}): q must be 9 or a prime congruent to 1 mod 4")
-    squares = {(x * x) % q for x in range(1, q)}
-    return Graph.from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q) if (i - j) % q in squares])
+    residue = np.zeros(q, dtype=bool)
+    residue[np.arange(1, q) ** 2 % q] = True
+    i = np.arange(q)
+    return Graph(residue[(i[:, None] - i) % q])
 
 
 def _paley(q: int) -> Explicit:

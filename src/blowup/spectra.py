@@ -7,6 +7,8 @@ grouped for display. `eigenvalues` is the package's one call into the
 numeric eigensolver, LAPACK's symmetric solver via numpy; accuracy for the
 dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
 nonconvergence or non-finite output surfaces as NumericError.
+`check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
+has a stated exact spectrum.
 """
 
 from __future__ import annotations
@@ -217,6 +219,130 @@ def eigenvalues(a: np.ndarray, index: int | None = None):
 def eigen_spectrum(g: Graph) -> Spectrum:
     """Numeric spectrum of the adjacency matrix, descending, one entry per value."""
     return Spectrum.from_floats(eigenvalues(g.matrix())[::-1])
+
+
+#: rows of the adjacency matrix cast to float64 at a time in a Hoffman product;
+#: the blocks beside the n x n partial stay this many rows high
+_PRODUCT_ROWS = 128
+
+
+def _horner(x, coeffs):
+    """x^t + c_1 x^(t-1) + .. + c_t for coeffs (c_1, .., c_t), by Horner's rule."""
+    out = 1
+    for c in coeffs:
+        out = out * x + c
+    return out
+
+
+def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
+    """The top value k of a stated spectrum, and the coefficients (q_1, .., q_D)
+    of Q(x) = x^D + q_1 x^(D-1) + .. + q_D, the product of the integer monic
+    minimal polynomials of the other values; a conjugate pair shares one factor.
+
+    Refuses (ValueError) a top value that is not a simple integer, a value that
+    is not an algebraic integer, and a surd whose conjugate is not stated with
+    the same multiplicity.
+    """
+    (top, top_mult), *rest = stated.entries
+    if top_mult != 1 or not top.is_rational or top.a.denominator != 1:
+        raise ValueError(f"stated top value {top} (multiplicity {top_mult}) is not a simple integer")
+    mults = dict(rest)
+    poly = [1]
+    for v, m in rest:
+        if v.is_rational:
+            factor = [1, -v.a]
+        else:
+            conj = Quadratic(v.a, -v.b, v.d)
+            if mults.get(conj) != m:
+                raise ValueError(f"stated value {v} (multiplicity {m}) lacks its conjugate {conj} "
+                                 f"with the same multiplicity")
+            if v.b < 0:
+                continue  # its factor came with its conjugate
+            factor = [1, -2 * v.a, v.a * v.a - v.b * v.b * v.d]
+        if any(c.denominator != 1 for c in map(Fraction, factor)):
+            raise ValueError(f"stated value {v} is not an algebraic integer")
+        prod = [0] * (len(poly) + len(factor) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(factor):
+                prod[i + j] += x * y
+        poly = prod
+    return int(top.a), [int(c) for c in poly[1:]]
+
+
+def _exactness_bound(k: int, q: list[int]) -> int:
+    """(k + 1) * sum_i |q_i| k^(D-i), with q_0 = 1.
+
+    Each Horner partial H_t(A) of a k-regular A has absolute row sums at most
+    sum_{i<=t} |q_i| k^(t-i), so this is above every entry and partial sum the
+    products form; below 2^53 they are exact in float64.
+    """
+    return (k + 1) * _horner(k, map(abs, q))
+
+
+def _upper_blocks(adj: np.ndarray, h: np.ndarray, c: int, out: np.ndarray | None = None):
+    """Yield (s, rows s:e and columns s: of A h + c I) for row blocks s:e.
+
+    These are the blocks on and above the diagonal, which fix all of A h + c I
+    when h is symmetric and commutes with A. Each is one BLAS product, written
+    into out when given; _PRODUCT_ROWS rows of A are cast to float64 at a time.
+    """
+    for s in range(0, len(h), _PRODUCT_ROWS):
+        e = s + _PRODUCT_ROWS
+        blk = np.matmul(adj[s:e].astype(np.float64), h[:, s:], out=None if out is None else out[s:e, s:])
+        i = np.arange(len(blk))
+        blk[i, i] += c
+        yield s, blk
+
+
+def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
+    """Refuse (ValueError) a stated spectrum the graph does not have, decided exactly.
+
+    Hoffman (1963): A is k-regular and connected exactly when
+    Q(A) = (Q(k)/n) J for a polynomial Q with Q(k) != 0; every other
+    eigenvalue is then a root of Q. With Q from _hoffman_polynomial, A has no
+    eigenvalue outside the stated values. The Horner partials H_t, of degrees
+    t < D, span the polynomials below Q's degree, so the exact traces
+    tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
+    roots; t = 0 is the order. H_t(A) is built in float64 BLAS products,
+    exact below _exactness_bound; Q(A) is compared a block at a time and never
+    stored.
+    """
+    k, q = _hoffman_polynomial(stated)
+    n, adj = graph.n, graph.adj
+    if stated.n != n:
+        raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
+    if (adj.sum(axis=1) != k).any():
+        raise ValueError(f"stated top value {k} is not the degree of every vertex")
+    if _exactness_bound(k, q) >= 2**53:
+        raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
+                         "is beyond exact float64 products")
+    qk = _horner(k, q)
+    if qk == 0 or qk % n:
+        raise ValueError(f"Q(k) = {qk} is not a nonzero multiple of the order {n}")
+    # Horner: H_0 = 1 and H_t = x H_{t-1} + q_t, so H_D = Q
+    h = graph.matrix()
+    h.flat[:: n + 1] += q[0] if q else 1  # H_1(A); D = 0 only for K_1, where A = 0 and Q(A) = I
+    blocks = [(0, h)] if len(q) < 2 else None  # of Q(A) = H_D(A)
+    traces = []  # tr H_t(A) for 1 <= t < D
+    for t, c in enumerate(q[1:], 2):
+        traces.append(sum(map(int, h.diagonal().tolist())))
+        if t == len(q):
+            blocks = _upper_blocks(adj, h, c)
+            break
+        out = np.empty_like(h)
+        for s, blk in _upper_blocks(adj, h, c, out):
+            # mirrored a square tile at a time: a whole block row overlaps its
+            # source in memory, so numpy would copy it first
+            for j in range(0, s, _PRODUCT_ROWS):
+                out[s : s + len(blk), j : j + _PRODUCT_ROWS] = out[j : j + _PRODUCT_ROWS, s : s + len(blk)].T
+        h = out
+    if any((blk != qk // n).any() for _, blk in blocks):
+        raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
+                         "eigenvalue the stated spectrum lacks")
+    for t, trace in enumerate(traces, 1):
+        # a conjugate pair shares its multiplicity, so the surds cancel
+        if trace != sum(m * _horner(v, q[:t]).a for v, m in stated.entries):
+            raise ValueError(f"stated multiplicities disagree with tr H_{t}(A) = {trace}")
 
 
 def spectrum_invariant_checks(g: Graph, s: Spectrum) -> bool:

@@ -133,20 +133,20 @@ def test_certify_derived_strength_is_weakest_leaf():
 
 
 def test_validate_once_solve_counts(solves):
-    # each explicit base is solved once, where its descriptor is built; the
-    # table also solves the 4x4 intersection matrices of gosset and
+    # an explicit base with a stated spectrum is checked exactly, not solved;
+    # the table solves only the 4x4 intersection matrices of gosset and
     # taylor-co3 to locate their roots
     reproduce_table()
-    assert len(solves) == 16 and solves.count(4) == 2
+    assert solves == [4, 4]
     solves.clear()
     cert = certify(parse_expression("blowup:johnson:16,2,10"), 5)
-    assert solves == [120]
+    assert solves == []
     assert cert.ratio == Quadratic(Fraction(13, 120))
     solves.clear()
     certify(parse_expression("union:petersen+icosahedron"), 3)
-    assert sorted(solves) == [10, 12]
-    # a leaf without an exact spectrum is solved once, like any other
-    for expr, want in [("cycle:9", [9]), ("g6:Ch", [4]), ("complement:petersen", [10, 10])]:
+    assert solves == []
+    # a leaf without a stated spectrum is solved once
+    for expr, want in [("cycle:9", [9]), ("g6:Ch", [4]), ("complement:petersen", [10])]:
         solves.clear()
         parse_expression(expr)
         assert solves == want, expr

@@ -363,6 +363,20 @@ def test_verify_catches_corrupted_family(capsys, monkeypatch):
     assert "family spectra" in out.splitlines()[0]
 
 
+def test_verify_family_check_solves_itself(capsys, monkeypatch):
+    # with the exact check of stated spectra switched off, a wrong one (right
+    # order and trace) must still fail: the family check calls the eigensolver
+    import blowup.families as fam
+
+    wrong = ((3, 1), (1, 3), (0, 4), (-3, 2))
+    monkeypatch.setattr(fam, "check_stated_spectrum", lambda graph, stated: None)
+    monkeypatch.setitem(fam._PRESETS, "petersen", lambda: fam.Explicit(fam.petersen(), wrong))
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL  family spectra")
+    assert "petersen disagree" in out
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 0

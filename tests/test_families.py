@@ -21,14 +21,30 @@ from blowup.families import (
     IntersectionArray,
     SpectralDescriptor,
     SrgParams,
+    _johnson_spectrum,
     icosahedron,
     johnson,
     paley,
     parse_expression,
     petersen,
 )
-from blowup.graphs import closed_blowup_graph, complement, complete, disjoint_union, g6_encode
-from blowup.spectra import Spectrum, blowup_transform, eigen_spectrum
+from blowup.graphs import (
+    MAX_DENSE_ORDER,
+    cartesian_product,
+    closed_blowup_graph,
+    complement,
+    complete,
+    cycle,
+    disjoint_union,
+    g6_encode,
+)
+from blowup.spectra import (
+    Spectrum,
+    _exactness_bound,
+    _hoffman_polynomial,
+    blowup_transform,
+    eigen_spectrum,
+)
 
 
 def exact_entries(desc):
@@ -139,6 +155,56 @@ def test_corrupted_exact_spectrum_rejected():
         SpectralDescriptor("broken", Explicit(g, tuple(bad)))
 
 
+@pytest.mark.parametrize("graph, stated, match", [
+    # J(7,2) is ((10, 1), (3, 6), (-2, 14)); its multiplicities swapped
+    (johnson(7, 2), ((10, 1), (3, 14), (-2, 6)), "multiplicities"),
+    # J(9,3) is ((18, 1), (9, 8), (2, 27), (-3, 48)); these keep its order
+    # and trace, so only tr H_2(A) tells them apart
+    (johnson(9, 3), ((18, 1), (9, 3), (2, 39), (-3, 41)), "multiplicities"),
+    # within 1e-8 of J(7,2)'s spectrum, but not an algebraic integer
+    (johnson(7, 2), ((10, 1), (Quadratic(3 + Fraction(1, 10**10)), 6), (-2, 14)), "algebraic integer"),
+    (icosahedron(), ((5, 1), (Quadratic.sqrt(5), 6), (-1, 5)), "conjugate"),
+    (paley(13), ((6, 1), (Quadratic(Fraction(-1, 2), Fraction(1, 2), 13), 5),
+                 (Quadratic(Fraction(-1, 2), Fraction(-1, 2), 13), 7)), "conjugate"),
+    # the true spectrum of two disjoint Petersen graphs: its top value is not simple
+    (disjoint_union(petersen(), petersen()), ((3, 2), (1, 10), (-2, 8)), "simple integer"),
+    # the pentagonal prism is 3-regular on 10 vertices, but not Petersen
+    (cartesian_product(cycle(5), complete(2)), ((3, 1), (1, 5), (-2, 4)), "not \\(Q\\(k\\)/n\\) J"),
+    (petersen(), ((4, 1), (1, 5), (-2, 4)), "degree"),
+])
+def test_wrong_stated_spectrum_refused(graph, stated, match):
+    with pytest.raises(ValueError, match=match):
+        Explicit(graph, stated).spectrum()
+
+
+@pytest.mark.parametrize("expr", [
+    *(f"johnson:{m},{r}" for m in range(2, 13) for r in range(1, m // 2 + 1)),
+    *(f"paley:{q}" for q in range(5, 200) if q == 9 or (q % 4 == 1 and all(q % p for p in range(2, q)))),
+    *(f"complete:{n}" for n in range(1, 7)),
+    *(f"cycle:{n}" for n in range(3, 7)),
+    "icosahedron", "petersen",
+])
+def test_stated_spectrum_matches_eigensolver(expr):
+    # the eigensolver as an oracle for every family that states its spectrum
+    d = parse_expression(expr)
+    assert d.provenance.exact is not None
+    assert d.spectrum.allclose(eigen_spectrum(d.provenance.graph))
+
+
+def test_johnson_products_stay_exact():
+    # every Johnson graph within the dense ceiling is checked in exact float64
+    # products; only the bound is computed, no graph is built
+    worst = 0
+    for r in range(1, 8):
+        m = 2 * r
+        while math.comb(m, r) <= MAX_DENSE_ORDER:
+            k, q = _hoffman_polynomial(Spectrum(_johnson_spectrum(m, r)))
+            assert k == r * (m - r) and len(q) == r
+            worst = max(worst, _exactness_bound(k, q))
+            m += 1
+    assert worst < 2**53
+
+
 def test_petersen():
     g = petersen()
     assert g.n == 10 and g.edge_count == 15 and g.triangle_count() == 0
@@ -170,6 +236,17 @@ def test_paley_13_conference_values():
     theta = Quadratic(Fraction(-1, 2), Fraction(1, 2), 13)
     tau = Quadratic(Fraction(-1, 2), Fraction(-1, 2), 13)
     assert exact_entries(d) == ((Quadratic(6), 1), (theta, 6), (tau, 6))
+
+
+def test_paley_matches_pair_loop():
+    # i ~ j when i - j is a nonzero square mod q, by Euler's criterion pair by pair
+    for q in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137, 149, 157, 173, 181, 193,
+              197, 401):
+        want = np.zeros((q, q), dtype=bool)
+        for i in range(q):
+            for j in range(i + 1, q):
+                want[i, j] = want[j, i] = pow((i - j) % q, (q - 1) // 2, q) == 1
+        assert paley(q).adj.tobytes() == want.tobytes(), q
 
 
 def test_paley_5_is_pentagon():
