@@ -10,6 +10,7 @@ threshold (witness written to the working directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -221,7 +222,10 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; each parse_args call
+    starts from a fresh namespace, so nothing carries over between calls."""
     p = argparse.ArgumentParser(
         prog="blowup",
         description="Adjacency spectra, closed blowups, and eigenvalue ratio bounds.",
@@ -275,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphParseError as e:

@@ -188,7 +188,7 @@ def johnson(m: int, r: int = 2) -> Graph:
 
     Vertices are the subsets in lexicographic order. With M the subset-by-element
     incidence matrix, (M M^T)[i, j] counts the elements subsets i and j share.
-    The counts are at most r, exact in float64, so the product runs in BLAS.
+    The counts are at most r, exact in float32, so the product runs in BLAS.
     """
     if r < 1 or m < 2 * r:
         raise ValueError("johnson graph needs 1 <= r and m >= 2r")
@@ -196,7 +196,7 @@ def johnson(m: int, r: int = 2) -> Graph:
     check_dense_order(m, f"johnson({m},{r})")
     check_dense_order(math.comb(m, r), f"johnson({m},{r})")
     subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
-    inc = np.zeros((len(subsets), m))
+    inc = np.zeros((len(subsets), m), dtype=np.float32)
     np.put_along_axis(inc, subsets, 1, axis=1)
     return Graph(inc @ inc.T == r - 1)
 

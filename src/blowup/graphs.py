@@ -175,15 +175,30 @@ def closed_blowup_graph(g: Graph, t: int) -> Graph:
 # Bytes are printable ASCII 63..126 storing 6-bit groups (value + 63).
 # The order goes first, then the upper triangle in column-major order
 # x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per byte, most significant
-# bit first, zero-padded to a byte boundary.
+# bit first, zero-padded to a byte boundary. A is symmetric, so that is the
+# lower triangle in row-major order: the codec reads and writes a whole graph
+# through the boolean mask np.tri(n, n, -1), which keeps nothing per order.
+# The search engines index edge bits by pair, through triu_pair_arrays.
+
+#: largest order whose pair index arrays stay cached; the search orders are below it
+_CACHED_PAIR_ORDER = 64
 
 
-@lru_cache(maxsize=256)
-def triu_pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays for the graph6 bit order on n vertices."""
-    ii = np.array([i for j in range(1, n) for i in range(j)], dtype=np.intp)
-    jj = np.array([j for j in range(1, n) for i in range(j)], dtype=np.intp)
+def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    jj, ii = np.tril_indices(n, -1)
     return ii, jj
+
+
+_cached_pair_arrays = lru_cache(maxsize=None)(_pair_arrays)
+
+
+def triu_pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column index arrays for the graph6 bit order on n vertices.
+
+    Orders up to _CACHED_PAIR_ORDER are kept once built; a larger order is
+    built afresh, so no order's n^2 index arrays outlive the call.
+    """
+    return _cached_pair_arrays(n) if n <= _CACHED_PAIR_ORDER else _pair_arrays(n)
 
 
 def _encode_order(n: int) -> bytes:
@@ -209,8 +224,7 @@ def g6_encode_bits(n: int, bits: np.ndarray) -> str:
 
 def g6_encode(g: Graph) -> str:
     """Encode a graph as a graph6 string (short or 4-byte long form)."""
-    ii, jj = triu_pair_arrays(g.n)
-    return g6_encode_bits(g.n, g.adj[ii, jj])
+    return g6_encode_bits(g.n, g.adj[np.tri(g.n, g.n, -1, dtype=bool)])
 
 
 #: the graph6 alphabet, bytes 63..126
@@ -283,9 +297,6 @@ def g6_unpack(payloads: bytes, n: int, count: int = 1) -> np.ndarray:
 def g6_decode(text: str) -> Graph:
     """Decode one graph6 string: g6_parse's checks, then the adjacency matrix."""
     n, payload = g6_parse(text)
-    ii, jj = triu_pair_arrays(n)
-    edge_bits = g6_unpack(payload, n)[0].astype(bool)
     a = np.zeros((n, n), dtype=bool)
-    a[ii, jj] = edge_bits
-    a[jj, ii] = edge_bits
-    return Graph(a)
+    a[np.tri(n, n, -1, dtype=bool)] = g6_unpack(payload, n)[0]
+    return Graph(a | a.T)

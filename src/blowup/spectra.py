@@ -8,7 +8,8 @@ numeric eigensolver, LAPACK's symmetric solver via numpy; accuracy for the
 dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
 nonconvergence or non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
-has a stated exact spectrum.
+has a stated exact spectrum: its integer products run in float32 below 2^24
+and in float64 below 2^53, where either is exact.
 """
 
 from __future__ import annotations
@@ -221,8 +222,8 @@ def eigen_spectrum(g: Graph) -> Spectrum:
     return Spectrum.from_floats(eigenvalues(g.matrix())[::-1])
 
 
-#: rows of the adjacency matrix cast to float64 at a time in a Hoffman product;
-#: the blocks beside the n x n partial stay this many rows high
+#: rows of the adjacency matrix cast to the product dtype at a time in a Hoffman
+#: product; the blocks beside the n x n partial stay this many rows high
 _PRODUCT_ROWS = 128
 
 
@@ -274,56 +275,50 @@ def _exactness_bound(k: int, q: list[int]) -> int:
 
     Each Horner partial H_t(A) of a k-regular A has absolute row sums at most
     sum_{i<=t} |q_i| k^(t-i), so this is above every entry and partial sum the
-    products form; below 2^53 they are exact in float64.
+    products form; below 2^24 they are exact in float32, below 2^53 in float64.
     """
     return (k + 1) * _horner(k, map(abs, q))
+
+
+def _product_dtype(k: int, q: list[int]) -> type:
+    """float32 when _exactness_bound is below 2^24, float64 when below 2^53; else ValueError."""
+    bound = _exactness_bound(k, q)
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
+                     "is beyond exact float64 products")
 
 
 def _upper_blocks(adj: np.ndarray, h: np.ndarray, c: int, out: np.ndarray | None = None):
     """Yield (s, rows s:e and columns s: of A h + c I) for row blocks s:e.
 
     These are the blocks on and above the diagonal, which fix all of A h + c I
-    when h is symmetric and commutes with A. Each is one BLAS product, written
-    into out when given; _PRODUCT_ROWS rows of A are cast to float64 at a time.
+    when h is symmetric and commutes with A. Each is one BLAS product in h's
+    dtype (float32 below 2^24, float64 below 2^53), written into out when
+    given; _PRODUCT_ROWS rows of A are cast to that dtype at a time.
     """
     for s in range(0, len(h), _PRODUCT_ROWS):
         e = s + _PRODUCT_ROWS
-        blk = np.matmul(adj[s:e].astype(np.float64), h[:, s:], out=None if out is None else out[s:e, s:])
+        blk = np.matmul(adj[s:e].astype(h.dtype), h[:, s:], out=None if out is None else out[s:e, s:])
         i = np.arange(len(blk))
         blk[i, i] += c
         yield s, blk
 
 
-def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
-    """Refuse (ValueError) a stated spectrum the graph does not have, decided exactly.
+def _hoffman_products(adj: np.ndarray, q: list[int], dtype: type):
+    """tr H_t(A) for 1 <= t < D, and the blocks (s, rows) on and above the
+    diagonal of Q(A) = H_D(A), from BLAS products in dtype.
 
-    Hoffman (1963): A is k-regular and connected exactly when
-    Q(A) = (Q(k)/n) J for a polynomial Q with Q(k) != 0; every other
-    eigenvalue is then a root of Q. With Q from _hoffman_polynomial, A has no
-    eigenvalue outside the stated values. The Horner partials H_t, of degrees
-    t < D, span the polynomials below Q's degree, so the exact traces
-    tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
-    roots; t = 0 is the order. H_t(A) is built in float64 BLAS products,
-    exact below _exactness_bound; Q(A) is compared a block at a time and never
-    stored.
+    Horner: H_0 = 1 and H_t = x H_{t-1} + q_t, so H_D = Q. The last product's
+    blocks are yielded lazily, so Q(A) is never stored.
     """
-    k, q = _hoffman_polynomial(stated)
-    n, adj = graph.n, graph.adj
-    if stated.n != n:
-        raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
-    if (adj.sum(axis=1) != k).any():
-        raise ValueError(f"stated top value {k} is not the degree of every vertex")
-    if _exactness_bound(k, q) >= 2**53:
-        raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
-                         "is beyond exact float64 products")
-    qk = _horner(k, q)
-    if qk == 0 or qk % n:
-        raise ValueError(f"Q(k) = {qk} is not a nonzero multiple of the order {n}")
-    # Horner: H_0 = 1 and H_t = x H_{t-1} + q_t, so H_D = Q
-    h = graph.matrix()
+    n = len(adj)
+    h = adj.astype(dtype)
     h.flat[:: n + 1] += q[0] if q else 1  # H_1(A); D = 0 only for K_1, where A = 0 and Q(A) = I
-    blocks = [(0, h)] if len(q) < 2 else None  # of Q(A) = H_D(A)
-    traces = []  # tr H_t(A) for 1 <= t < D
+    blocks = [(0, h)] if len(q) < 2 else None
+    traces = []
     for t, c in enumerate(q[1:], 2):
         traces.append(sum(map(int, h.diagonal().tolist())))
         if t == len(q):
@@ -336,6 +331,33 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
             for j in range(0, s, _PRODUCT_ROWS):
                 out[s : s + len(blk), j : j + _PRODUCT_ROWS] = out[j : j + _PRODUCT_ROWS, s : s + len(blk)].T
         h = out
+    return traces, blocks
+
+
+def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
+    """Refuse (ValueError) a stated spectrum the graph does not have, decided exactly.
+
+    Hoffman (1963): A is k-regular and connected exactly when
+    Q(A) = (Q(k)/n) J for a polynomial Q with Q(k) != 0; every other
+    eigenvalue is then a root of Q. With Q from _hoffman_polynomial, A has no
+    eigenvalue outside the stated values. The Horner partials H_t, of degrees
+    t < D, span the polynomials below Q's degree, so the exact traces
+    tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
+    roots; t = 0 is the order. H_t(A) is built in BLAS products, in float32
+    when _exactness_bound is below 2^24 and in float64 below 2^53, exact
+    either way; Q(A) is compared a block at a time and never stored.
+    """
+    k, q = _hoffman_polynomial(stated)
+    n, adj = graph.n, graph.adj
+    if stated.n != n:
+        raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
+    if (adj.sum(axis=1) != k).any():
+        raise ValueError(f"stated top value {k} is not the degree of every vertex")
+    dtype = _product_dtype(k, q)
+    qk = _horner(k, q)
+    if qk == 0 or qk % n:
+        raise ValueError(f"Q(k) = {qk} is not a nonzero multiple of the order {n}")
+    traces, blocks = _hoffman_products(adj, q, dtype)
     if any((blk != qk // n).any() for _, blk in blocks):
         raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
                          "eigenvalue the stated spectrum lacks")

@@ -417,6 +417,33 @@ def test_huge_drg_array_exits_two(capsys):
     assert "2^52" in err and "Traceback" not in err
 
 
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # main() reuses one parser per process; each call parses as if it were the first
+    from blowup.cli import build_parser
+    from blowup.search import DEFAULT_SEED
+
+    assert build_parser() is build_parser()
+    search = ("search", "--k", "3", "--n", "6", "--method", "hillclimb", "--budget", "40", "--json")
+    code, out, _ = run(capsys, *search, "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out, _ = run(capsys, *search)
+    assert code == 0 and json.loads(out)["seed"] == DEFAULT_SEED
+
+    code, out, _ = run(capsys, "spectrum", "--exact", "cycle:7")
+    assert code == 0 and "note:" in out
+    code, out, _ = run(capsys, "spectrum", "--numeric", "complete:4")
+    assert code == 0 and "3.000000^1 -1.000000^3" in out and "note:" not in out
+    code, out, _ = run(capsys, "spectrum", "complete:4")
+    assert code == 0 and "3^1 (-1)^3" in out
+
+    with pytest.raises(SystemExit) as ei:
+        main(["bound", "petersen"])  # --k is required
+    assert ei.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "bound", "petersen", "--k", "2")
+    assert code == 0 and out.startswith("c_2 >= ")
+
+
 def test_search_defaults_are_search_config_defaults():
     from blowup.cli import build_parser
     from blowup.search import SearchConfig

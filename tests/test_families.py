@@ -30,6 +30,7 @@ from blowup.families import (
 )
 from blowup.graphs import (
     MAX_DENSE_ORDER,
+    Graph,
     cartesian_product,
     closed_blowup_graph,
     complement,
@@ -42,6 +43,8 @@ from blowup.spectra import (
     Spectrum,
     _exactness_bound,
     _hoffman_polynomial,
+    _hoffman_products,
+    _product_dtype,
     blowup_transform,
     eigen_spectrum,
 )
@@ -109,15 +112,15 @@ def test_johnson_general_against_eigensolver():
 
 
 def test_johnson_matches_integer_incidence_product():
-    # the float64 product gives the same bytes as the int32 one
-    for m in range(2, 13):
-        for r in range(1, m // 2 + 1):
-            subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
-            inc = np.zeros((len(subsets), m), dtype=np.int32)
-            np.put_along_axis(inc, subsets, 1, axis=1)
-            want = inc @ inc.T == r - 1
-            got = johnson(m, r).adj
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, r)
+    # the float32 product gives the same bytes as the int32 one
+    cases = [(m, r) for m in range(2, 15) for r in range(1, m // 2 + 1)] + [(m, 2) for m in range(15, 41)]
+    for m, r in cases:
+        subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
+        inc = np.zeros((len(subsets), m), dtype=np.int32)
+        np.put_along_axis(inc, subsets, 1, axis=1)
+        want = inc @ inc.T == r - 1
+        got = johnson(m, r).adj
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, r)
 
 
 def test_johnson_rejects():
@@ -177,13 +180,17 @@ def test_wrong_stated_spectrum_refused(graph, stated, match):
         Explicit(graph, stated).spectrum()
 
 
-@pytest.mark.parametrize("expr", [
+#: every family that states its spectrum, at the orders the eigensolver checks
+STATED_FAMILIES = [
     *(f"johnson:{m},{r}" for m in range(2, 13) for r in range(1, m // 2 + 1)),
     *(f"paley:{q}" for q in range(5, 200) if q == 9 or (q % 4 == 1 and all(q % p for p in range(2, q)))),
     *(f"complete:{n}" for n in range(1, 7)),
     *(f"cycle:{n}" for n in range(3, 7)),
     "icosahedron", "petersen",
-])
+]
+
+
+@pytest.mark.parametrize("expr", STATED_FAMILIES)
 def test_stated_spectrum_matches_eigensolver(expr):
     # the eigensolver as an oracle for every family that states its spectrum
     d = parse_expression(expr)
@@ -203,6 +210,46 @@ def test_johnson_products_stay_exact():
             worst = max(worst, _exactness_bound(k, q))
             m += 1
     assert worst < 2**53
+
+
+@pytest.mark.parametrize("expr", STATED_FAMILIES)
+def test_float32_products_equal_float64(expr):
+    # the Hoffman traces and Q(A) blocks agree bit for bit in both dtypes
+    d = parse_expression(expr)
+    _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
+    adj = d.provenance.graph.adj
+    (t32, b32), (t64, b64) = (_hoffman_products(adj, q, dtype) for dtype in (np.float32, np.float64))
+    assert t32 == t64
+    for (s32, x), (s64, y) in zip(b32, b64, strict=True):
+        assert s32 == s64 and (x.dtype, y.dtype) == (np.float32, np.float64)
+        assert np.array_equal(x, y), (expr, s32)
+
+
+@pytest.mark.parametrize("stated, dtype", [
+    (_johnson_spectrum(40, 2), np.float32),  # bound 649,264
+    (SrgParams(197, 98, 48, 49).spectrum().entries, np.float32),  # paley:197, 965,349
+    (_johnson_spectrum(10, 4), np.float32),  # 14,083,200
+    (_johnson_spectrum(16, 4), np.float64),  # 2^29.2
+    (_johnson_spectrum(14, 7), np.float64),  # 2^46.4
+])
+def test_product_dtype_from_bound_alone(stated, dtype):
+    # float32 below 2^24, float64 below 2^53; no graph is built
+    assert _product_dtype(*_hoffman_polynomial(Spectrum(stated))) is dtype
+
+
+def test_two_switch_refused_on_float32_path():
+    # a degree-preserving 2-switch of J(40,2) keeps its order, degree and
+    # tr H_1(A); only Q(A), multiplied in float32, tells it apart
+    stated = _johnson_spectrum(40, 2)
+    assert _product_dtype(*_hoffman_polynomial(Spectrum(stated))) is np.float32
+    index = {s: i for i, s in enumerate(combinations(range(40), 2))}
+    a, b, c, d = (index[s] for s in ((0, 1), (0, 2), (3, 4), (3, 5)))
+    adj = johnson(40, 2).adj.copy()
+    assert adj[a, b] and adj[c, d] and not adj[a, c] and not adj[b, d]
+    adj[[a, b, c, d], [b, a, d, c]] = False
+    adj[[a, c, b, d], [c, a, d, b]] = True
+    with pytest.raises(ValueError, match="not \\(Q\\(k\\)/n\\) J"):
+        Explicit(Graph(adj), stated).spectrum()
 
 
 def test_petersen():
