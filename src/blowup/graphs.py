@@ -177,28 +177,17 @@ def closed_blowup_graph(g: Graph, t: int) -> Graph:
 # x(0,1), x(0,2), x(1,2), x(0,3), ..., six bits per byte, most significant
 # bit first, zero-padded to a byte boundary. A is symmetric, so that is the
 # lower triangle in row-major order: the codec reads and writes a whole graph
-# through the boolean mask np.tri(n, n, -1), which keeps nothing per order.
-# The search engines index edge bits by pair, through triu_pair_arrays.
+# through the boolean mask np.tri(n, n, -1), on A and on its transpose, and
+# keeps nothing per order.
+# The search engines build stacks of small matrices by pair index, through
+# triu_pair_arrays, whose per-order arrays are cached for them.
 
-#: largest order whose pair index arrays stay cached; the search orders are below it
-_CACHED_PAIR_ORDER = 64
 
-
-def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=256)
+def triu_pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column index arrays for the graph6 bit order on n vertices."""
     jj, ii = np.tril_indices(n, -1)
     return ii, jj
-
-
-_cached_pair_arrays = lru_cache(maxsize=None)(_pair_arrays)
-
-
-def triu_pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays for the graph6 bit order on n vertices.
-
-    Orders up to _CACHED_PAIR_ORDER are kept once built; a larger order is
-    built afresh, so no order's n^2 index arrays outlive the call.
-    """
-    return _cached_pair_arrays(n) if n <= _CACHED_PAIR_ORDER else _pair_arrays(n)
 
 
 def _encode_order(n: int) -> bytes:
@@ -297,6 +286,7 @@ def g6_unpack(payloads: bytes, n: int, count: int = 1) -> np.ndarray:
 def g6_decode(text: str) -> Graph:
     """Decode one graph6 string: g6_parse's checks, then the adjacency matrix."""
     n, payload = g6_parse(text)
+    lower, bits = np.tri(n, n, -1, dtype=bool), g6_unpack(payload, n)[0]
     a = np.zeros((n, n), dtype=bool)
-    a[np.tri(n, n, -1, dtype=bool)] = g6_unpack(payload, n)[0]
-    return Graph(a | a.T)
+    a[lower] = a.T[lower] = bits
+    return Graph(a)
