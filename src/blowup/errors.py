@@ -7,10 +7,11 @@ class GraphParseError(ValueError):
     """Malformed graph6 text or a bad graph expression.
 
     ``offset`` is the 0-based byte/character position of the defect when
-    known, else None.
+    known, else None; ``reason`` is the message without the offset suffix.
     """
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (at offset {offset})"
         super().__init__(message)

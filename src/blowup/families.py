@@ -634,7 +634,7 @@ def _parse_expr(s: str, off: int, depth: int) -> SpectralDescriptor:
             g = g6_decode(rest)
         except GraphParseError as e:
             shift = roff + (e.offset or 0)
-            raise GraphParseError(f"bad graph6 literal: {e.args[0]}", shift) from None
+            raise GraphParseError(f"bad graph6 literal: {e.reason}", shift) from None
         name, prov = s, Explicit(g)
     elif head == "union":
         cut = rest.rfind("+")

@@ -7,8 +7,6 @@ new graphs and never mutate.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import GraphParseError
@@ -178,12 +176,11 @@ def closed_blowup_graph(g: Graph, t: int) -> Graph:
 # bit first, zero-padded to a byte boundary. A is symmetric, so that is the
 # lower triangle in row-major order: the codec reads and writes a whole graph
 # through the boolean mask np.tri(n, n, -1), on A and on its transpose, and
-# keeps nothing per order.
-# The search engines build stacks of small matrices by pair index, through
-# triu_pair_arrays, whose per-order arrays are cached for them.
+# the search engines fill the matrices they solve through the same mask, in
+# the lower triangle only, which is all the eigensolver reads. Nothing is
+# kept per order.
 
 
-@lru_cache(maxsize=256)
 def triu_pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column index arrays for the graph6 bit order on n vertices."""
     jj, ii = np.tril_indices(n, -1)

@@ -147,11 +147,9 @@ def _witness_key(ratio: float, label: str) -> tuple:
 
 
 def _adjacency_stack(bits: np.ndarray, n: int) -> np.ndarray:
-    """Float adjacency matrices, shape (len(bits), n, n), of rows of edge bits in graph6 order."""
-    ii, jj = triu_pair_arrays(n)
+    """Adjacency stack of rows of graph6 edge bits, lower triangle only: all that eigenvalues reads."""
     a = np.zeros((len(bits), n, n))
-    a[:, ii, jj] = bits
-    a[:, jj, ii] = bits
+    a[:, np.tri(n, n, -1, dtype=bool)] = bits
     return a
 
 
@@ -435,9 +433,9 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     for _phase in range(cfg.restarts + 1):
         if evaluations >= cfg.budget:
             break
-        # the state is the adjacency matrix itself; a move toggles one pair in place
+        # the state is the adjacency matrix's lower triangle; a move toggles one pair in place
         a = np.zeros((n, n))
-        a[ii, jj] = a[jj, ii] = rng.random(m) < 0.5
+        a[jj, ii] = rng.random(m) < 0.5
         current = _ratio(a, k)
         evaluations += 1
         if current > best_ratio:
@@ -450,7 +448,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
                 break
             e = int(rng.integers(m))
             i, j = ii[e], jj[e]
-            a[i, j] = a[j, i] = 1.0 - a[i, j]
+            a[j, i] = 1.0 - a[j, i]
             value = _ratio(a, k)
             evaluations += 1
             delta = value - current
@@ -469,13 +467,13 @@ def local_search(cfg: SearchConfig) -> SearchResult:
                     best_ratio, best = value, a.copy()
                     history.append((evaluations, value))
             else:
-                a[i, j] = a[j, i] = 1.0 - a[i, j]
+                a[j, i] = 1.0 - a[j, i]
                 rejections += 1
         if m == 0:
             break
 
     assert best is not None
-    witness = g6_encode_bits(n, best[ii, jj].astype(np.uint8))
+    witness = g6_encode_bits(n, best[jj, ii].astype(np.uint8))
     result = SearchResult(best_ratio=best_ratio, best_graph=witness, evaluations=evaluations,
                           k=k, n=n, seed=cfg.seed, method=cfg.method, history=tuple(history))
     return _self_check(result)

@@ -201,13 +201,16 @@ def blowup_transform(s: Spectrum, t: int) -> Spectrum:
 def eigenvalues(a: np.ndarray, index: int | None = None):
     """Ascending eigenvalues of a symmetric matrix, or of each matrix in a stack.
 
-    The package's one eigensolver call. With index, only w[..., index] is
-    returned and checked, so a caller reading one eigenvalue of a small
-    matrix skips a whole-vector finiteness test that costs about 15% of a
-    12x12 solve. Nonconvergence and non-finite output raise NumericError.
+    The package's one eigensolver call. Only the lower triangle of a is read
+    (LAPACK's uplo = 'L'), so a matrix filled on and below its diagonal
+    alone gives the eigenvalues of its symmetric completion. With index,
+    only w[..., index] is returned and checked, so a caller reading one
+    eigenvalue of a small matrix skips a whole-vector finiteness test that
+    costs about 15% of a 12x12 solve. Nonconvergence and non-finite output
+    raise NumericError.
     """
     try:
-        w = np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh(a, UPLO="L")
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigensolver failed to converge: {e}") from e
     if index is not None:

@@ -6,6 +6,7 @@ descriptor name, so a rename in the package would otherwise only show up as
 a failed benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -61,6 +62,26 @@ def test_one_eigensolver_call_site():
     uses = {p.name: p.read_text().count("eigvalsh") for p in PACKAGE.rglob("*.py")}
     assert {name: count for name, count in uses.items() if count} == {"spectra.py": 1}
     assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1
+
+
+def test_no_cache_keyed_by_an_input_order():
+    # A cache keyed by a graph's order keeps memory for every order an input
+    # brings. The three left hold little: one parser, 1,024 small integer
+    # splits, one relabeling table per exhaustive order up to 8.
+    cached, uses = set(), 0
+    for p in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                cached |= {(p.name, node.name, ast.unparse(d)) for d in node.decorator_list
+                           if "cache" in ast.unparse(d)}
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            uses += name in ("cache", "lru_cache", "cached_property")
+    assert cached == {
+        ("cli.py", "build_parser", "functools.cache"),
+        ("exact.py", "squarefree_split", "lru_cache(maxsize=1024)"),
+        ("search.py", "_relabel_weights", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
+    }
+    assert uses == len(cached)
 
 
 def test_batched_engines_share_drive():

@@ -9,8 +9,9 @@ import pytest
 
 from blowup import bounds
 from blowup.cli import main
+from blowup.errors import GraphParseError
 from blowup.exact import Quadratic
-from blowup.families import petersen
+from blowup.families import parse_expression, petersen
 from blowup.graphs import g6_encode
 
 
@@ -173,6 +174,17 @@ def test_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "spectrum", "johnson:x,2")
     assert code == 2
     assert "offset" in err
+
+
+def test_bad_g6_literal_names_one_offset(capsys):
+    # the literal's own offset, 4, is shifted into the expression once
+    reason = "bad graph6 literal: truncated graph6 payload: need 326 bytes for n=63, got 0"
+    with pytest.raises(GraphParseError) as ei:
+        parse_expression("g6:~??~")
+    assert str(ei.value) == f"{reason} (at offset 7)"
+    assert (ei.value.offset, ei.value.reason) == (7, reason)
+    code, out, err = run(capsys, "spectrum", "g6:~??~")
+    assert (code, out, err) == (2, "", f"parse error: {reason} (at offset 7)\n")
 
 
 def test_unknown_subcommand_exits_two(capsys):

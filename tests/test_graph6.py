@@ -1,7 +1,9 @@
 """graph6 codec, cross-checked against networkx's implementation."""
 
+import gc
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -78,13 +80,22 @@ def test_pair_arrays_follow_graph6_order():
         assert list(zip(ii.tolist(), jj.tolist())) == pairs, n
 
 
-def test_codec_keeps_no_pair_arrays():
-    # only the search engines fill the pair-array cache; a large graph6 order
-    # is read and written through a mask and leaves nothing behind
-    before = triu_pair_arrays.cache_info().currsize
-    g = random_graph(200, random.Random(200))
-    assert g6_decode(g6_encode(g)) == g
-    assert triu_pair_arrays.cache_info().currsize == before
+def test_graph6_paths_retain_nothing():
+    # a stream solve and a codec round trip keep nothing per order once they
+    # return; two pair-index arrays of orders 300 and 301 alone are 1.4 MiB
+    rng = random.Random(300)
+    lines = [g6_encode(random_graph(n, rng)) for n in (300, 301)]
+    g = random_graph(200, rng)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert stream_max(2, lines).evaluations == 2
+        assert g6_decode(g6_encode(g)) == g
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_order_field_boundary_against_networkx():

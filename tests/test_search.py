@@ -541,6 +541,16 @@ def test_stream_checks_lines_as_they_are_read():
         stream_max(1, lines)
 
 
+def test_adjacency_stack_fills_the_lower_triangle_in_graph6_order():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        bits = (rng.random((5, n * (n - 1) // 2)) < 0.5).astype(np.uint8)
+        stack = search._adjacency_stack(bits, n)
+        assert not np.triu(stack).any()
+        for a, row in zip(stack, bits):
+            assert np.array_equal(a, np.tril(g6_decode(g6_encode_bits(n, row)).matrix()))
+
+
 def test_stream_solves_in_bounded_stacks(monkeypatch):
     # pending lines are solved once they fill the cell cap, so no stack
     # holds more than the cap plus one line

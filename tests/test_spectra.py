@@ -13,6 +13,7 @@ from blowup.spectra import (
     Spectrum,
     blowup_transform,
     eigen_spectrum,
+    eigenvalues,
     spectrum_invariant_checks,
 )
 
@@ -60,6 +61,24 @@ def test_eigen_spectrum_cycles_analytic():
 def test_eigen_spectrum_empty_and_k1():
     assert np.allclose(eigen_spectrum(empty(4)).float_values(), [0.0] * 4)
     assert eigen_spectrum(complete(1)).float_values() == [0.0]
+
+
+def test_eigenvalues_read_the_lower_triangle_only():
+    # a symmetric matrix, its lower triangle, and that triangle with junk
+    # above the diagonal give the same bits, single or stacked, whole or at
+    # one index
+    rng = np.random.default_rng(7)
+    for n in range(1, 31):
+        x = rng.standard_normal((3, n, n))
+        full = x + x.transpose(0, 2, 1)
+        lower = np.tril(full)
+        junk = lower + np.triu(rng.standard_normal((3, n, n)), 1)
+        for a in (full, lower, junk):
+            assert np.array_equal(eigenvalues(a), eigenvalues(full))
+            assert np.array_equal(eigenvalues(a, n - 1), eigenvalues(full, n - 1))
+            for one, want in zip(a, full):
+                assert np.array_equal(eigenvalues(one), eigenvalues(want))
+                assert eigenvalues(one, 0) == eigenvalues(want, 0)
 
 
 def test_relabeling_invariance():
