@@ -1,9 +1,11 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-A value is a + b*sqrt(d) with Fraction coefficients. Rationals are the
-b == 0 case and store d == 0. Nonzero b forces d to a squarefree integer
->= 2; square factors of d are folded into b at construction, so equality
-is structural.
+A value a + b*sqrt(d) is held as Python integers (p + q*sqrt(d))/r in lowest
+terms, gcd(p, q, r) == 1 and r > 0. Rationals are the q == 0 case and store
+d == 0. Nonzero q forces d to a squarefree integer >= 2; square factors of d
+are folded into q at construction, so equality is structural. Every operator
+costs integer products and one gcd; `a` and `b` are the coefficients as
+Fractions.
 
 Arithmetic stays inside one field: combining two irrational values with
 different d raises ValueError. Ordering against another exact value in
@@ -16,15 +18,15 @@ callers).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from fractions import Fraction
-from functools import lru_cache
 
 
 #: trial division stops below this bound
 _TRIAL_BOUND = 1 << 17
 
 
-@lru_cache(maxsize=1024)  # Quadratic arithmetic in one field splits the same d again
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, f) with n == s*s*f and f squarefree, for n >= 1.
 
@@ -57,40 +59,48 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * m
 
 
-_RationalLike = (int, Fraction)
+def _rational(x) -> tuple[int, int]:
+    """Numerator and denominator of an int, a Fraction or a numpy integer, as
+    Python ints: numpy integer arithmetic would overflow at 2^63."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), int(x.denominator)
+    raise TypeError(f"Quadratic takes ints and Fractions, not {type(x).__name__}")
+
+
+def _store(x: "Quadratic", p: int, q: int, r: int, d: int) -> "Quadratic":
+    """Set x to (p + q*sqrt(d))/r, r != 0, in lowest terms; d is already squarefree."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    x._p, x._q, x._r, x.d = p // g, q // g, r // g, d if q else 0
+    return x
+
+
+def _new(p: int, q: int, r: int, d: int) -> "Quadratic":
+    return _store(object.__new__(Quadratic), p, q, r, d)
 
 
 class Quadratic:
     """An exact real number a + b*sqrt(d), rational when b == 0."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_p", "_q", "_r", "d")
 
     def __init__(self, a, b=0, d: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b:
+        """a and b are ints or Fractions; a float or a string is refused (TypeError)."""
+        (an, ad), (bn, bd) = _rational(a), _rational(b)
+        p, q, r = an * bd, bn * ad, ad * bd
+        if q:
+            d = operator.index(d)
             if d < 0:
                 raise ValueError("negative radicand")
-            if d < 2:
-                # sqrt(0) and sqrt(1) collapse to rationals
-                a += b * d
-                b = Fraction(0)
-                d = 0
-            else:
-                s, f = squarefree_split(d)
-                if f == 1:
-                    a += b * s
-                    b = Fraction(0)
-                    d = 0
-                else:
-                    b *= s
-                    d = f
-        else:
-            b = Fraction(0)
-            d = 0
-        self.a = a
-        self.b = b
-        self.d = d
+            # sqrt(0) and sqrt(1) collapse to rationals
+            s, d = (d, 1) if d < 2 else squarefree_split(d)
+            q *= s
+            if d == 1:
+                p, q = p + q, 0
+        _store(self, p, q, r, d)
 
     # -- constructors ----------------------------------------------------
 
@@ -99,23 +109,32 @@ class Quadratic:
         return Quadratic(0, 1, d)
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._r)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._q:
             raise ValueError(f"{self} is irrational")
         return self.a
 
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        # float(a) + float(b)*sqrt(d), each coefficient rounded once
+        if not self._q:
+            return self._p / self._r
+        return self._p / self._r + self._q / self._r * math.sqrt(self.d)
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b)
+        return bool(self._p or self._q)
 
     # -- arithmetic (exact; same field or rational only) ------------------
 
@@ -123,14 +142,15 @@ class Quadratic:
     def _coerce(x):
         if isinstance(x, Quadratic):
             return x
-        if isinstance(x, _RationalLike):
-            return Quadratic(x)
+        if isinstance(x, (int, numbers.Rational)):
+            p, r = _rational(x)
+            return _new(p, 0, r, 0)
         return None
 
     def _join_field(self, other: "Quadratic") -> int:
-        if self.b == 0:
+        if not self._q:
             return other.d
-        if other.b == 0 or other.d == self.d:
+        if not other._q or other.d == self.d:
             return self.d
         raise ValueError(
             f"cannot combine values from different quadratic fields "
@@ -142,36 +162,30 @@ class Quadratic:
         if o is None:
             return NotImplemented
         d = self._join_field(o)
-        return Quadratic(self.a + o.a, self.b + o.b, d)
+        r, s = self._r, o._r
+        return _new(self._p * s + o._p * r, self._q * s + o._q * r, r * s, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quadratic(-self.a, -self.b, self.d)
+        return _new(-self._p, -self._q, self._r, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self._join_field(o)
-        # (a + b r)(a' + b' r) with r*r == d
-        return Quadratic(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        # (p + q t)(p' + q' t) with t*t == d
+        p, q = self._p, self._q
+        return _new(p * o._p + q * o._q * d, p * o._q + q * o._p, self._r * o._r, d)
 
     __rmul__ = __mul__
 
@@ -181,59 +195,50 @@ class Quadratic:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero")
-        if o.b == 0:
-            return Quadratic(self.a / o.a, self.b / o.a, self.d)
-        norm = o.a * o.a - o.b * o.b * o.d  # nonzero: sqrt(d) irrational
-        conj = Quadratic(o.a / norm, -o.b / norm, o.d)
-        return self * conj
+        p, q, r = self._p, self._q, self._r
+        if not o._q:
+            return _new(p * o._r, q * o._r, r * o._p, self.d)
+        d = self._join_field(o)
+        # multiply by the conjugate p' - q' t; the norm p'^2 - q'^2 d is nonzero
+        op, oq = o._p, o._q
+        return _new((p * op - q * oq * d) * o._r, (q * op - p * oq) * o._r, r * (op * op - oq * oq * d), d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else o / self
 
     # -- comparisons ------------------------------------------------------
 
     def _sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a*a against b*b*d; equality impossible
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        """Exact sign of (p + q*sqrt(d))/r, which is the sign of p + q*sqrt(d)."""
+        p, q = self._p, self._q
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp == sq or not sq:
+            return sp
+        if not sp:
+            return sq
+        # opposite signs: compare p*p against q*q*d; equality impossible
+        return sp if p * p > q * q * self.d else sq
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
-        if o is not None:
-            if self.b == 0 or o.b == 0 or self.d == o.d:
-                return (self - o)._sign()
-            x, y = float(self), float(o)  # different fields: float fallback
-            return (x > y) - (x < y)
-        if isinstance(other, float):
-            x, y = float(self), other
-            return (x > y) - (x < y)
-        raise TypeError(f"cannot order Quadratic against {type(other).__name__}")
+        if o is None and not isinstance(other, float):
+            raise TypeError(f"cannot order Quadratic against {type(other).__name__}")
+        if o is not None and (not self._q or not o._q or self.d == o.d):
+            return (self - o)._sign()
+        x, y = float(self), float(other)  # a float, or different fields: float fallback
+        return (x > y) - (x < y)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.a, self.b, self.d) == (o.a, o.b, o.d)
+        return (self._p, self._q, self._r, self.d) == (o._p, o._q, o._r, o.d)
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self._q:
+            return hash((self._p, self._q, self._r, self.d))
+        return hash(self._p) if self._r == 1 else hash(self.a)  # as the equal int or Fraction
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -249,28 +254,19 @@ class Quadratic:
 
     # -- rendering ---------------------------------------------------------
 
+    def _render(self, root: str, bare_unit: bool) -> str:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        tail = f"{'-' if b < 0 else ''}{root}" if bare_unit and abs(b) == 1 else f"{b}*{root}"
+        return tail if a == 0 else f"{a}{'' if b < 0 else '+'}{tail}"
+
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
-        sign = "+" if self.b >= 0 else "-"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.d})"
+        return self._render(f"sqrt({self.d})", False)
 
     def compact(self) -> str:
         """Short display form: '5', '2/9', 'sqrt5', '1+2*sqrt5'."""
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
-            tail = f"sqrt{self.d}"
-        elif self.b == -1:
-            tail = f"-sqrt{self.d}"
-        else:
-            tail = f"{self.b}*sqrt{self.d}"
-        if self.a == 0:
-            return tail
-        joiner = "+" if not tail.startswith("-") else ""
-        return f"{self.a}{joiner}{tail}"
+        return self._render(f"sqrt{self.d}", True)
 
     def __repr__(self):
         return f"Quadratic({self.a!r}, {self.b!r}, {self.d!r})"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -170,8 +169,8 @@ _SMALL_CYCLE_SPECTRA = {
     4: ((2, 1), (0, 2), (-2, 1)),
     5: (
         (2, 1),
-        (Quadratic(Fraction(-1, 2), Fraction(1, 2), 5), 2),
-        (Quadratic(Fraction(-1, 2), Fraction(-1, 2), 5), 2),
+        (Quadratic(-1, 1, 5) / 2, 2),
+        (Quadratic(-1, -1, 5) / 2, 2),
     ),
     6: ((2, 1), (1, 2), (-1, 2), (-2, 1)),
 }
@@ -327,16 +326,15 @@ class SrgParams:
         root = math.isqrt(disc)
         diff_term = 2 * k + (v - 1) * (lam - mu)
         if root * root == disc:
-            r = Quadratic(Fraction(lam - mu + root, 2))
-            s = Quadratic(Fraction(lam - mu - root, 2))
-            half = Fraction(v - 1, 2)
-            corr = Fraction(diff_term, 2 * root)
-            f, g = half - corr, half + corr
+            r = Quadratic(lam - mu + root) / 2
+            s = Quadratic(lam - mu - root) / 2
+            # f, g = (v-1)/2 -+ (2k + (v-1)(lam-mu)) / (2 sqrt(D)), here times 2 sqrt(D)
+            f, g = (v - 1) * root - diff_term, (v - 1) * root + diff_term
             for val, mult in ((r, f), (s, g)):
-                if mult.denominator != 1 or mult < 0:
-                    raise InfeasibleSrgParameters(
-                        f"multiplicity {mult} for eigenvalue {val} is not a nonnegative integer"
-                    )
+                if mult < 0 or mult % (2 * root):
+                    raise InfeasibleSrgParameters(f"multiplicity {Quadratic(mult) / (2 * root)} "
+                                                  f"for eigenvalue {val} is not a nonnegative integer")
+            f, g = f // (2 * root), g // (2 * root)
         else:
             if diff_term != 0:
                 raise InfeasibleSrgParameters(
@@ -344,10 +342,9 @@ class SrgParams:
                 )
             if (v - 1) % 2:
                 raise InfeasibleSrgParameters("conference parameters need odd v")
-            r = Quadratic(Fraction(lam - mu, 2), Fraction(1, 2), disc)
-            s = Quadratic(Fraction(lam - mu, 2), Fraction(-1, 2), disc)
+            r = Quadratic(lam - mu, 1, disc) / 2
+            s = Quadratic(lam - mu, -1, disc) / 2
             f = g = (v - 1) // 2
-        f, g = int(f), int(g)
         # Absolute bound and Krein conditions (see Brouwer and Van Maldeghem,
         # Strongly Regular Graphs, CUP 2022). They hold for primitive graphs only:
         # a union of cliques or a complete multipartite graph fails the bound.
@@ -399,11 +396,7 @@ class IntersectionArray:
         for i in range(1, d + 1):
             if self.a(i) < 0:
                 raise InfeasibleIntersectionArray(f"a_{i} = {self.a(i)} is negative")
-        kj = Fraction(1)
-        for j in range(1, d + 1):
-            kj = kj * b[j - 1] / c[j - 1]
-            if kj.denominator != 1 or kj <= 0:
-                raise InfeasibleIntersectionArray(f"valency k_{j} = {kj} is not a positive integer")
+        self.valencies()
 
     @property
     def diameter(self) -> int:
@@ -417,9 +410,15 @@ class IntersectionArray:
         return self.b[0] - bi - self.c[i - 1]
 
     def valencies(self) -> tuple[int, ...]:
+        """k_0 = 1 and k_j = k_{j-1} b_{j-1} / c_j; refused unless each is an integer."""
         out = [1]
         for j in range(1, self.diameter + 1):
-            out.append(out[-1] * self.b[j - 1] // self.c[j - 1])
+            num, c = out[-1] * self.b[j - 1], self.c[j - 1]
+            kj, rem = divmod(num, c)
+            if rem:
+                raise InfeasibleIntersectionArray(
+                    f"valency k_{j} = {Quadratic(num) / c} is not a positive integer")
+            out.append(kj)
         return tuple(out)
 
     @property
@@ -489,14 +488,17 @@ class IntersectionArray:
         if deg == 1:
             roots.append(Quadratic(rest))
         elif deg == 2:
-            # x^2 - rest*x + c at x0 = b0 + 1, above every eigenvalue
+            # x^2 - rest*x + cq, with cq from p(x0) at x0 = b0 + 1, above every eigenvalue:
+            # its discriminant rest^2 - 4 cq is (2 x0 - rest)^2 - 4 p(x0) / prod(x0 - ints)
             x0 = b[0] + 1
-            cq = Fraction(self._charpoly_at(x0), math.prod(x0 - r for r in ints)) - x0 * (x0 - rest)
-            disc = rest * rest - 4 * cq
-            if disc.denominator != 1 or disc <= 0:
-                raise InfeasibleIntersectionArray(f"quadratic factor with discriminant {disc}")
-            roots.append(Quadratic(Fraction(rest, 2), Fraction(1, 2), int(disc)))
-            roots.append(Quadratic(Fraction(rest, 2), Fraction(-1, 2), int(disc)))
+            den = math.prod(x0 - r for r in ints)
+            quo, rem = divmod(4 * self._charpoly_at(x0), den)
+            disc = (2 * x0 - rest) ** 2 - quo
+            if rem or disc <= 0:
+                raise InfeasibleIntersectionArray(
+                    f"quadratic factor with discriminant {Quadratic(disc * den - rem) / den}")
+            roots.append(Quadratic(rest, 1, disc) / 2)
+            roots.append(Quadratic(rest, -1, disc) / 2)
         if deg >= 3 and n >= 2**52:
             # every float64 from 2^52 up is an integer: the test below would pass anything
             raise InfeasibleIntersectionArray(

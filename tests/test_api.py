@@ -66,8 +66,9 @@ def test_one_eigensolver_call_site():
 
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
-    # brings. The three left hold little: one parser, 1,024 small integer
-    # splits, one relabeling table per exhaustive order up to 8.
+    # brings. The two left hold little: one parser and one relabeling table
+    # per exhaustive order up to 8. Quadratic arithmetic never splits a
+    # radicand again, so squarefree_split needs no cache.
     cached, uses = set(), 0
     for p in PACKAGE.rglob("*.py"):
         for node in ast.walk(ast.parse(p.read_text())):
@@ -78,7 +79,6 @@ def test_no_cache_keyed_by_an_input_order():
             uses += name in ("cache", "lru_cache", "cached_property")
     assert cached == {
         ("cli.py", "build_parser", "functools.cache"),
-        ("exact.py", "squarefree_split", "lru_cache(maxsize=1024)"),
         ("search.py", "_relabel_weights", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
     }
     assert uses == len(cached)

@@ -122,7 +122,7 @@ def test_infeasible_srg_exits_two(capsys):
 def test_srg_large_discriminants_answer_fast(capsys):
     # a prime discriminant near 10^15 fails the conference condition with no
     # factoring; a conference discriminant near 10^13 splits by bounded
-    # trial division, however often the field's arithmetic needs it
+    # trial division once per constructed eigenvalue, never in arithmetic
     t0 = time.perf_counter()
     code, _, err = run(capsys, "spectrum", "srg:62500000000005000000000000101,250000000000010,0,1")
     assert code == 2

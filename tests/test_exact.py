@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup.exact import Quadratic, squarefree_split
+from blowup.spectra import Spectrum
 
 
 def test_squarefree_split_small():
@@ -150,10 +152,41 @@ def test_equality_and_hash():
     assert Quadratic(2) == Quadratic(Fraction(4, 2))
     assert Quadratic(2) == 2
     assert hash(Quadratic(2)) == hash(Fraction(2))
+    half = Quadratic(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert hash(half) == hash(Fraction(1, 2))
+    # one value, reached by arithmetic or by construction: equal, one hash, one spectrum entry
+    x, y = Quadratic(1, 1, 5) / 12, Quadratic(Fraction(1, 12), Fraction(1, 12), 5)
+    assert x == y and hash(x) == hash(y)
+    assert Spectrum([(x, 1), (y, 2)]).entries == ((y, 3),)
     s = {Quadratic(1, 1, 5), Quadratic(1, 1, 5), Quadratic(2)}
     assert len(s) == 2
     # no silent equality with floats
     assert (Quadratic(Fraction(1, 2)) == 0.5) is False
+
+
+def test_only_rationals_construct():
+    # Fraction() would parse a string and take a float's binary value exactly
+    for bad in (0.1, "1/3", np.float64(0.5)):
+        with pytest.raises(TypeError):
+            Quadratic(bad)
+        with pytest.raises(TypeError):
+            Quadratic(1, bad, 5)
+    with pytest.raises(TypeError):
+        Quadratic(1) + "1/3"
+    with pytest.raises(TypeError):
+        Quadratic(1) * 0.5
+
+
+def test_numpy_integers_become_python_ints():
+    # an np.int64 has .numerator, but its products overflow at 2^63
+    big = np.int64(2**40)
+    x = Quadratic(big, np.int64(3), np.int64(5))
+    assert x == Quadratic(2**40, 3, 5)
+    assert x * big == Quadratic(2**80, 3 * 2**40, 5)
+    assert Quadratic(big) * big == 2**80 and big * Quadratic(big) == 2**80
+    assert (x / big).a == 1 and (x / big).b == Fraction(3, 2**40)
+    assert x - big == Quadratic(0, 3, 5) and type((x * big).a.numerator) is int
 
 
 def test_str_forms():
@@ -176,6 +209,9 @@ def test_compact_forms():
 #: Q(sqrt 5) with bounded rational parts
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _field = st.builds(lambda a, b: Quadratic(a, b, 5), _rationals, _rationals)
+#: coefficients with numerators and denominators well above 2^64
+_huge = st.builds(lambda sign, p, r: Fraction(sign * p, r), st.sampled_from([-1, 1]),
+                  st.integers(2**64, 2**90), st.integers(1, 2**70))
 
 _laws = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -202,3 +238,25 @@ def test_field_inverses(x, y):
     else:
         with pytest.raises(ZeroDivisionError):
             y / x
+
+
+@_laws
+@given(_field)
+def test_field_representation(x):
+    # the coefficients rebuild the value; a rational hashes as its Fraction
+    y = Quadratic(x.a, x.b, x.d or 5)
+    assert x == y and hash(x) == hash(y)
+    if x.is_rational:
+        assert hash(x) == hash(x.as_fraction()) and x == x.as_fraction()
+    z = Quadratic(x.a / 12, x.b / 12, 5)
+    assert x / 12 == z and hash(x / 12) == hash(z)
+    assert float(x) == float(x.a) + float(x.b) * math.sqrt(x.d)
+
+
+@_laws
+@given(_huge, _huge, st.sampled_from([2, 3, 5, 7, 10, 13, 10**13 + 37]))
+def test_float_image_of_huge_coefficients(a, b, d):
+    # each coefficient is rounded once, as float(a) + float(b) * sqrt(d)
+    x = Quadratic(a, b, d)
+    assert float(x) == float(a) + float(b) * math.sqrt(d)
+    assert float(x * x) == float((x * x).a) + float((x * x).b) * math.sqrt(d)

@@ -383,7 +383,8 @@ def test_srg_conference_rejections():
     with pytest.raises(InfeasibleSrgParameters):
         parse_expression("srg:13,4,1,1")
     # square discriminant but fractional multiplicities
-    with pytest.raises(InfeasibleSrgParameters):
+    with pytest.raises(InfeasibleSrgParameters,
+                       match=r"^multiplicity 77/5 for eigenvalue 1 is not a nonnegative integer$"):
         parse_expression("srg:22,7,0,3")
 
 
@@ -397,6 +398,8 @@ def test_intersection_array_validation():
         IntersectionArray((2, 3), (1, 1))  # b increasing
     with pytest.raises(InfeasibleIntersectionArray):
         IntersectionArray((3, 2), (1, 0))  # c must stay positive
+    with pytest.raises(InfeasibleIntersectionArray, match=r"^valency k_2 = 15/2 is not a positive integer$"):
+        IntersectionArray((5, 3), (1, 2))
     arr = IntersectionArray((3, 2), (1, 1))
     assert arr.n == 10
     assert arr.valencies() == (1, 3, 6)
