@@ -5,7 +5,7 @@ terms, gcd(p, q, r) == 1 and r > 0. Rationals are the q == 0 case and store
 d == 0. Nonzero q forces d to a squarefree integer >= 2; square factors of d
 are folded into q at construction, so equality is structural. Every operator
 costs integer products and one gcd; `a` and `b` are the coefficients as
-Fractions.
+Fractions, and `as_integer` reads an integer value without building one.
 
 Arithmetic stays inside one field: combining two irrational values with
 different d raises ValueError. Ordering against another exact value in
@@ -124,6 +124,14 @@ class Quadratic:
         if self._q:
             raise ValueError(f"{self} is irrational")
         return self.a
+
+    def as_integer(self) -> int | None:
+        """The value as an int when it is an integer, else None."""
+        return None if self._q or self._r != 1 else self._p
+
+    def conjugate(self) -> "Quadratic":
+        """a - b*sqrt(d)."""
+        return _new(self._p, -self._q, self._r, self.d)
 
     # -- conversions -----------------------------------------------------
 

@@ -5,7 +5,8 @@ order are derived from the tree once, at construction, and from nothing
 else. Every node of the tree answers the same three questions: its
 certificate `strength`, its `spectrum()` and its `to_json_obj()`. The
 leaves are an explicit graph (`Explicit`: a stated exact spectrum is checked
-exactly by Hoffman's polynomial identity, an unstated one is solved once),
+exactly by Hoffman's identity, one row per automorphism orbit; an unstated
+one is solved once),
 strongly regular parameters (`SrgParams`) or an intersection array
 (`IntersectionArray`), the last two by exact formula; a
 `Derived` node is the union or closed blowup of described parts, taken at
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -66,17 +67,19 @@ _STRENGTHS = (EXACT_FORMULA, VERIFIED)  # weakest first
 @dataclass(frozen=True)
 class Explicit:
     """Leaf: an adjacency matrix. A stated exact spectrum is checked exactly
-    (check_stated_spectrum) and returned as stated; an unstated one is solved once."""
+    (check_stated_spectrum, given automorphisms as index arrays) and returned
+    as stated; an unstated one is solved once."""
 
     graph: Graph
     exact: tuple | None = None
+    generators: tuple = field(default=(), compare=False, repr=False)
     strength = VERIFIED
 
     def spectrum(self) -> Spectrum:
         if self.exact is None:
             return eigen_spectrum(self.graph)
         stated = Spectrum(self.exact)
-        check_stated_spectrum(self.graph, stated)
+        check_stated_spectrum(self.graph, stated, self.generators)
         return stated
 
     def to_json_obj(self) -> dict:
@@ -161,7 +164,7 @@ def _complete(n: int) -> Explicit:
     pairs = [(Quadratic(n - 1), 1)]
     if n > 1:
         pairs.append((Quadratic(-1), n - 1))
-    return Explicit(complete(n), tuple(pairs))
+    return Explicit(complete(n), tuple(pairs), (np.arange(1, n + 1) % n,))
 
 
 _SMALL_CYCLE_SPECTRA = {
@@ -179,25 +182,44 @@ _SMALL_CYCLE_SPECTRA = {
 def _cycle(n: int) -> Explicit:
     """Cycle spectrum; exact through n = 6, numeric beyond (roots stop being quadratic)."""
     check_dense_order(n, f"cycle:{n}")
-    return Explicit(cycle(n), _SMALL_CYCLE_SPECTRA.get(n))
+    return Explicit(cycle(n), _SMALL_CYCLE_SPECTRA.get(n), (np.arange(1, n + 1) % n,))
+
+
+def _subsets(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m) in lexicographic order, one sorted column each."""
+    n = math.comb(m, r)
+    return np.fromiter(chain.from_iterable(combinations(range(m), r)), np.intp, n * r).reshape(n, r).T
+
+
+def _subset_rank(m: int, rows: np.ndarray) -> np.ndarray:
+    """The lexicographic index of each r-subset of range(m) given as a sorted
+    column of rows: C(m, r) - 1 less sum_j C(m-1-c_j, r-j), the count after it."""
+    r = len(rows)
+    after = np.array([[math.comb(m - 1 - x, r - j) for x in range(m)] for j in range(r)], dtype=np.intp)
+    return math.comb(m, r) - 1 - after.reshape(r, m)[np.arange(r)[:, None], rows].sum(axis=0)
 
 
 def johnson(m: int, r: int = 2) -> Graph:
     """Johnson graph on r-subsets of an m-set, adjacent when they share r-1 elements.
 
-    Vertices are the subsets in lexicographic order. With M the subset-by-element
-    incidence matrix, (M M^T)[i, j] counts the elements subsets i and j share.
-    The counts are at most r, exact in float32, so the product runs in BLAS.
+    Vertices are the subsets in lexicographic order. The graph is the union of
+    one clique per (r-1)-subset, on the m - r + 1 subsets that contain it.
     """
     if r < 1 or m < 2 * r:
         raise ValueError("johnson graph needs 1 <= r and m >= 2r")
     # C(m, r) >= m, so a huge m is refused before its binomial is formed
     check_dense_order(m, f"johnson({m},{r})")
     check_dense_order(math.comb(m, r), f"johnson({m},{r})")
-    subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
-    inc = np.zeros((len(subsets), m), dtype=np.float32)
-    np.put_along_axis(inc, subsets, 1, axis=1)
-    return Graph(inc @ inc.T == r - 1)
+    subsets = _subsets(m, r)
+    n = subsets.shape[1]
+    # each vertex once per (r-1)-subset it has without its i-th element; sorted, cliques group
+    j = np.arange(r - 1)
+    cores = subsets[j + (j >= np.arange(r)[:, None])].transpose(1, 0, 2).reshape(r - 1, r * n)
+    clique = np.argsort(_subset_rank(m, cores), kind="stable").reshape(-1, m - r + 1) % n
+    adj = np.zeros((n, n), dtype=bool)
+    adj.reshape(-1)[(clique[:, :, None] * n + clique[:, None, :]).ravel()] = True
+    np.fill_diagonal(adj, False)
+    return Graph(adj)
 
 
 def _johnson_spectrum(m: int, r: int) -> tuple:
@@ -214,9 +236,16 @@ def _johnson_spectrum(m: int, r: int) -> tuple:
     return tuple(pairs)
 
 
+def _johnson_generators(m: int, r: int) -> tuple:
+    """(0 1) and (0 1 .. m-1), which generate the symmetric group, on johnson's vertices."""
+    perms = np.array([[1, 0, *range(2, m)], [*range(1, m), 0]])
+    images = np.sort(perms[:, _subsets(m, r)], axis=1).transpose(1, 0, 2)
+    return tuple(_subset_rank(m, images.reshape(r, -1)).reshape(2, -1))
+
+
 def _johnson(m: int, r: int) -> Explicit:
     """Johnson graph with its exact spectrum."""
-    return Explicit(johnson(m, r), _johnson_spectrum(m, r))
+    return Explicit(johnson(m, r), _johnson_spectrum(m, r), _johnson_generators(m, r))
 
 
 # Pentagonal antiprism plus two apex vertices: 0 above the ring 1..5,
@@ -238,7 +267,9 @@ def icosahedron() -> Graph:
 
 def _icosahedron() -> Explicit:
     r5 = Quadratic.sqrt(5)
-    return Explicit(icosahedron(), ((Quadratic(5), 1), (r5, 3), (Quadratic(-1), 5), (-r5, 3)))
+    # turns about the axes through 0 and 11 and through 1 and 9, a transitive pair
+    turns = np.array([(0, 2, 3, 4, 5, 1, 7, 8, 9, 10, 6, 11), (2, 1, 7, 8, 3, 0, 5, 6, 11, 9, 4, 10)])
+    return Explicit(icosahedron(), ((Quadratic(5), 1), (r5, 3), (Quadratic(-1), 5), (-r5, 3)), (*turns,))
 
 
 def petersen() -> Graph:
@@ -247,20 +278,8 @@ def petersen() -> Graph:
 
 
 def _petersen() -> Explicit:
-    return Explicit(petersen(), ((Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4)))
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 2
-    return True
+    spectrum = ((Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4))
+    return Explicit(petersen(), spectrum, _johnson_generators(5, 2))  # J(5,2)'s complement
 
 
 def paley(q: int) -> Graph:
@@ -269,7 +288,7 @@ def paley(q: int) -> Graph:
         k3 = complete(3)
         return cartesian_product(k3, k3)
     check_dense_order(q, f"paley({q})")
-    if not _is_prime(q) or q % 4 != 1:
+    if q < 5 or q % 4 != 1 or not all(q % p for p in range(2, math.isqrt(q) + 1)):
         raise ValueError(f"paley({q}): q must be 9 or a prime congruent to 1 mod 4")
     residue = np.zeros(q, dtype=bool)
     residue[np.arange(1, q) ** 2 % q] = True
@@ -278,9 +297,12 @@ def paley(q: int) -> Graph:
 
 
 def _paley(q: int) -> Explicit:
+    """Paley graph with its spectrum and the translations of its field (of K3 x K3 at q = 9)."""
     g = paley(q)
     params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    return Explicit(g, params.spectrum().entries)
+    i = np.arange(q)
+    shifts = ((i + 3) % 9, i + 1 - i % 3 // 2 * 3) if q == 9 else ((i + 1) % q,)
+    return Explicit(g, params.spectrum().entries, shifts)
 
 
 # -- strongly regular parameters ----------------------------------------------

@@ -8,8 +8,9 @@ numeric eigensolver, LAPACK's symmetric solver via numpy; accuracy for the
 dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
 nonconvergence or non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
-has a stated exact spectrum: its integer products run in float32 below 2^24
-and in float64 below 2^53, where either is exact.
+has a stated exact spectrum, one row per orbit of the automorphisms it is
+given: its integer products run in float32 below 2^24 and in float64 below
+2^53, where either is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InternalConsistencyError, NumericError
 from .exact import Quadratic
 from .graphs import Graph
 
@@ -103,21 +104,11 @@ class Spectrum:
 
     def trace_is_zero(self) -> bool:
         """Exact zero test when all entries are exact, else a float test within IDENTITY_TOL."""
-        rat = Fraction(0)
-        irr: dict[int, Fraction] = {}
-        fl = []
-        for v, m in self.entries:
-            if isinstance(v, Quadratic):
-                rat += v.a * m
-                if v.b:
-                    irr[v.d] = irr.get(v.d, Fraction(0)) + v.b * m
-            else:
-                fl.append(v * m)
-        if not fl:
-            return rat == 0 and all(s == 0 for s in irr.values())
-        total = float(rat) + math.fsum(fl)
-        total += math.fsum(float(s) * math.sqrt(d) for d, s in irr.items())
-        return abs(total) <= IDENTITY_TOL
+        sums = _field_sums((v, m) for v, m in self.entries if isinstance(v, Quadratic))
+        fl = [v * m for v, m in self.entries if not isinstance(v, Quadratic)]
+        if not fl:  # sqrt(d) for distinct squarefree d are independent over the rationals
+            return all(s.is_rational for s in sums.values()) and sum(sums.values()) == 0
+        return abs(math.fsum([*map(float, sums.values()), *fl])) <= IDENTITY_TOL
 
     # -- comparisons ----------------------------------------------------------
 
@@ -225,17 +216,20 @@ def eigen_spectrum(g: Graph) -> Spectrum:
     return Spectrum.from_floats(eigenvalues(g.matrix())[::-1])
 
 
-#: rows of the adjacency matrix cast to the product dtype at a time in a Hoffman
-#: product; the blocks beside the n x n partial stay this many rows high
-_PRODUCT_ROWS = 128
-
-
 def _horner(x, coeffs):
     """x^t + c_1 x^(t-1) + .. + c_t for coeffs (c_1, .., c_t), by Horner's rule."""
     out = 1
     for c in coeffs:
         out = out * x + c
     return out
+
+
+def _field_sums(pairs) -> dict[int, Quadratic]:
+    """sum m*v over (v, m) pairs of exact values, per field d (0 for rationals)."""
+    sums: dict[int, Quadratic] = {}
+    for v, m in pairs:
+        sums[v.d] = sums[v.d] + v * m if v.d in sums else v * m
+    return sums
 
 
 def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
@@ -248,29 +242,31 @@ def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
     the same multiplicity.
     """
     (top, top_mult), *rest = stated.entries
-    if top_mult != 1 or not top.is_rational or top.a.denominator != 1:
+    k = top.as_integer()
+    if top_mult != 1 or k is None:
         raise ValueError(f"stated top value {top} (multiplicity {top_mult}) is not a simple integer")
     mults = dict(rest)
     poly = [1]
     for v, m in rest:
         if v.is_rational:
-            factor = [1, -v.a]
+            coeffs = [-v]
         else:
-            conj = Quadratic(v.a, -v.b, v.d)
+            conj = v.conjugate()
             if mults.get(conj) != m:
                 raise ValueError(f"stated value {v} (multiplicity {m}) lacks its conjugate {conj} "
                                  f"with the same multiplicity")
-            if v.b < 0:
+            if v < conj:
                 continue  # its factor came with its conjugate
-            factor = [1, -2 * v.a, v.a * v.a - v.b * v.b * v.d]
-        if any(c.denominator != 1 for c in map(Fraction, factor)):
+            coeffs = [-(v + conj), v * conj]
+        factor = [1, *(c.as_integer() for c in coeffs)]
+        if None in factor:
             raise ValueError(f"stated value {v} is not an algebraic integer")
         prod = [0] * (len(poly) + len(factor) - 1)
         for i, x in enumerate(poly):
             for j, y in enumerate(factor):
                 prod[i + j] += x * y
         poly = prod
-    return int(top.a), [int(c) for c in poly[1:]]
+    return k, poly[1:]
 
 
 def _exactness_bound(k: int, q: list[int]) -> int:
@@ -294,50 +290,40 @@ def _product_dtype(k: int, q: list[int]) -> type:
                      "is beyond exact float64 products")
 
 
-def _upper_blocks(adj: np.ndarray, h: np.ndarray, c: int, out: np.ndarray | None = None):
-    """Yield (s, rows s:e and columns s: of A h + c I) for row blocks s:e.
+def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
+    """The least vertex and the size of each orbit on range(n) of the group the
+    permutations span, by a search over their images; with none, n singletons."""
+    images, seen, reps, sizes = [g.tolist() for g in generators], [False] * n, [], []
+    for v in range(n):
+        if not seen[v]:
+            seen[v], orbit = True, [v]
+            for x in orbit:  # the orbit grows as it is read
+                for g in images:
+                    if not seen[g[x]]:
+                        seen[g[x]] = True
+                        orbit.append(g[x])
+            reps.append(v)
+            sizes.append(len(orbit))
+    return reps, sizes
 
-    These are the blocks on and above the diagonal, which fix all of A h + c I
-    when h is symmetric and commutes with A. Each is one BLAS product in h's
-    dtype (float32 below 2^24, float64 below 2^53), written into out when
-    given; _PRODUCT_ROWS rows of A are cast to that dtype at a time.
-    """
-    for s in range(0, len(h), _PRODUCT_ROWS):
-        e = s + _PRODUCT_ROWS
-        blk = np.matmul(adj[s:e].astype(h.dtype), h[:, s:], out=None if out is None else out[s:e, s:])
-        i = np.arange(len(blk))
-        blk[i, i] += c
-        yield s, blk
 
-
-def _hoffman_products(adj: np.ndarray, q: list[int], dtype: type):
-    """tr H_t(A) for 1 <= t < D, and the blocks (s, rows) on and above the
-    diagonal of Q(A) = H_D(A), from BLAS products in dtype.
-
-    Horner: H_0 = 1 and H_t = x H_{t-1} + q_t, so H_D = Q. The last product's
-    blocks are yielded lazily, so Q(A) is never stored.
-    """
-    n = len(adj)
-    h = adj.astype(dtype)
-    h.flat[:: n + 1] += q[0] if q else 1  # H_1(A); D = 0 only for K_1, where A = 0 and Q(A) = I
-    blocks = [(0, h)] if len(q) < 2 else None
+def _hoffman_rows(adj: np.ndarray, q: list[int], dtype: type, reps: list[int], sizes: list[int]):
+    """tr H_t(A) for 1 <= t < D, and rows reps of Q(A) = H_D(A), by BLAS products in
+    dtype: R_t = R_{t-1} A + q_t E, E the rows reps of I, as H_t = x H_{t-1} + q_t.
+    A trace weighs each orbit's diagonal entry by its size."""
+    a = adj.astype(dtype)
+    diag = (np.arange(len(reps)), reps)
+    rows = a[reps]
+    rows[diag] += q[0] if q else 1  # R_1; D = 0 only for K_1, where A = 0 and Q(A) = I
     traces = []
-    for t, c in enumerate(q[1:], 2):
-        traces.append(sum(map(int, h.diagonal().tolist())))
-        if t == len(q):
-            blocks = _upper_blocks(adj, h, c)
-            break
-        out = np.empty_like(h)
-        for s, blk in _upper_blocks(adj, h, c, out):
-            # mirrored a square tile at a time: a whole block row overlaps its
-            # source in memory, so numpy would copy it first
-            for j in range(0, s, _PRODUCT_ROWS):
-                out[s : s + len(blk), j : j + _PRODUCT_ROWS] = out[j : j + _PRODUCT_ROWS, s : s + len(blk)].T
-        h = out
-    return traces, blocks
+    for c in q[1:]:
+        traces.append(sum(s * int(x) for s, x in zip(sizes, rows[diag].tolist())))
+        rows = rows @ a
+        rows[diag] += c
+    return traces, rows
 
 
-def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
+def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()) -> None:
     """Refuse (ValueError) a stated spectrum the graph does not have, decided exactly.
 
     Hoffman (1963): A is k-regular and connected exactly when
@@ -346,9 +332,10 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
     eigenvalue outside the stated values. The Horner partials H_t, of degrees
     t < D, span the polynomials below Q's degree, so the exact traces
     tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
-    roots; t = 0 is the order. H_t(A) is built in BLAS products, in float32
-    when _exactness_bound is below 2^24 and in float64 below 2^53, exact
-    either way; Q(A) is compared a block at a time and never stored.
+    roots; t = 0 is the order. Each H_t(A) commutes with the automorphisms in
+    generators (index arrays, verified here; InternalConsistencyError if one
+    is not), so one row per orbit decides Q(A) and the traces: for a
+    vertex-transitive group, D products of one row by A, O(D n^2).
     """
     k, q = _hoffman_polynomial(stated)
     n, adj = graph.n, graph.adj
@@ -360,13 +347,20 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum) -> None:
     qk = _horner(k, q)
     if qk == 0 or qk % n:
         raise ValueError(f"Q(k) = {qk} is not a nonzero multiple of the order {n}")
-    traces, blocks = _hoffman_products(adj, q, dtype)
-    if any((blk != qk // n).any() for _, blk in blocks):
+    # taking each edge at a vertex it moves to an edge, a permutation is an automorphism
+    nbrs = np.flatnonzero(adj).reshape(n, k) - np.arange(0, n * n, n)[:, None] if generators else None
+    for g in generators:
+        moved = np.flatnonzero(g != np.arange(n)) if len(g) == n else None
+        if moved is None or not ((np.sort(g[moved]) == moved).all()
+                                 and adj.reshape(-1)[g[nbrs[moved]] + n * g[moved, None]].all()):
+            raise InternalConsistencyError("a stated automorphism of the graph is not one")
+    traces, rows = _hoffman_rows(adj, q, dtype, *_orbits(n, generators))
+    if (rows != qk // n).any():
         raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
                          "eigenvalue the stated spectrum lacks")
     for t, trace in enumerate(traces, 1):
-        # a conjugate pair shares its multiplicity, so the surds cancel
-        if trace != sum(m * _horner(v, q[:t]).a for v, m in stated.entries):
+        # a conjugate pair shares its multiplicity, so each field's surds cancel
+        if trace != sum(_field_sums((_horner(v, q[:t]), m) for v, m in stated.entries).values()):
             raise ValueError(f"stated multiplicities disagree with tr H_{t}(A) = {trace}")
 
 

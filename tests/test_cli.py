@@ -381,7 +381,7 @@ def test_verify_family_check_solves_itself(capsys, monkeypatch):
     import blowup.families as fam
 
     wrong = ((3, 1), (1, 3), (0, 4), (-3, 2))
-    monkeypatch.setattr(fam, "check_stated_spectrum", lambda graph, stated: None)
+    monkeypatch.setattr(fam, "check_stated_spectrum", lambda graph, stated, generators=(): None)
     monkeypatch.setitem(fam._PRESETS, "petersen", lambda: fam.Explicit(fam.petersen(), wrong))
     code, out, _ = run(capsys, "verify")
     assert code == 1

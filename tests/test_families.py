@@ -8,11 +8,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.errors import (
     GraphParseError,
     InfeasibleIntersectionArray,
     InfeasibleSrgParameters,
+    InternalConsistencyError,
 )
 from blowup.exact import Quadratic
 from blowup.families import (
@@ -21,7 +24,11 @@ from blowup.families import (
     IntersectionArray,
     SpectralDescriptor,
     SrgParams,
+    _icosahedron,
+    _johnson_generators,
     _johnson_spectrum,
+    _paley,
+    _petersen,
     icosahedron,
     johnson,
     paley,
@@ -43,7 +50,8 @@ from blowup.spectra import (
     Spectrum,
     _exactness_bound,
     _hoffman_polynomial,
-    _hoffman_products,
+    _hoffman_rows,
+    _orbits,
     _product_dtype,
     blowup_transform,
     eigen_spectrum,
@@ -158,7 +166,8 @@ def test_corrupted_exact_spectrum_rejected():
         SpectralDescriptor("broken", Explicit(g, tuple(bad)))
 
 
-@pytest.mark.parametrize("graph, stated, match", [
+#: graphs with a wrong stated spectrum, and the refusal each gets
+WRONG_STATED = [
     # J(7,2) is ((10, 1), (3, 6), (-2, 14)); its multiplicities swapped
     (johnson(7, 2), ((10, 1), (3, 14), (-2, 6)), "multiplicities"),
     # J(9,3) is ((18, 1), (9, 8), (2, 27), (-3, 48)); these keep its order
@@ -174,10 +183,44 @@ def test_corrupted_exact_spectrum_rejected():
     # the pentagonal prism is 3-regular on 10 vertices, but not Petersen
     (cartesian_product(cycle(5), complete(2)), ((3, 1), (1, 5), (-2, 4)), "not \\(Q\\(k\\)/n\\) J"),
     (petersen(), ((4, 1), (1, 5), (-2, 4)), "degree"),
-])
+]
+
+#: automorphisms spanning a vertex-transitive group of each WRONG_STATED graph
+_PETERSEN_GENERATORS = _petersen().generators
+WRONG_STATED_GENERATORS = [
+    _johnson_generators(7, 2),
+    _johnson_generators(9, 3),
+    _johnson_generators(7, 2),
+    _icosahedron().generators,
+    _paley(13).generators,
+    # each copy's automorphisms, and the swap of the two copies
+    (*(np.r_[g, g + 10] for g in _PETERSEN_GENERATORS), np.r_[10:20, 0:10]),
+    # prism vertex (u, v) is 2u + v: turn both pentagons, swap them
+    ((np.arange(10) + 2) % 10, np.arange(10) ^ 1),
+    _PETERSEN_GENERATORS,
+]
+
+
+@pytest.mark.parametrize("graph, stated, match", WRONG_STATED)
 def test_wrong_stated_spectrum_refused(graph, stated, match):
     with pytest.raises(ValueError, match=match):
         Explicit(graph, stated).spectrum()
+
+
+def verdict(graph, stated, generators):
+    """The message of the refusal of a stated spectrum, or None when it passes."""
+    try:
+        Explicit(graph, stated, generators).spectrum()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("case", range(len(WRONG_STATED)))
+def test_wrong_stated_one_row_verdict_equals_all_rows(case):
+    # one row per orbit refuses each wrong spectrum with the same message as all rows
+    graph, stated, _ = WRONG_STATED[case]
+    assert verdict(graph, stated, WRONG_STATED_GENERATORS[case]) == verdict(graph, stated, ()) is not None
 
 
 #: every family that states its spectrum, at the orders the eigensolver checks
@@ -226,16 +269,95 @@ def test_stated_families_product_dtype():
 
 @pytest.mark.parametrize("expr", [e for e in STATED_FAMILIES if e not in FLOAT64_FAMILIES])
 def test_float32_products_equal_float64(expr):
-    # on the float32 path the Hoffman traces and Q(A) blocks agree bit for bit
-    # with float64; above 2^24 float32 is not exact, and is never used there
+    # on the float32 path the Hoffman traces and Q(A) rows agree bit for bit
+    # with float64, one row per orbit and all rows; above 2^24 float32 is not
+    # exact, and is never used there
     d = parse_expression(expr)
     _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
     adj = d.provenance.graph.adj
-    (t32, b32), (t64, b64) = (_hoffman_products(adj, q, dtype) for dtype in (np.float32, np.float64))
-    assert t32 == t64
-    for (s32, x), (s64, y) in zip(b32, b64, strict=True):
-        assert s32 == s64 and (x.dtype, y.dtype) == (np.float32, np.float64)
-        assert np.array_equal(x, y), (expr, s32)
+    for orbits in (_orbits(d.n, d.provenance.generators), _orbits(d.n, ())):
+        (t32, r32), (t64, r64) = (_hoffman_rows(adj, q, dtype, *orbits) for dtype in (np.float32, np.float64))
+        assert t32 == t64
+        assert (r32.dtype, r64.dtype) == (np.float32, np.float64)
+        assert np.array_equal(r32, r64), expr
+
+
+@pytest.mark.parametrize("expr", STATED_FAMILIES)
+def test_stated_generators_span_one_orbit(expr):
+    # the builders' automorphisms hold, and one row decides Q(A); for
+    # johnson:14,7 that is 7 products of one row, not of 3,432
+    d = parse_expression(expr)
+    graph, generators = d.provenance.graph, d.provenance.generators
+    assert generators and _orbits(d.n, generators) == ([0], [d.n])
+    assert verdict(graph, d.provenance.exact, generators) == verdict(graph, d.provenance.exact, ()) is None
+
+
+def test_orbits_of_one_rotation():
+    # the icosahedron's turn about the axis through 0 and 11 alone: four orbits
+    rho = _icosahedron().generators[0]
+    assert _orbits(12, (rho,)) == ([0, 1, 6, 11], [1, 5, 5, 1])
+    assert _orbits(5, ()) == ([0, 1, 2, 3, 4], [1] * 5)
+    # the traces weigh each orbit by its size: with Q = (x + 1)(x^2 - 5),
+    # tr(A + I) = 12, tr(A^2 + A - 5I) = 60 - 60, and Q(A) = (Q(5)/12) J = 10 J
+    _, q = _hoffman_polynomial(Spectrum(_icosahedron().exact))
+    assert q == [1, -5, -5]
+    for orbits in (_orbits(12, (rho,)), _orbits(12, ())):
+        traces, rows = _hoffman_rows(icosahedron().adj, q, np.float64, *orbits)
+        assert traces == [12, 0] and rows.shape == (len(orbits[0]), 12) and (rows == 10).all()
+
+
+@pytest.mark.parametrize("generator", [
+    np.array([1, 0, 2, 3, 4, 5, 6, 7, 8, 9]),  # a transposition, not an automorphism
+    np.array([0, 0, 2, 3, 4, 5, 6, 7, 8, 9]),  # not a permutation
+    np.arange(9),  # a permutation of too few vertices
+])
+def test_stated_non_automorphism_refused(generator):
+    # a wrong hint is a bug in the package, not a wrong spectrum
+    explicit = _petersen()
+    with pytest.raises(InternalConsistencyError, match="automorphism"):
+        Explicit(explicit.graph, explicit.exact, (*explicit.generators, generator)).spectrum()
+
+
+def relabel(adj, perm):
+    """The graph with vertex i renamed perm[i]."""
+    out = np.empty_like(adj)
+    out[np.ix_(perm, perm)] = adj
+    return out
+
+
+#: stated families of at most 60 vertices where every 2-switch changes the
+#: spectrum: a complete graph has no 2-switch, and one of a short cycle or of
+#: the octahedron J(4,2) can give an isomorphic graph
+SWITCHED_FAMILIES = [e for e in STATED_FAMILIES if parse_expression(e).n <= 60
+                     and not e.startswith(("complete:", "cycle:")) and not e.endswith(",1")
+                     and e not in ("johnson:4,2", "paley:5")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(SWITCHED_FAMILIES), st.data())
+def test_relabelled_family_and_its_two_switch(expr, data):
+    # a relabelled family passes with conjugated generators; after one
+    # degree-preserving 2-switch it is refused, with and without them
+    explicit = parse_expression(expr).provenance
+    n = explicit.graph.n
+    perm = np.array(data.draw(st.permutations(range(n))))
+    inverse = np.argsort(perm)
+    adj = relabel(explicit.graph.adj, perm)
+    generators = tuple(perm[g[inverse]] for g in explicit.generators)
+    assert verdict(Graph(adj), explicit.exact, generators) is None
+    # edges a-b and c-d become a-c and b-d
+    edges = np.argwhere(adj)
+    a, b = data.draw(st.sampled_from(edges.tolist()))
+    c, d = edges.T
+    ok = (c != a) & (c != b) & (d != a) & (d != b) & ~adj[a, c] & ~adj[b, d]
+    c, d = data.draw(st.sampled_from(edges[ok].tolist()))
+    adj[[a, b, c, d], [b, a, d, c]] = False
+    adj[[a, c, b, d], [c, a, d, b]] = True
+    switched = Graph(adj)
+    with pytest.raises((ValueError, InternalConsistencyError)):
+        Explicit(switched, explicit.exact, generators).spectrum()
+    with pytest.raises(ValueError):
+        Explicit(switched, explicit.exact).spectrum()
 
 
 @pytest.mark.parametrize("stated, dtype", [
@@ -321,6 +443,9 @@ def test_paley_rejects():
         paley(7)  # 7 = 3 mod 4
     with pytest.raises(ValueError, match="prime"):
         paley(15)  # not a prime power we support
+    for q in (1, -3):  # 1 mod 4, but not primes
+        with pytest.raises(ValueError, match="prime"):
+            paley(q)
 
 
 # -- srg ----------------------------------------------------------------------
