@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, TableMismatchError) as e:
         print(f"consistency failure: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (InfeasibleSrgParameters, InfeasibleIntersectionArray, ValueError, OSError) as e:
+    except (InfeasibleSrgParameters, InfeasibleIntersectionArray, ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,8 +5,8 @@ order are derived from the tree once, at construction, and from nothing
 else. Every node of the tree answers the same three questions: its
 certificate `strength`, its `spectrum()` and its `to_json_obj()`. The
 leaves are an explicit graph (`Explicit`: a stated exact spectrum is checked
-exactly by Hoffman's identity, one row per automorphism orbit; an unstated
-one is solved once),
+exactly by Hoffman's identity, one row per automorphism orbit, in int64 sums
+over the neighbour lists; an unstated one is solved once),
 strongly regular parameters (`SrgParams`) or an intersection array
 (`IntersectionArray`), the last two by exact formula; a
 `Derived` node is the union or closed blowup of described parts, taken at

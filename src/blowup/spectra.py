@@ -9,8 +9,7 @@ dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
 nonconvergence or non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
 has a stated exact spectrum, one row per orbit of the automorphisms it is
-given: its integer products run in float32 below 2^24 and in float64 below
-2^53, where either is exact.
+given, as exact int64 sums over its neighbour lists.
 """
 
 from __future__ import annotations
@@ -273,21 +272,14 @@ def _exactness_bound(k: int, q: list[int]) -> int:
     """(k + 1) * sum_i |q_i| k^(D-i), with q_0 = 1.
 
     Each Horner partial H_t(A) of a k-regular A has absolute row sums at most
-    sum_{i<=t} |q_i| k^(t-i), so this is above every entry and partial sum the
-    products form; below 2^24 they are exact in float32, below 2^53 in float64.
+    sum_{i<=t} |q_i| k^(t-i), so this is above every entry of the rows and every
+    partial sum that forms one; below 2^63 each is exact in int64.
     """
     return (k + 1) * _horner(k, map(abs, q))
 
 
-def _product_dtype(k: int, q: list[int]) -> type:
-    """float32 when _exactness_bound is below 2^24, float64 when below 2^53; else ValueError."""
-    bound = _exactness_bound(k, q)
-    if bound < 2**24:
-        return np.float32
-    if bound < 2**53:
-        return np.float64
-    raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
-                     "is beyond exact float64 products")
+#: entries, rows x n x (k + 1), that one Horner step over a block of rows gathers
+_BLOCK_ENTRIES = 2**20
 
 
 def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
@@ -307,20 +299,19 @@ def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
     return reps, sizes
 
 
-def _hoffman_rows(adj: np.ndarray, q: list[int], dtype: type, reps: list[int], sizes: list[int]):
-    """tr H_t(A) for 1 <= t < D, and rows reps of Q(A) = H_D(A), by BLAS products in
-    dtype: R_t = R_{t-1} A + q_t E, E the rows reps of I, as H_t = x H_{t-1} + q_t.
-    A trace weighs each orbit's diagonal entry by its size."""
-    a = adj.astype(dtype)
-    diag = (np.arange(len(reps)), reps)
-    rows = a[reps]
-    rows[diag] += q[0] if q else 1  # R_1; D = 0 only for K_1, where A = 0 and Q(A) = I
+def _hoffman_rows(nbrs: np.ndarray, q: list[int], reps: list[int], sizes: list[int]):
+    """tr H_t(A) for 1 <= t < D, and rows reps of Q(A) = H_D(A), in exact int64 sums:
+    R_t = R_{t-1} A + q_t E from R_0 = E, the rows reps of I, as H_t = x H_{t-1} + q_t,
+    and column j of R A sums R's columns at j's neighbours nbrs[j]. A trace weighs
+    each orbit's diagonal entry by its size."""
+    diag, cols = (np.arange(len(reps)), reps), np.ascontiguousarray(nbrs.T)
+    rows = np.equal.outer(reps, np.arange(len(nbrs))).astype(np.int64)
     traces = []
-    for c in q[1:]:
-        traces.append(sum(s * int(x) for s, x in zip(sizes, rows[diag].tolist())))
-        rows = rows @ a
+    for c in q:
+        rows = np.take(rows, cols, axis=1).sum(1)
         rows[diag] += c
-    return traces, rows
+        traces.append(sum(s * x for s, x in zip(sizes, rows[diag].tolist())))
+    return traces[:-1], rows
 
 
 def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()) -> None:
@@ -335,30 +326,39 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()
     roots; t = 0 is the order. Each H_t(A) commutes with the automorphisms in
     generators (index arrays, verified here; InternalConsistencyError if one
     is not), so one row per orbit decides Q(A) and the traces: for a
-    vertex-transitive group, D products of one row by A, O(D n^2).
+    vertex-transitive group, D sums of one row over A's neighbour lists,
+    O(D n k); with none, all n rows, in blocks of _BLOCK_ENTRIES entries.
     """
     k, q = _hoffman_polynomial(stated)
     n, adj = graph.n, graph.adj
     if stated.n != n:
         raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
-    if (adj.sum(axis=1) != k).any():
+    flat = np.flatnonzero(adj)
+    # n k entries, each row's first and last of them in that row: every degree is k
+    nbrs = flat.reshape(n, k) - np.arange(0, n * n, n)[:, None] if len(flat) == n * k else None
+    if nbrs is None or ((nbrs[:, :1] < 0) | (nbrs[:, -1:] >= n)).any():
         raise ValueError(f"stated top value {k} is not the degree of every vertex")
-    dtype = _product_dtype(k, q)
+    if _exactness_bound(k, q) >= 2**63:
+        raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
+                         "is beyond exact int64 sums")
     qk = _horner(k, q)
     if qk == 0 or qk % n:
         raise ValueError(f"Q(k) = {qk} is not a nonzero multiple of the order {n}")
     # taking each edge at a vertex it moves to an edge, a permutation is an automorphism
-    nbrs = np.flatnonzero(adj).reshape(n, k) - np.arange(0, n * n, n)[:, None] if generators else None
     for g in generators:
         moved = np.flatnonzero(g != np.arange(n)) if len(g) == n else None
         if moved is None or not ((np.sort(g[moved]) == moved).all()
                                  and adj.reshape(-1)[g[nbrs[moved]] + n * g[moved, None]].all()):
             raise InternalConsistencyError("a stated automorphism of the graph is not one")
-    traces, rows = _hoffman_rows(adj, q, dtype, *_orbits(n, generators))
-    if (rows != qk // n).any():
-        raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
-                         "eigenvalue the stated spectrum lacks")
-    for t, trace in enumerate(traces, 1):
+    reps, sizes = _orbits(n, generators)
+    step, blocks = max(1, _BLOCK_ENTRIES // (n * (k + 1))), []
+    for i in range(0, len(reps), step):
+        traces, rows = _hoffman_rows(nbrs, q, reps[i:i + step], sizes[i:i + step])
+        if (rows != qk // n).any():
+            raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
+                             "eigenvalue the stated spectrum lacks")
+        blocks.append(traces)
+    for t, trace in enumerate(map(sum, zip(*blocks)), 1):
         # a conjugate pair shares its multiplicity, so each field's surds cancel
         if trace != sum(_field_sums((_horner(v, q[:t]), m) for v, m in stated.entries).values()):
             raise ValueError(f"stated multiplicities disagree with tr H_{t}(A) = {trace}")

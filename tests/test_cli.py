@@ -1,11 +1,15 @@
 """CLI behavior: output shapes, JSON, and the exit code contract."""
 
+import contextlib
 import io
 import json
+import math
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup import bounds
 from blowup.cli import main
@@ -479,3 +483,80 @@ def test_nesting_cap_exit_codes(capsys):
         code, _, err = run(capsys, "bound", beyond, "--k", "1", "--json")
         assert code == 2, prefix
         assert f"nests more than {_MAX_NESTING} operators" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "drg:1" + "0" * 400 + ";1", "--k", "2"),
+    ("spectrum", "blowup:petersen," + "1" + "0" * 400),
+    ("spectrum", "blowup:complement:johnson:9,2," + "1" + "0" * 400),
+])
+def test_huge_integer_exits_two(capsys, argv):
+    # an integer past the float range is a usage error, not a traceback
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_blowup_within_float_range(capsys):
+    code, out, _ = run(capsys, "spectrum", "blowup:petersen," + "1" + "0" * 300)
+    assert code == 0 and "n=1" + "0" * 301 in out
+
+
+#: integer tokens, most of them small: negative, malformed, spelled oddly
+#: but accepted by int(), and 400 digits long
+INTS = st.sampled_from([*map(str, range(1, 10)), *map(str, range(1, 10)), "-1", "0", "", "x", "1.5", "0x9",
+                        " 4", "+3", "1_0", "9" * 400, "-" + "9" * 400])
+
+
+def _int(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return None
+
+
+def _leaf(head, toks):
+    ints = [_int(t) for t in toks]
+    n = 0
+    if None not in ints and all(0 <= i <= 100 for i in ints):
+        n = math.comb(*ints) if head == "johnson" else ints[0]
+    return f"{head}:{','.join(toks)}", n
+
+
+def _blowup(a, tok):
+    t = _int(tok)
+    return f"blowup:{a[0]},{tok}", a[1] * t if t is not None and 0 < t <= 100 else 0
+
+
+#: every head, as (expression, bound): the bound is at least the order of the
+#: graph a complement of the expression builds and solves, and 0 where it
+#: builds none (a refused or a formula-only operand, or one past the dense
+#: ceiling)
+LEAVES = st.one_of(
+    st.sampled_from([("petersen", 10), ("icosahedron", 12), ("gosset", 0), ("taylor-co3", 0), ("srg:16,5,0,2", 0),
+                     ("drg:3,2;1,1", 0), ("g6:Bw", 3), ("g6:Ch", 4), ("johnson:7", 0), ("cycle:4,4", 0)]),
+    *(st.builds(_leaf, st.just(head), st.lists(INTS, min_size=arity, max_size=arity))
+      for head, arity in (("complete", 1), ("cycle", 1), ("paley", 1), ("johnson", 2))),
+    st.lists(INTS, min_size=4, max_size=4).map(lambda t: (f"srg:{','.join(t)}", 0)),
+    st.tuples(st.lists(INTS, max_size=3), st.lists(INTS, max_size=3)).map(
+        lambda bc: (f"drg:{','.join(bc[0])};{','.join(bc[1])}", 0)),
+    # an order byte and a few data bytes, or a byte outside graph6; at most 62 vertices
+    st.text(st.characters(min_codepoint=33, max_codepoint=125), max_size=6).map(lambda text: (f"g6:{text}", 62)),
+)
+
+#: every operator; a complement builds and solves its operand's graph, so it
+#: takes only operands of at most 100 vertices
+EXPRESSIONS = st.recursive(LEAVES, lambda parts: st.one_of(
+    st.builds(lambda a, b: (f"union:{a[0]}+{b[0]}", a[1] + b[1]), parts, parts),
+    parts.filter(lambda a: a[1] <= 100).map(lambda a: (f"complement:{a[0]}", a[1])),
+    st.builds(_blowup, parts, st.one_of(INTS, st.sampled_from(["9" * 400, "1" + "0" * 300]))),
+), max_leaves=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(EXPRESSIONS, st.one_of(st.integers(-2, 30), st.just(10**400)))
+def test_grammar_fuzz_exits_zero_or_two(expr, k):
+    # whatever the expression, spectrum and bound answer or refuse, never raise
+    for argv in (["spectrum", expr[0], "--json"], ["bound", expr[0], f"--k={k}"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2), argv

@@ -3,6 +3,7 @@
 import inspect
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup import spectra
 from blowup.errors import (
     GraphParseError,
     InfeasibleIntersectionArray,
@@ -52,7 +54,6 @@ from blowup.spectra import (
     _hoffman_polynomial,
     _hoffman_rows,
     _orbits,
-    _product_dtype,
     blowup_transform,
     eigen_spectrum,
 )
@@ -120,7 +121,7 @@ def test_johnson_general_against_eigensolver():
 
 
 def test_johnson_matches_integer_incidence_product():
-    # the float32 product gives the same bytes as the int32 one
+    # the clique build gives the same bytes as the int32 incidence product
     cases = [(m, r) for m in range(2, 15) for r in range(1, m // 2 + 1)] + [(m, 2) for m in range(15, 41)]
     for m, r in cases:
         subsets = np.array(list(combinations(range(m), r)), dtype=np.intp)
@@ -217,10 +218,14 @@ def verdict(graph, stated, generators):
 
 
 @pytest.mark.parametrize("case", range(len(WRONG_STATED)))
-def test_wrong_stated_one_row_verdict_equals_all_rows(case):
-    # one row per orbit refuses each wrong spectrum with the same message as all rows
+def test_wrong_stated_one_row_verdict_equals_all_rows(case, monkeypatch):
+    # one row per orbit refuses each wrong spectrum with the same message as
+    # all rows, and so do all rows in blocks of one row, whose traces add up
     graph, stated, _ = WRONG_STATED[case]
-    assert verdict(graph, stated, WRONG_STATED_GENERATORS[case]) == verdict(graph, stated, ()) is not None
+    whole = verdict(graph, stated, ())
+    assert verdict(graph, stated, WRONG_STATED_GENERATORS[case]) == whole is not None
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 1)
+    assert verdict(graph, stated, ()) == whole
 
 
 #: every family that states its spectrum, at the orders the eigensolver checks
@@ -242,8 +247,8 @@ def test_stated_spectrum_matches_eigensolver(expr):
 
 
 def test_johnson_products_stay_exact():
-    # every Johnson graph within the dense ceiling is checked in exact float64
-    # products; only the bound is computed, no graph is built
+    # every Johnson graph within the dense ceiling is checked in exact int64
+    # sums; only the bound is computed, no graph is built
     worst = 0
     for r in range(1, 8):
         m = 2 * r
@@ -252,34 +257,56 @@ def test_johnson_products_stay_exact():
             assert k == r * (m - r) and len(q) == r
             worst = max(worst, _exactness_bound(k, q))
             m += 1
-    assert worst < 2**53
+    assert worst < 2**63
 
 
-#: the stated families whose exactness bound is 2^24 or more: float64 products
-FLOAT64_FAMILIES = ["johnson:10,5", "johnson:11,4", "johnson:11,5", "johnson:12,4", "johnson:12,5", "johnson:12,6"]
+def neighbours(adj):
+    """Each vertex's neighbours in increasing order, one row per vertex."""
+    return np.array([np.flatnonzero(row) for row in adj], dtype=np.intp).reshape(len(adj), -1)
 
 
-def test_stated_families_product_dtype():
-    # every other stated family takes float32
-    for expr in STATED_FAMILIES:
-        stated = Spectrum(parse_expression(expr).provenance.exact)
-        want = np.float64 if expr in FLOAT64_FAMILIES else np.float32
-        assert _product_dtype(*_hoffman_polynomial(stated)) is want, expr
+def dense_hoffman(adj, q):
+    """tr H_t(A) for 1 <= t < D, and Q(A) = H_D(A), by dense int64 products."""
+    a, h, traces = adj.astype(np.int64), np.eye(len(adj), dtype=np.int64), []
+    for c in q:
+        h = h @ a + c * np.eye(len(adj), dtype=np.int64)
+        traces.append(int(np.trace(h)))
+    return traces[:-1], h
 
 
-@pytest.mark.parametrize("expr", [e for e in STATED_FAMILIES if e not in FLOAT64_FAMILIES])
-def test_float32_products_equal_float64(expr):
-    # on the float32 path the Hoffman traces and Q(A) rows agree bit for bit
-    # with float64, one row per orbit and all rows; above 2^24 float32 is not
-    # exact, and is never used there
+#: the stated families where dense int64 products are quick: all but the
+#: six Johnson graphs of 252 vertices or more
+DENSE_FAMILIES = [e for e in STATED_FAMILIES if parse_expression(e).n <= 250]
+
+
+@pytest.mark.parametrize("expr", DENSE_FAMILIES)
+def test_int64_rows_equal_dense_products(expr, monkeypatch):
+    # the neighbour-list traces and rows of Q(A) equal dense int64 Horner
+    # products, one row per orbit and all rows; in blocks of one row each,
+    # all n rows still pass
     d = parse_expression(expr)
     _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
     adj = d.provenance.graph.adj
-    for orbits in (_orbits(d.n, d.provenance.generators), _orbits(d.n, ())):
-        (t32, r32), (t64, r64) = (_hoffman_rows(adj, q, dtype, *orbits) for dtype in (np.float32, np.float64))
-        assert t32 == t64
-        assert (r32.dtype, r64.dtype) == (np.float32, np.float64)
-        assert np.array_equal(r32, r64), expr
+    want_traces, want_rows = dense_hoffman(adj, q)
+    for reps, sizes in (_orbits(d.n, d.provenance.generators), _orbits(d.n, ())):
+        traces, rows = _hoffman_rows(neighbours(adj), q, reps, sizes)
+        assert traces == want_traces
+        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows[reps]), expr
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 1)
+    assert verdict(d.provenance.graph, d.provenance.exact, ()) is None
+
+
+def test_degrees_off_by_one_refused():
+    # Petersen with edge 9-1 moved to 9-2 keeps its 15 = n k / 2 edges, but
+    # vertex 1 has degree 2 and vertex 2 degree 4; each vertex's first
+    # neighbour still falls in its own row of A
+    adj = petersen().adj.copy()
+    assert adj[9, 1] and not adj[9, 2]
+    adj[[9, 1], [1, 9]] = False
+    adj[[9, 2], [2, 9]] = True
+    assert adj.sum(axis=1).tolist() == [3, 2, 4, 3, 3, 3, 3, 3, 3, 3]
+    with pytest.raises(ValueError, match="degree"):
+        Explicit(Graph(adj), _petersen().exact).spectrum()
 
 
 @pytest.mark.parametrize("expr", STATED_FAMILIES)
@@ -292,6 +319,18 @@ def test_stated_generators_span_one_orbit(expr):
     assert verdict(graph, d.provenance.exact, generators) == verdict(graph, d.provenance.exact, ()) is None
 
 
+def test_johnson_14_7_parse_memory():
+    # the check reads A once, as its neighbour lists: the parse peaks near
+    # 35 MiB traced, where one float64 copy of A alone is 94 MB
+    tracemalloc.start()
+    try:
+        parse_expression("johnson:14,7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_orbits_of_one_rotation():
     # the icosahedron's turn about the axis through 0 and 11 alone: four orbits
     rho = _icosahedron().generators[0]
@@ -302,7 +341,7 @@ def test_orbits_of_one_rotation():
     _, q = _hoffman_polynomial(Spectrum(_icosahedron().exact))
     assert q == [1, -5, -5]
     for orbits in (_orbits(12, (rho,)), _orbits(12, ())):
-        traces, rows = _hoffman_rows(icosahedron().adj, q, np.float64, *orbits)
+        traces, rows = _hoffman_rows(neighbours(icosahedron().adj), q, *orbits)
         assert traces == [12, 0] and rows.shape == (len(orbits[0]), 12) and (rows == 10).all()
 
 
@@ -360,23 +399,10 @@ def test_relabelled_family_and_its_two_switch(expr, data):
         Explicit(switched, explicit.exact).spectrum()
 
 
-@pytest.mark.parametrize("stated, dtype", [
-    (_johnson_spectrum(40, 2), np.float32),  # bound 649,264
-    (SrgParams(197, 98, 48, 49).spectrum().entries, np.float32),  # paley:197, 965,349
-    (_johnson_spectrum(10, 4), np.float32),  # 14,083,200
-    (_johnson_spectrum(16, 4), np.float64),  # 2^29.2
-    (_johnson_spectrum(14, 7), np.float64),  # 2^46.4
-])
-def test_product_dtype_from_bound_alone(stated, dtype):
-    # float32 below 2^24, float64 below 2^53; no graph is built
-    assert _product_dtype(*_hoffman_polynomial(Spectrum(stated))) is dtype
-
-
-def test_two_switch_refused_on_float32_path():
+def test_two_switch_of_johnson_40_2_refused():
     # a degree-preserving 2-switch of J(40,2) keeps its order, degree and
-    # tr H_1(A); only Q(A), multiplied in float32, tells it apart
+    # tr H_1(A); only Q(A) tells it apart
     stated = _johnson_spectrum(40, 2)
-    assert _product_dtype(*_hoffman_polynomial(Spectrum(stated))) is np.float32
     index = {s: i for i, s in enumerate(combinations(range(40), 2))}
     a, b, c, d = (index[s] for s in ((0, 1), (0, 2), (3, 4), (3, 5)))
     adj = johnson(40, 2).adj.copy()
