@@ -265,29 +265,33 @@ def neighbours(adj):
     return np.array([np.flatnonzero(row) for row in adj], dtype=np.intp).reshape(len(adj), -1)
 
 
-def dense_hoffman(adj, q):
-    """tr H_t(A) for 1 <= t < D, and Q(A) = H_D(A), by dense int64 products."""
-    a, h, traces = adj.astype(np.int64), np.eye(len(adj), dtype=np.int64), []
+def dense_hoffman(adj, q, dtype):
+    """tr H_t(A) for 1 <= t < D, and Q(A) = H_D(A), by dense products in dtype."""
+    a, h, traces = adj.astype(dtype), np.eye(len(adj), dtype=dtype), []
     for c in q:
-        h = h @ a + c * np.eye(len(adj), dtype=np.int64)
+        h = h @ a + c * np.eye(len(adj), dtype=dtype)
         traces.append(int(np.trace(h)))
     return traces[:-1], h
 
 
-#: the stated families where dense int64 products are quick: all but the
-#: six Johnson graphs of 252 vertices or more
+#: the stated families where dense products are quick and float32 is exact:
+#: all but the six Johnson graphs of 252 vertices or more, whose exactness
+#: bounds are 2^24 or more
 DENSE_FAMILIES = [e for e in STATED_FAMILIES if parse_expression(e).n <= 250]
 
 
 @pytest.mark.parametrize("expr", DENSE_FAMILIES)
-def test_int64_rows_equal_dense_products(expr, monkeypatch):
-    # the neighbour-list traces and rows of Q(A) equal dense int64 Horner
-    # products, one row per orbit and all rows; in blocks of one row each,
-    # all n rows still pass
+def test_float32_products_equal_float64(expr, monkeypatch):
+    # dense float32 Horner products agree bit for bit with float64 and int64
+    # ones, and the neighbour-list traces and rows of Q(A) equal them, one row
+    # per orbit and all rows; in blocks of one row each, all n rows still pass
     d = parse_expression(expr)
     _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
     adj = d.provenance.graph.adj
-    want_traces, want_rows = dense_hoffman(adj, q)
+    want_traces, want_rows = dense_hoffman(adj, q, np.int64)
+    for dtype in (np.float32, np.float64):
+        traces, rows = dense_hoffman(adj, q, dtype)
+        assert traces == want_traces and np.array_equal(rows, want_rows), (expr, dtype)
     for reps, sizes in (_orbits(d.n, d.provenance.generators), _orbits(d.n, ())):
         traces, rows = _hoffman_rows(neighbours(adj), q, reps, sizes)
         assert traces == want_traces
