@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalConsistencyError, TableMismatchError
 from .exact import Quadratic
@@ -142,27 +141,27 @@ def certify(base: SpectralDescriptor, k: int) -> BoundCertificate:
 # parameters or an intersection array, so they are `exact-formula`.
 
 _TABLE_ENTRIES: dict[int, tuple[str, Quadratic, tuple[str, ...]]] = {
-    4: ("0.26967", Quadratic(Fraction(1, 12), Fraction(1, 12), 5), ("icosahedron",)),
-    5: ("0.2222", Quadratic(Fraction(2, 9)), ("paley:9",)),
-    6: ("0.2", Quadratic(Fraction(1, 5)), ("petersen", "johnson:6,2")),
-    7: ("0.190476", Quadratic(Fraction(4, 21)), ("johnson:7,2",)),
-    8: ("0.178571", Quadratic(Fraction(5, 28)), ("johnson:8,2", "gosset")),
-    9: ("0.1666", Quadratic(Fraction(1, 6)), ("johnson:9,2",)),
-    10: ("0.1555", Quadratic(Fraction(7, 45)), ("johnson:10,2",)),
-    11: ("0.14545", Quadratic(Fraction(8, 55)), ("johnson:11,2",)),
-    12: ("0.13636", Quadratic(Fraction(3, 22)), ("johnson:12,2",)),
-    13: ("0.128205", Quadratic(Fraction(5, 39)), ("johnson:13,2",)),
-    14: ("0.1208791", Quadratic(Fraction(11, 91)), ("johnson:14,2",)),
-    15: ("0.1142857", Quadratic(Fraction(4, 35)), ("johnson:15,2",)),
-    16: ("0.108333", Quadratic(Fraction(13, 120)), ("johnson:16,2",)),
-    17: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
-    18: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
-    19: ("0.10526", Quadratic(Fraction(2, 19)), ("srg:57,24,11,9",)),
-    20: ("0.104", Quadratic(Fraction(13, 125)), ("srg:125,72,45,36",)),
-    21: ("0.104", Quadratic(Fraction(13, 125)), ("srg:125,72,45,36",)),
-    22: ("0.10288", Quadratic(Fraction(25, 243)), ("srg:243,132,81,60",)),
-    23: ("0.10288", Quadratic(Fraction(25, 243)), ("srg:243,132,81,60",)),
-    24: ("0.101449", Quadratic(Fraction(56, 552)), ("taylor-co3",)),
+    4: ("0.26967", Quadratic(1, 1, 5) / 12, ("icosahedron",)),
+    5: ("0.2222", Quadratic(2) / 9, ("paley:9",)),
+    6: ("0.2", Quadratic(1) / 5, ("petersen", "johnson:6,2")),
+    7: ("0.190476", Quadratic(4) / 21, ("johnson:7,2",)),
+    8: ("0.178571", Quadratic(5) / 28, ("johnson:8,2", "gosset")),
+    9: ("0.1666", Quadratic(1) / 6, ("johnson:9,2",)),
+    10: ("0.1555", Quadratic(7) / 45, ("johnson:10,2",)),
+    11: ("0.14545", Quadratic(8) / 55, ("johnson:11,2",)),
+    12: ("0.13636", Quadratic(3) / 22, ("johnson:12,2",)),
+    13: ("0.128205", Quadratic(5) / 39, ("johnson:13,2",)),
+    14: ("0.1208791", Quadratic(11) / 91, ("johnson:14,2",)),
+    15: ("0.1142857", Quadratic(4) / 35, ("johnson:15,2",)),
+    16: ("0.108333", Quadratic(13) / 120, ("johnson:16,2",)),
+    17: ("0.10526", Quadratic(2) / 19, ("srg:57,24,11,9",)),
+    18: ("0.10526", Quadratic(2) / 19, ("srg:57,24,11,9",)),
+    19: ("0.10526", Quadratic(2) / 19, ("srg:57,24,11,9",)),
+    20: ("0.104", Quadratic(13) / 125, ("srg:125,72,45,36",)),
+    21: ("0.104", Quadratic(13) / 125, ("srg:125,72,45,36",)),
+    22: ("0.10288", Quadratic(25) / 243, ("srg:243,132,81,60",)),
+    23: ("0.10288", Quadratic(25) / 243, ("srg:243,132,81,60",)),
+    24: ("0.101449", Quadratic(56) / 552, ("taylor-co3",)),
 }
 
 TABLE_K_MIN = 4

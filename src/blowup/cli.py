@@ -19,8 +19,6 @@ from . import bounds as B
 from . import search as S
 from .errors import (
     GraphParseError,
-    InfeasibleIntersectionArray,
-    InfeasibleSrgParameters,
     InternalConsistencyError,
     NumericError,
     TableMismatchError,
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, TableMismatchError) as e:
         print(f"consistency failure: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (InfeasibleSrgParameters, InfeasibleIntersectionArray, ValueError, OverflowError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -271,49 +271,36 @@ def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     return np.hstack([np.repeat(graphs, len(hoods), axis=0), np.tile(hoods, (len(graphs), 1))])
 
 
-def _classes(n: int, keep: Callable[[np.ndarray, int], np.ndarray] | None = None) -> np.ndarray:
+def _classes(n: int, k: int = 0) -> np.ndarray:
     """One graph per isomorphism class on n vertices, as rows of edge bits.
 
     Level j + 1 is every one-vertex extension of level j's classes, reduced
     by canonical label; each class is kept as its smallest-label relabeling,
-    in label order. keep(graphs, j), when given, returns the rows of level
-    j's classes that are extended further, so a dropped class takes all its
-    extensions with it.
+    in label order. For k >= 1, classes that no extension to n + 1 vertices
+    can lift to the maximum ratio at k are dropped, and all their extensions
+    with them. The floor is a ratio some graph on n + 1 vertices reaches:
+    first floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k)
+    vertices plus isolated vertices. On each level j > n + 1 - k, the classes
+    are solved as one stack, and the floor rises to the best ratio of a class
+    H plus n + 1 - j isolated vertices. Deleting d = n + 1 - j vertices from
+    a graph G leaves some H, and interlacing gives lambda_k(G) <=
+    lambda_{k-d}(H), so H is dropped when (lambda_{k-d}(H) + 1)/(n+1) lies
+    below the floor by more than _TIE_WINDOW: no extension of it can tie
+    with the maximum. Both eigenvalues sit at ascending index n + 1 - k, of
+    H's j and of the padded n + 1.
     """
+    top = n + 1
+    floor = (top // k) / top if k else 0.0
     graphs = np.zeros((1, 0), dtype=np.uint8)
     for j in range(1, n + 1):
         labels = np.unique(_canonical_labels(_extensions(graphs, j - 1), j))
         graphs = _label_bits(labels, j * (j - 1) // 2)
-        if keep is not None:
-            graphs = keep(graphs, j)
+        if k and j > top - k:
+            w = eigenvalues(_adjacency_stack(graphs, j))
+            padded = np.sort(np.hstack([w, np.zeros((len(w), top - j))]), axis=1)
+            floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
+            graphs = graphs[(w[:, top - k] + 1.0) / top >= floor - _TIE_WINDOW]
     return graphs
-
-
-def _interlacing_floor(k: int, n: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """A keep filter for _classes that drops classes no extension to n vertices can lift.
-
-    The floor is a ratio some graph on n vertices reaches: first floor(n/k)/n,
-    from k disjoint cliques on floor(n/k) vertices plus isolated vertices.
-    On each level j > n - k, the classes are solved as one stack, and the
-    floor rises to the best ratio of a class H plus n - j isolated vertices.
-    Deleting d = n - j vertices from a graph G leaves some H, and interlacing
-    gives lambda_k(G) <= lambda_{k-d}(H), so H is dropped when
-    (lambda_{k-d}(H) + 1)/n lies below the floor by more than _TIE_WINDOW:
-    no extension of it can tie with the maximum. Both eigenvalues sit at
-    ascending index n - k, of H's j and of the padded n.
-    """
-    floor = (n // k) / n
-
-    def keep(graphs: np.ndarray, j: int) -> np.ndarray:
-        nonlocal floor
-        if j <= n - k:
-            return graphs
-        w = eigenvalues(_adjacency_stack(graphs, j))
-        padded = np.sort(np.hstack([w, np.zeros((len(w), n - j))]), axis=1)
-        floor = max(floor, (float(padded[:, n - k].max()) + 1.0) / n)
-        return graphs[(w[:, n - k] + 1.0) / n >= floor - _TIE_WINDOW]
-
-    return keep
 
 
 def exhaustive_max(k: int, n: int) -> SearchResult:
@@ -321,10 +308,10 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
 
     Deleting the last vertex of any graph on n vertices leaves a graph on
     n - 1, so the one-vertex extensions of one graph per class on n - 1
-    vertices cover every isomorphism class on n. Classes that cannot reach
-    the interlacing floor are dropped on the way (_interlacing_floor), and
-    every extension of the classes left is solved, in batches: 192 instead
-    of 1,088 at (3, 6), 33,536 instead of 133,632 at (3, 8). Every graph
+    vertices cover every isomorphism class on n. _classes drops the classes
+    that cannot reach its interlacing floor on the way, and every extension
+    of the classes left is solved, in batches: 192 instead of 1,088 at
+    (3, 6), 33,536 instead of 133,632 at (3, 8). Every graph
     tied with the maximum survives the floor. The witness is the smallest
     graph6 over all relabelings of the extensions tied with the maximum,
     which is the smallest over all labeled graphs tied with it. The history
@@ -337,7 +324,7 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
         raise ValueError("need n >= k so lambda_k exists")
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
-    graphs = _extensions(_classes(n - 1, _interlacing_floor(k, n)), n - 1)
+    graphs = _extensions(_classes(n - 1, k), n - 1)
     per_stack = _CELLS // (n * n)
     batches = ((np.full(len(bits), n), {n: bits})
                for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))

@@ -304,11 +304,11 @@ def _hoffman_rows(nbrs: np.ndarray, q: list[int], reps: list[int], sizes: list[i
     R_t = R_{t-1} A + q_t E from R_0 = E, the rows reps of I, as H_t = x H_{t-1} + q_t,
     and column j of R A sums R's columns at j's neighbours nbrs[j]. A trace weighs
     each orbit's diagonal entry by its size."""
-    diag, cols = (np.arange(len(reps)), reps), np.ascontiguousarray(nbrs.T)
+    diag = (np.arange(len(reps)), reps)
     rows = np.equal.outer(reps, np.arange(len(nbrs))).astype(np.int64)
     traces = []
     for c in q:
-        rows = np.take(rows, cols, axis=1).sum(1)
+        rows = rows[:, nbrs].sum(2)
         rows[diag] += c
         traces.append(sum(s * x for s, x in zip(sizes, rows[diag].tolist())))
     return traces[:-1], rows
@@ -333,10 +333,12 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()
     n, adj = graph.n, graph.adj
     if stated.n != n:
         raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
-    flat = np.flatnonzero(adj)
+    nbrs = np.flatnonzero(adj)
     # n k entries, each row's first and last of them in that row: every degree is k
-    nbrs = flat.reshape(n, k) - np.arange(0, n * n, n)[:, None] if len(flat) == n * k else None
-    if nbrs is None or ((nbrs[:, :1] < 0) | (nbrs[:, -1:] >= n)).any():
+    if len(nbrs) == n * k:
+        nbrs = nbrs.reshape(n, k)
+        nbrs -= np.arange(0, n * n, n)[:, None]
+    if nbrs.ndim == 1 or ((nbrs[:, :1] < 0) | (nbrs[:, -1:] >= n)).any():
         raise ValueError(f"stated top value {k} is not the degree of every vertex")
     if _exactness_bound(k, q) >= 2**63:
         raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "

@@ -92,8 +92,8 @@ def test_batched_engines_share_drive():
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
     assert {name: count for name, count in uses.items() if count} == {"search.py": 3}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
-    assert inspect.getsource(search._interlacing_floor).count("_adjacency_stack(") == 1
-    for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run"):
+    assert inspect.getsource(search._classes).count("_adjacency_stack(") == 1
+    for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor"):
         assert not hasattr(search, gone), gone
 
 

@@ -502,6 +502,18 @@ def test_huge_blowup_within_float_range(capsys):
     assert code == 0 and "n=1" + "0" * 301 in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "blowup:complement:johnson:9,2,10000000000"),
+    ("bound", "blowup:complement:johnson:9,2,10000000000", "--k", "3"),
+    ("spectrum", "union:blowup:complement:johnson:9,2,10000000000+petersen"),
+])
+def test_large_float_blowup_is_not_refused_by_its_trace(capsys, argv):
+    # only leaves test their trace: eigenvalues near 10^11 round past the
+    # absolute tolerance, though each part's trace passed
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
 #: integer tokens, most of them small: negative, malformed, spelled oddly
 #: but accepted by int(), and 400 digits long
 INTS = st.sampled_from([*map(str, range(1, 10)), *map(str, range(1, 10)), "-1", "0", "", "x", "1.5", "0x9",

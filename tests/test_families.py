@@ -335,6 +335,18 @@ def test_johnson_14_7_parse_memory():
     assert peak < 64 * 2**20
 
 
+def test_complete_3000_parse_memory():
+    # the neighbour lists are made in place and gathered as they lie, so the
+    # parse peaks near 215 MiB traced; a second n k copy would add 72 MB
+    tracemalloc.start()
+    try:
+        parse_expression("complete:3000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 2**20
+
+
 def test_orbits_of_one_rotation():
     # the icosahedron's turn about the axis through 0 and 11 alone: four orbits
     rho = _icosahedron().generators[0]
