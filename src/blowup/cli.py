@@ -147,18 +147,18 @@ def cmd_search(args) -> int:
     if args.method == "stream":
         if args.g6_file is None:
             raise ValueError("stream search needs --g6-file")
-        # a non-ASCII byte stays in its line, which the line check then rejects
-        if args.g6_file == "-":
-            # stdin's bytes are decoded as a file's, whatever decoder the
-            # interpreter gave sys.stdin; detaching leaves the real stdin open
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
-            try:
-                result = S.stream_max(args.k, fh, on_error=args.on_error)
-            finally:
-                fh.detach()
-        else:
-            with open(args.g6_file, encoding="ascii", errors="surrogateescape") as fh:
-                result = S.stream_max(args.k, fh, on_error=args.on_error)
+        # stdin's bytes are decoded as a file's, whatever decoder the interpreter gave
+        # sys.stdin; a non-ASCII byte stays in its line, which the line check rejects
+        stdin = args.g6_file == "-"
+        raw = sys.stdin.buffer if stdin else open(args.g6_file, "rb")
+        fh = io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape")
+        try:
+            result = S.stream_max(args.k, fh, on_error=args.on_error)
+        finally:
+            if stdin:
+                fh.detach()  # leaves the real stdin open
+            else:
+                fh.close()
     elif args.method == "exhaustive":
         if args.n is None:
             raise ValueError("exhaustive search needs --n")

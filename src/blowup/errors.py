@@ -6,8 +6,9 @@ from __future__ import annotations
 class GraphParseError(ValueError):
     """Malformed graph6 text or a bad graph expression.
 
-    ``offset`` is the 0-based byte/character position of the defect when
-    known, else None; ``reason`` is the message without the offset suffix.
+    ``offset`` is the 0-based byte/character position of the defect in the
+    text passed in, when known, else None; ``reason`` is the message without
+    the offset suffix.
     """
 
     def __init__(self, message: str, offset: int | None = None):

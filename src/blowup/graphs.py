@@ -140,7 +140,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def complement(g: Graph) -> Graph:
     a = ~g.adj
-    a = a.copy()
     np.fill_diagonal(a, False)
     return Graph(a)
 
@@ -217,55 +216,58 @@ def g6_encode(g: Graph) -> str:
 _G6_ALPHABET = bytes(range(63, 127))
 
 
-def g6_parse(text: str) -> tuple[int, bytes]:
-    """Check one graph6 string and split it into its order and payload bytes.
+def g6_parse(text: str) -> tuple[int, bytes] | None:
+    """Check one graph6 line and split it into its order and payload bytes.
 
-    Accepts an optional '>>graph6<<' header. Raises GraphParseError with a
-    byte offset on malformed input: padding bits must be zero and the byte
-    count must be exact. An order above MAX_DENSE_ORDER is refused
-    (ValueError) before the payload is read. The package's only copy of the
-    graph6 line checks.
+    The package's only copy of the line rule: ASCII whitespace (space, tab,
+    CR, LF, VT, FF) is stripped from both ends, then one optional '>>graph6<<'
+    header and the whitespace after it are dropped; a line left empty is
+    blank and gives None. A bad byte, nonzero padding bits or an inexact byte
+    count raise GraphParseError with an offset counted in text as given; an
+    order above MAX_DENSE_ORDER raises ValueError before the payload is read.
     """
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError as e:
         raise GraphParseError("non-ASCII byte in graph6 input", e.start) from None
-    if raw.startswith(b">>graph6<<"):
-        raw = raw[len(b">>graph6<<") :]
-    raw = raw.strip()
-    if not raw:
-        raise GraphParseError("empty graph6 string", 0)
+    body = raw.lstrip()
+    if body.startswith(b">>graph6<<"):
+        body = body[len(b">>graph6<<") :].lstrip()
+    start, body = len(raw) - len(body), body.rstrip()  # start: body's offset in text
+    if not body:
+        return None
     # one C-level scan; the first byte left over is the first bad one
-    bad = raw.translate(None, _G6_ALPHABET)
+    bad = body.translate(None, _G6_ALPHABET)
     if bad:
-        raise GraphParseError(f"byte {bad[0]} outside the graph6 range 63..126", raw.index(bad[:1]))
+        raise GraphParseError(f"byte {bad[0]} outside the graph6 range 63..126",
+                              start + body.index(bad[:1]))
 
-    if raw[0] == 126:
-        if len(raw) >= 2 and raw[1] == 126:
-            raise GraphParseError("8-byte graph6 order form (n > 258047) is not supported", 0)
-        if len(raw) < 4:
-            raise GraphParseError("truncated graph6 order field", len(raw))
-        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
+    if body[0] == 126:
+        if len(body) >= 2 and body[1] == 126:
+            raise GraphParseError("8-byte graph6 order form (n > 258047) is not supported", start)
+        if len(body) < 4:
+            raise GraphParseError("truncated graph6 order field", start + len(body))
+        n = ((body[1] - 63) << 12) | ((body[2] - 63) << 6) | (body[3] - 63)
         pos = 4
     else:
-        n = raw[0] - 63
+        n = body[0] - 63
         pos = 1
     if n == 0:
-        raise GraphParseError("order-0 graph6 string; graphs need at least one vertex", 0)
+        raise GraphParseError("order-0 graph6 string; graphs need at least one vertex", start)
     check_dense_order(n, "graph6 string")
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    payload = raw[pos:]
+    payload = body[pos:]
     if len(payload) < nbytes:
         raise GraphParseError(
             f"truncated graph6 payload: need {nbytes} bytes for n={n}, got {len(payload)}",
-            len(raw),
+            start + len(body),
         )
     if len(payload) > nbytes:
-        raise GraphParseError("trailing bytes after graph6 payload", pos + nbytes)
+        raise GraphParseError("trailing bytes after graph6 payload", start + pos + nbytes)
     if nbytes and (payload[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
-        raise GraphParseError("nonzero padding bits in graph6 payload", len(raw) - 1)
+        raise GraphParseError("nonzero padding bits in graph6 payload", start + len(body) - 1)
     return n, payload
 
 
@@ -282,7 +284,10 @@ def g6_unpack(payloads: bytes, n: int, count: int = 1) -> np.ndarray:
 
 def g6_decode(text: str) -> Graph:
     """Decode one graph6 string: g6_parse's checks, then the adjacency matrix."""
-    n, payload = g6_parse(text)
+    parsed = g6_parse(text)
+    if parsed is None:
+        raise GraphParseError("empty graph6 string", 0)
+    n, payload = parsed
     lower, bits = np.tri(n, n, -1, dtype=bool), g6_unpack(payload, n)[0]
     a = np.zeros((n, n), dtype=bool)
     a[lower] = a.T[lower] = bits

@@ -68,9 +68,6 @@ _TIE_WINDOW = 1e-11
 #: (16,384 graphs at n = 8), a stream's pending lines, a relabeling product
 _CELLS = 1 << 20
 
-#: the whitespace a stream line is stripped of, as bytes.strip strips it
-_ASCII_SPACE = " \t\n\r\v\f"
-
 #: consecutive rejections after which a local-search phase restarts
 _STALL = 5000
 
@@ -271,14 +268,14 @@ def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     return np.hstack([np.repeat(graphs, len(hoods), axis=0), np.tile(hoods, (len(graphs), 1))])
 
 
-def _classes(n: int, k: int = 0) -> np.ndarray:
+def _classes(n: int, k: int) -> np.ndarray:
     """One graph per isomorphism class on n vertices, as rows of edge bits.
 
     Level j + 1 is every one-vertex extension of level j's classes, reduced
     by canonical label; each class is kept as its smallest-label relabeling,
-    in label order. For k >= 1, classes that no extension to n + 1 vertices
-    can lift to the maximum ratio at k are dropped, and all their extensions
-    with them. The floor is a ratio some graph on n + 1 vertices reaches:
+    in label order. Classes that no extension to n + 1 vertices can lift to
+    the maximum ratio at k are dropped, and all their extensions with them;
+    k = 1 drops none. The floor is a ratio some graph on n + 1 vertices reaches:
     first floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k)
     vertices plus isolated vertices. On each level j > n + 1 - k, the classes
     are solved as one stack, and the floor rises to the best ratio of a class
@@ -290,12 +287,12 @@ def _classes(n: int, k: int = 0) -> np.ndarray:
     H's j and of the padded n + 1.
     """
     top = n + 1
-    floor = (top // k) / top if k else 0.0
+    floor = (top // k) / top
     graphs = np.zeros((1, 0), dtype=np.uint8)
     for j in range(1, n + 1):
         labels = np.unique(_canonical_labels(_extensions(graphs, j - 1), j))
         graphs = _label_bits(labels, j * (j - 1) // 2)
-        if k and j > top - k:
+        if j > top - k:
             w = eigenvalues(_adjacency_stack(graphs, j))
             padded = np.sort(np.hstack([w, np.zeros((len(w), top - j))]), axis=1)
             floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
@@ -338,10 +335,8 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
 def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchResult:
     """Maximum limit ratio over a stream of graph6 lines.
 
-    Blank lines and a '>>graph6<<' header are skipped; blank means empty
-    after stripping ASCII whitespace (space, tab, CR, LF, VT, FF) from both
-    ends, so any other character spoils its line. Each line is checked
-    by g6_parse as it is read: malformed lines, graphs with fewer than k
+    Each line is checked by g6_parse as it is read, and the lines its line
+    rule finds blank are skipped. Malformed lines, graphs with fewer than k
     vertices and orders above the dense ceiling raise GraphParseError tagged
     with the line number, or are counted and skipped with on_error='skip'.
     Checked lines wait as payload bytes until they fill _CELLS matrix
@@ -368,13 +363,11 @@ def _stream_batches(k: int, lines: Iterable[str], on_error: str) -> Iterator[tup
         return np.array(orders), {n: g6_unpack(b"".join(p), n, len(p)) for n, p in pending.items()}
 
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip(_ASCII_SPACE)
-        if text.startswith(">>graph6<<"):
-            text = text[len(">>graph6<<") :]
-        if not text:
-            continue
         try:
-            n, payload = g6_parse(text)
+            parsed = g6_parse(line)
+            if parsed is None:
+                continue
+            n, payload = parsed
             if n < k:
                 raise GraphParseError(f"graph has n={n} < k={k}")
         except (GraphParseError, ValueError) as e:

@@ -64,6 +64,18 @@ def test_one_eigensolver_call_site():
     assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1
 
 
+def test_one_graph6_line_rule():
+    # g6_parse owns the line rule: the header is named nowhere else, and the
+    # stream hands each line to it as read, with no strip of its own
+    uses = {p.name: p.read_text().count(">>graph6<<") for p in PACKAGE.rglob("*.py")}
+    assert {name for name, count in uses.items() if count} == {"graphs.py"}
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    strips = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("strip", "lstrip", "rstrip")]
+    assert strips == []
+    assert not hasattr(search, "_ASCII_SPACE")
+
+
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
     # brings. The two left hold little: one parser and one relabeling table

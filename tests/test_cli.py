@@ -191,6 +191,18 @@ def test_bad_g6_literal_names_one_offset(capsys):
     assert (code, out, err) == (2, "", f"parse error: {reason} (at offset 7)\n")
 
 
+@pytest.mark.parametrize("expr,offset", [("g6:>>graph6<<C!", 14), ("g6:  C!", 6)])
+def test_g6_literal_offset_points_at_the_bad_byte(capsys, expr, offset):
+    # the header and whitespace before the literal's body count toward the offset
+    assert expr[offset] == "!"
+    reason = "bad graph6 literal: byte 33 outside the graph6 range 63..126"
+    with pytest.raises(GraphParseError) as ei:
+        parse_expression(expr)
+    assert (ei.value.offset, ei.value.reason) == (offset, reason)
+    code, out, err = run(capsys, "spectrum", expr)
+    assert (code, out, err) == (2, "", f"parse error: {reason} (at offset {offset})\n")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])

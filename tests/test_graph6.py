@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup.errors import GraphParseError
+from blowup.families import parse_expression
 from blowup.graphs import Graph, complete, empty, g6_decode, g6_encode, random_graph, triu_pair_arrays
 from blowup.search import stream_max
 
@@ -182,3 +184,40 @@ def test_first_bad_byte_is_reported():
     for text, byte, offset in (("B!w\x1f", 33, 1), ("Bw\x1f!", 31, 2), ("~??B \x7f", 32, 4)):
         with pytest.raises(GraphParseError, match=f"^byte {byte} outside .*offset {offset}\\)"):
             g6_decode(text)
+
+
+def test_offsets_count_in_the_line_as_given():
+    # the whitespace and header the line rule drops still count toward an offset
+    for text, reason, offset in (
+        ("  C!", "byte 33 outside the graph6 range 63..126", 3),
+        (">>graph6<<C!", "byte 33 outside the graph6 range 63..126", 11),
+        ("  >>graph6<<  >>graph6<<", "byte 62 outside the graph6 range 63..126", 14),
+        ("\t>>graph6<< ~?", "truncated graph6 order field", 14),
+    ):
+        with pytest.raises(GraphParseError) as ei:
+            g6_decode(text)
+        assert (ei.value.reason, ei.value.offset) == (reason, offset), text
+        with pytest.raises(GraphParseError) as ei:
+            stream_max(1, [text])
+        assert str(ei.value) == f"line 1: {reason} (at offset {offset})", text
+
+
+def test_stream_and_literal_read_lines_alike():
+    # a doubled header is refused, and whitespace before a header accepted,
+    # by the stream, g6_decode and the g6: literal alike
+    line = ">>graph6<<>>graph6<<Ch"
+    with pytest.raises(GraphParseError) as decoded:
+        g6_decode(line)
+    assert (decoded.value.reason, decoded.value.offset) == ("byte 62 outside the graph6 range 63..126", 10)
+    with pytest.raises(GraphParseError, match=f"^line 1: {re.escape(str(decoded.value))}$"):
+        stream_max(1, [line])
+    with pytest.raises(GraphParseError) as literal:
+        parse_expression("g6:" + line)
+    assert literal.value.reason == f"bad graph6 literal: {decoded.value.reason}"
+    assert literal.value.offset == 3 + decoded.value.offset
+
+    line = "  >>graph6<<  Ch"
+    g = g6_decode("Ch")
+    assert g6_decode(line) == g
+    assert stream_max(1, [line]) == stream_max(1, ["Ch"])
+    assert parse_expression("g6:" + line).provenance.graph == g

@@ -5,7 +5,6 @@ import io
 import itertools
 import math
 import random
-import string
 
 import networkx as nx
 import numpy as np
@@ -22,6 +21,7 @@ from blowup.graphs import (
     g6_decode,
     g6_encode,
     g6_encode_bits,
+    g6_parse,
     random_graph,
     triu_pair_arrays,
 )
@@ -159,14 +159,14 @@ def labeled_sweep(n: int):
 
 
 def test_class_counts_match_oeis_a000088():
-    counts = [len(search._classes(n)) for n in range(1, 8)]
+    counts = [len(search._classes(n, 1)) for n in range(1, 8)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_classes_are_canonical_and_distinct():
     # each kept graph is the smallest label among its relabelings, and no two agree
     for n in (4, 5):
-        reps = search._classes(n)
+        reps = search._classes(n, 1)
         labels = [g6_encode_bits(n, row) for row in reps]
         assert labels == sorted(set(labels))
         for label in labels:
@@ -249,7 +249,7 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
     perms = np.array(list(itertools.permutations(range(n))))
     weights = 1 << np.arange(len(ii) - 1, -1, -1)
     matrices = []
-    for bits in search._extensions(search._classes(n - 1), n - 1):
+    for bits in search._extensions(search._classes(n - 1, 1), n - 1):
         a = np.zeros((n, n))
         a[ii, jj] = a[jj, ii] = bits
         matrices.append(a)
@@ -410,19 +410,16 @@ def test_stream_reads_file_objects():
 def per_line_stream(k: int, lines, on_error: str = "raise") -> SearchResult:
     """Stream oracle: the documented rules applied one line at a time.
 
-    Each line is decoded by g6_decode and solved on its own; the witness is
-    the smallest re-encoded graph6 among the lines tied with the maximum to
-    12 decimals.
+    Each line is decoded by g6_decode and solved on its own, and a line is
+    blank when g6_parse gives None; the witness is the smallest re-encoded
+    graph6 among the lines tied with the maximum to 12 decimals.
     """
     best_ratio, best_key, evaluations, skipped, history = -math.inf, (math.inf, ""), 0, 0, []
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip(string.whitespace)
-        if text.startswith(">>graph6<<"):
-            text = text[len(">>graph6<<") :]
-        if not text:
-            continue
         try:
-            g = g6_decode(text)
+            if g6_parse(line) is None:
+                continue
+            g = g6_decode(line)
             if g.n < k:
                 raise GraphParseError(f"graph has n={g.n} < k={k}")
         except (GraphParseError, ValueError) as e:
@@ -516,20 +513,24 @@ _LINE_TEXT = st.one_of(
 @example("Bw")
 @example(" ~??Bw ")
 @example("A`")
+@example("  C!")
+@example(">>graph6<<>>graph6<<Ch")
+@example("  >>graph6<<  Ch")
+@example(" >>graph6<< ")
 def test_stream_line_errors_match_g6_decode(s):
-    text = s.strip(string.whitespace)
-    if text.startswith(">>graph6<<"):
-        text = text[len(">>graph6<<") :]
+    # each raw line goes to g6_decode as given; g6_parse alone says what is blank
+    blank = False
     try:
-        g = g6_decode(text)
+        blank = g6_parse(s) is None
+        g = g6_decode(s)
     except (GraphParseError, ValueError) as e:
         with pytest.raises(ValueError) as info:
             stream_max(1, [s])
-        if text:
+        if blank:
+            assert str(info.value).startswith("empty stream")
+        else:
             assert type(info.value) is GraphParseError
             assert str(info.value) == f"line 1: {e}"
-        else:
-            assert str(info.value).startswith("empty stream")
         return
     assert stream_max(1, [s]).best_ratio == search._ratio(g.matrix(), 1)
 
