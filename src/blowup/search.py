@@ -410,7 +410,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
     best: np.ndarray | None = None
     history: list[tuple[int, float]] = []
 
-    for _phase in range(cfg.restarts + 1):
+    for _phase in range(cfg.restarts + 1 if m else 1):
         if evaluations >= cfg.budget:
             break
         # the state is the adjacency matrix's lower triangle; a move toggles one pair in place
@@ -423,9 +423,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
             history.append((evaluations, current))
         temp = cfg.t0
         rejections = 0
-        while evaluations < cfg.budget and rejections < _STALL:
-            if m == 0:
-                break
+        while m and evaluations < cfg.budget and rejections < _STALL:
             e = int(rng.integers(m))
             i, j = ii[e], jj[e]
             a[j, i] = 1.0 - a[j, i]
@@ -449,8 +447,6 @@ def local_search(cfg: SearchConfig) -> SearchResult:
             else:
                 a[j, i] = 1.0 - a[j, i]
                 rejections += 1
-        if m == 0:
-            break
 
     assert best is not None
     witness = g6_encode_bits(n, best[jj, ii].astype(np.uint8))

@@ -8,8 +8,9 @@ numeric eigensolver, LAPACK's symmetric solver via numpy; accuracy for the
 dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
 nonconvergence or non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
-has a stated exact spectrum, one row per orbit of the automorphisms it is
-given, as exact int64 sums over its neighbour lists.
+has a stated exact spectrum, one row at a time, one per orbit of the
+automorphisms it is given (n orbits when none are), as exact int64 sums over
+its neighbour lists.
 """
 
 from __future__ import annotations
@@ -278,10 +279,6 @@ def _exactness_bound(k: int, q: list[int]) -> int:
     return (k + 1) * _horner(k, map(abs, q))
 
 
-#: entries, rows x n x (k + 1), that one Horner step over a block of rows gathers
-_BLOCK_ENTRIES = 2**20
-
-
 def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
     """The least vertex and the size of each orbit on range(n) of the group the
     permutations span, by a search over their images; with none, n singletons."""
@@ -299,22 +296,20 @@ def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
     return reps, sizes
 
 
-def _hoffman_rows(nbrs: np.ndarray, q: list[int], reps: list[int], sizes: list[int]):
-    """tr H_t(A) for 1 <= t < D, and rows reps of Q(A) = H_D(A), in exact int64 sums:
-    R_t = R_{t-1} A + q_t E from R_0 = E, the rows reps of I, as H_t = x H_{t-1} + q_t,
-    and column j of R A sums R's columns at j's neighbours nbrs[j]. A trace weighs
-    each orbit's diagonal entry by its size."""
-    diag = (np.arange(len(reps)), reps)
-    rows = np.equal.outer(reps, np.arange(len(nbrs))).astype(np.int64)
-    traces = []
+def _hoffman_row(nbrs: np.ndarray, q: list[int], v: int):
+    """H_t(A)[v, v] for 1 <= t < D, and row v of Q(A) = H_D(A), in exact int64 sums:
+    r_t = r_{t-1} A + q_t e_v from r_0 = e_v, as H_t = x H_{t-1} + q_t, and entry j
+    of r A sums r's entries at j's neighbours nbrs[j]."""
+    row, diag = np.zeros(len(nbrs), dtype=np.int64), []
+    row[v] = 1
     for c in q:
-        rows = rows[:, nbrs].sum(2)
-        rows[diag] += c
-        traces.append(sum(s * x for s, x in zip(sizes, rows[diag].tolist())))
-    return traces[:-1], rows
+        row = row[nbrs].sum(1)
+        row[v] += c
+        diag.append(int(row[v]))
+    return diag[:-1], row
 
 
-def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()) -> None:
+def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple) -> None:
     """Refuse (ValueError) a stated spectrum the graph does not have, decided exactly.
 
     Hoffman (1963): A is k-regular and connected exactly when
@@ -325,9 +320,10 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()
     tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
     roots; t = 0 is the order. Each H_t(A) commutes with the automorphisms in
     generators (index arrays, verified here; InternalConsistencyError if one
-    is not), so one row per orbit decides Q(A) and the traces: for a
-    vertex-transitive group, D sums of one row over A's neighbour lists,
-    O(D n k); with none, all n rows, in blocks of _BLOCK_ENTRIES entries.
+    is not), so one row per orbit decides Q(A) and the traces, each orbit's
+    diagonal entries weighed by its size. The orbits' rows are taken in turn,
+    D sums of one row over A's neighbour lists each: O(D n k) for a
+    vertex-transitive group; with no generators, n singleton orbits.
     """
     k, q = _hoffman_polynomial(stated)
     n, adj = graph.n, graph.adj
@@ -352,15 +348,14 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple = ()
         if moved is None or not ((np.sort(g[moved]) == moved).all()
                                  and adj.reshape(-1)[g[nbrs[moved]] + n * g[moved, None]].all()):
             raise InternalConsistencyError("a stated automorphism of the graph is not one")
-    reps, sizes = _orbits(n, generators)
-    step, blocks = max(1, _BLOCK_ENTRIES // (n * (k + 1))), []
-    for i in range(0, len(reps), step):
-        traces, rows = _hoffman_rows(nbrs, q, reps[i:i + step], sizes[i:i + step])
-        if (rows != qk // n).any():
+    traces = [0] * (len(q) - 1)
+    for v, size in zip(*_orbits(n, generators)):
+        diag, row = _hoffman_row(nbrs, q, v)
+        if (row != qk // n).any():
             raise ValueError("Q(A) is not (Q(k)/n) J: the graph is not connected, or has an "
                              "eigenvalue the stated spectrum lacks")
-        blocks.append(traces)
-    for t, trace in enumerate(map(sum, zip(*blocks)), 1):
+        traces = [t + size * x for t, x in zip(traces, diag)]
+    for t, trace in enumerate(traces, 1):
         # a conjugate pair shares its multiplicity, so each field's surds cancel
         if trace != sum(_field_sums((_horner(v, q[:t]), m) for v, m in stated.entries).values()):
             raise ValueError(f"stated multiplicities disagree with tr H_{t}(A) = {trace}")

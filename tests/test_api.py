@@ -76,6 +76,16 @@ def test_one_graph6_line_rule():
     assert not hasattr(search, "_ASCII_SPACE")
 
 
+def test_stated_spectrum_check_takes_one_row_at_a_time():
+    # the check walks the orbits' rows one at a time, with no block path;
+    # its callers name the automorphisms they know, none if they know none
+    from blowup import spectra
+
+    assert not hasattr(spectra, "_BLOCK_ENTRIES") and not hasattr(spectra, "_hoffman_rows")
+    generators = inspect.signature(spectra.check_stated_spectrum).parameters["generators"]
+    assert generators.default is inspect.Parameter.empty
+
+
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
     # brings. The two left hold little: one parser and one relabeling table

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup import spectra
 from blowup.errors import (
     GraphParseError,
     InfeasibleIntersectionArray,
@@ -52,7 +51,7 @@ from blowup.spectra import (
     Spectrum,
     _exactness_bound,
     _hoffman_polynomial,
-    _hoffman_rows,
+    _hoffman_row,
     _orbits,
     blowup_transform,
     eigen_spectrum,
@@ -218,14 +217,12 @@ def verdict(graph, stated, generators):
 
 
 @pytest.mark.parametrize("case", range(len(WRONG_STATED)))
-def test_wrong_stated_one_row_verdict_equals_all_rows(case, monkeypatch):
+def test_wrong_stated_one_row_verdict_equals_all_rows(case):
     # one row per orbit refuses each wrong spectrum with the same message as
-    # all rows, and so do all rows in blocks of one row, whose traces add up
+    # all n rows, whose diagonals add up to the same traces
     graph, stated, _ = WRONG_STATED[case]
     whole = verdict(graph, stated, ())
     assert verdict(graph, stated, WRONG_STATED_GENERATORS[case]) == whole is not None
-    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 1)
-    assert verdict(graph, stated, ()) == whole
 
 
 #: every family that states its spectrum, at the orders the eigensolver checks
@@ -281,10 +278,10 @@ DENSE_FAMILIES = [e for e in STATED_FAMILIES if parse_expression(e).n <= 250]
 
 
 @pytest.mark.parametrize("expr", DENSE_FAMILIES)
-def test_float32_products_equal_float64(expr, monkeypatch):
+def test_float32_products_equal_float64(expr):
     # dense float32 Horner products agree bit for bit with float64 and int64
-    # ones, and the neighbour-list traces and rows of Q(A) equal them, one row
-    # per orbit and all rows; in blocks of one row each, all n rows still pass
+    # ones; the neighbour-list row of Q(A) at every vertex equals theirs, and
+    # the diagonal entries summed over all vertices equal their traces
     d = parse_expression(expr)
     _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
     adj = d.provenance.graph.adj
@@ -292,12 +289,12 @@ def test_float32_products_equal_float64(expr, monkeypatch):
     for dtype in (np.float32, np.float64):
         traces, rows = dense_hoffman(adj, q, dtype)
         assert traces == want_traces and np.array_equal(rows, want_rows), (expr, dtype)
-    for reps, sizes in (_orbits(d.n, d.provenance.generators), _orbits(d.n, ())):
-        traces, rows = _hoffman_rows(neighbours(adj), q, reps, sizes)
-        assert traces == want_traces
-        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows[reps]), expr
-    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 1)
-    assert verdict(d.provenance.graph, d.provenance.exact, ()) is None
+    nbrs, traces = neighbours(adj), [0] * (len(q) - 1)
+    for v in range(d.n):
+        diag, row = _hoffman_row(nbrs, q, v)
+        assert row.dtype == np.int64 and np.array_equal(row, want_rows[v]), (expr, v)
+        traces = [t + x for t, x in zip(traces, diag)]
+    assert traces == want_traces
 
 
 def test_degrees_off_by_one_refused():
@@ -356,9 +353,12 @@ def test_orbits_of_one_rotation():
     # tr(A + I) = 12, tr(A^2 + A - 5I) = 60 - 60, and Q(A) = (Q(5)/12) J = 10 J
     _, q = _hoffman_polynomial(Spectrum(_icosahedron().exact))
     assert q == [1, -5, -5]
-    for orbits in (_orbits(12, (rho,)), _orbits(12, ())):
-        traces, rows = _hoffman_rows(neighbours(icosahedron().adj), q, *orbits)
-        assert traces == [12, 0] and rows.shape == (len(orbits[0]), 12) and (rows == 10).all()
+    nbrs, traces = neighbours(icosahedron().adj), [0, 0]
+    for v, size in zip(*_orbits(12, (rho,))):
+        diag, row = _hoffman_row(nbrs, q, v)
+        assert diag == [1, 0] and row.shape == (12,) and (row == 10).all()
+        traces = [t + size * x for t, x in zip(traces, diag)]
+    assert traces == [12, 0]
 
 
 @pytest.mark.parametrize("generator", [
