@@ -142,10 +142,11 @@ class SpectralDescriptor:
         spectrum = self.provenance.spectrum()
         if spectrum.n < 1:
             raise ValueError("descriptor order must be >= 1")
-        # a union's trace is the sum of its parts' and a blowup's t times its
-        # part's, so only a leaf's is tested: a large float blowup's sum rounds
-        # past the absolute tolerance
-        if not isinstance(self.provenance, Derived) and not spectrum.trace_is_zero():
+        # only an unstated leaf's trace is tested: a union's and a blowup's follow from
+        # their parts' (a large float blowup's sum would round past the tolerance), and
+        # a stated leaf's Hoffman check has shown it is tr A = 0
+        if (not isinstance(self.provenance, Derived) and getattr(self.provenance, "exact", None) is None
+                and not spectrum.trace_is_zero()):
             raise ValueError(f"{self.name}: spectrum trace is not zero")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "n", spectrum.n)
@@ -189,8 +190,13 @@ def _cycle(n: int) -> Explicit:
 
 
 def _subsets(m: int, r: int) -> np.ndarray:
-    """The r-subsets of range(m) in lexicographic order, one sorted column each."""
+    """The r-subsets of range(m), J(m, r)'s vertices, in lexicographic order, one sorted column each."""
+    if r < 1 or m < 2 * r:
+        raise ValueError("johnson graph needs 1 <= r and m >= 2r")
+    # C(m, r) >= m, so a huge m is refused before its binomial is formed
+    check_dense_order(m, f"johnson({m},{r})")
     n = math.comb(m, r)
+    check_dense_order(n, f"johnson({m},{r})")
     return np.fromiter(chain.from_iterable(combinations(range(m), r)), np.intp, n * r).reshape(n, r).T
 
 
@@ -202,19 +208,9 @@ def _subset_rank(m: int, rows: np.ndarray) -> np.ndarray:
     return math.comb(m, r) - 1 - after.reshape(r, m)[np.arange(r)[:, None], rows].sum(axis=0)
 
 
-def johnson(m: int, r: int = 2) -> Graph:
-    """Johnson graph on r-subsets of an m-set, adjacent when they share r-1 elements.
-
-    Vertices are the subsets in lexicographic order. The graph is the union of
-    one clique per (r-1)-subset, on the m - r + 1 subsets that contain it.
-    """
-    if r < 1 or m < 2 * r:
-        raise ValueError("johnson graph needs 1 <= r and m >= 2r")
-    # C(m, r) >= m, so a huge m is refused before its binomial is formed
-    check_dense_order(m, f"johnson({m},{r})")
-    check_dense_order(math.comb(m, r), f"johnson({m},{r})")
-    subsets = _subsets(m, r)
-    n = subsets.shape[1]
+def _johnson_graph(m: int, subsets: np.ndarray) -> Graph:
+    """J(m, r) on the columns of subsets: one clique per (r-1)-subset, on the m - r + 1 with it."""
+    r, n = subsets.shape
     # each vertex once per (r-1)-subset it has without its i-th element; sorted, cliques group
     j = np.arange(r - 1)
     cores = subsets[j + (j >= np.arange(r)[:, None])].transpose(1, 0, 2).reshape(r - 1, r * n)
@@ -222,7 +218,12 @@ def johnson(m: int, r: int = 2) -> Graph:
     adj = np.zeros((n, n), dtype=bool)
     adj.reshape(-1)[(clique[:, :, None] * n + clique[:, None, :]).ravel()] = True
     np.fill_diagonal(adj, False)
-    return Graph(adj)
+    return Graph._built(adj)
+
+
+def johnson(m: int, r: int = 2) -> Graph:
+    """Johnson graph on r-subsets of an m-set, in lexicographic order, adjacent when they share r-1."""
+    return _johnson_graph(m, _subsets(m, r))
 
 
 def _johnson_spectrum(m: int, r: int) -> tuple:
@@ -239,16 +240,25 @@ def _johnson_spectrum(m: int, r: int) -> tuple:
     return tuple(pairs)
 
 
-def _johnson_generators(m: int, r: int) -> tuple:
-    """(0 1) and (0 1 .. m-1), which generate the symmetric group, on johnson's vertices."""
-    perms = np.array([[1, 0, *range(2, m)], [*range(1, m), 0]])
-    images = np.sort(perms[:, _subsets(m, r)], axis=1).transpose(1, 0, 2)
-    return tuple(_subset_rank(m, images.reshape(r, -1)).reshape(2, -1))
+def _johnson_generators(m: int, subsets: np.ndarray) -> tuple:
+    """(0 1) and (0 1 .. m-1), generators of the symmetric group, on the lexicographic columns
+    of subsets by index arithmetic: (0 1) swaps the b with 0 but not 1 and the b after them;
+    (0 1 .. m-1) sends the i-th with m-1 to the i-th with 0, the i-th without to the i-th without 0."""
+    r, n = subsets.shape
+    b = math.comb(m - 2, r - 1)
+    a = math.comb(m - 1, r - 1) - b  # the subsets with 0 and 1 come first
+    swap = np.arange(n)
+    swap[a : a + b] += b
+    swap[a + b : a + 2 * b] -= b
+    last = subsets[-1] == m - 1
+    with_last = np.cumsum(last)  # of the subsets up to each one, those with m-1
+    return swap, np.where(last, with_last - 1, a + b + np.arange(n) - with_last)
 
 
 def _johnson(m: int, r: int) -> Explicit:
-    """Johnson graph with its exact spectrum."""
-    return Explicit(johnson(m, r), _johnson_spectrum(m, r), _johnson_generators(m, r))
+    """Johnson graph with its exact spectrum and automorphisms, from one list of its vertices."""
+    subsets = _subsets(m, r)
+    return Explicit(_johnson_graph(m, subsets), _johnson_spectrum(m, r), _johnson_generators(m, subsets))
 
 
 # Pentagonal antiprism plus two apex vertices: 0 above the ring 1..5,
@@ -282,7 +292,8 @@ def petersen() -> Graph:
 
 def _petersen() -> Explicit:
     spectrum = ((Quadratic(3), 1), (Quadratic(1), 5), (Quadratic(-2), 4))
-    return Explicit(petersen(), spectrum, _johnson_generators(5, 2))  # J(5,2)'s complement
+    j = _johnson(5, 2)
+    return Explicit(complement(j.graph), spectrum, j.generators)  # J(5,2)'s complement
 
 
 def paley(q: int) -> Graph:
@@ -296,16 +307,14 @@ def paley(q: int) -> Graph:
     residue = np.zeros(q, dtype=bool)
     residue[np.arange(1, q) ** 2 % q] = True
     i = np.arange(q)
-    return Graph(residue[(i[:, None] - i) % q])
+    return Graph._built(residue[i[:, None] - i])  # a negative i - j indexes from the end: mod q
 
 
 def _paley(q: int) -> Explicit:
-    """Paley graph with its spectrum and the translations of its field (of K3 x K3 at q = 9)."""
-    g = paley(q)
-    params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    i = np.arange(q)
+    """Paley graph, its conference spectrum and its field's translations (K3 x K3's at q = 9)."""
+    g, half, i = paley(q), (q - 1) // 2, np.arange(q)
     shifts = ((i + 3) % 9, i + 1 - i % 3 // 2 * 3) if q == 9 else ((i + 1) % q,)
-    return Explicit(g, params.spectrum().entries, shifts)
+    return Explicit(g, ((Quadratic(half), 1), *((Quadratic(-1, b, q) / 2, half) for b in (1, -1))), shifts)
 
 
 # -- strongly regular parameters ----------------------------------------------

@@ -1,8 +1,8 @@
 """Simple undirected graphs with dense boolean adjacency, plus the graph6 codec.
 
-Vertices are 0..n-1. Loops and multi-edges cannot be represented; the
-constructor rejects asymmetric or loopy adjacency. All combinators return
-new graphs and never mutate.
+Vertices are 0..n-1; loops and multi-edges cannot be represented. The constructor
+rejects asymmetric or loopy adjacency. Builders and combinators, symmetric by
+construction, freeze new matrices of their own (Graph._built) and never mutate.
 """
 
 from __future__ import annotations
@@ -32,17 +32,24 @@ class Graph:
 
     def __init__(self, adjacency):
         a = np.array(adjacency, dtype=bool)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        self._adj = Graph._built(a).adj
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
+
+    @classmethod
+    def _built(cls, a: np.ndarray) -> "Graph":
+        """A graph on a bool matrix the package made symmetric, frozen in place: no copy
+        and no compare with its transpose. ValueError unless square and loopless."""
+        if a.dtype != bool or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        n = a.shape[0]
-        if n < 1:
+        if a.shape[0] < 1:
             raise ValueError("a graph needs at least one vertex")
         if a.diagonal().any():
             raise ValueError("loops are not allowed")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
         a.setflags(write=False)
-        self._adj = a
+        g = cls.__new__(cls)
+        g._adj = a
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -80,9 +87,10 @@ class Graph:
     def relabeled(self, perm) -> "Graph":
         """Apply a vertex permutation: new vertex perm[i] is old vertex i."""
         p = np.asarray(perm)
-        inv = np.empty_like(p)
-        inv[p] = np.arange(self.n)
-        return Graph(self._adj[np.ix_(inv, inv)])
+        if p.shape != (self.n,) or not np.array_equal(np.sort(p), np.arange(self.n)):
+            raise ValueError(f"a relabeling must be a permutation of range({self.n})")
+        inv = np.argsort(p)
+        return Graph._built(self._adj[np.ix_(inv, inv)])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -105,7 +113,7 @@ def complete(n: int) -> Graph:
         raise ValueError("complete graph needs n >= 1")
     a = np.ones((n, n), dtype=bool)
     np.fill_diagonal(a, False)
-    return Graph(a)
+    return Graph._built(a)
 
 
 def cycle(n: int) -> Graph:
@@ -118,7 +126,7 @@ def cycle(n: int) -> Graph:
 def empty(n: int) -> Graph:
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
-    return Graph(np.zeros((n, n), dtype=bool))
+    return Graph._built(np.zeros((n, n), dtype=bool))
 
 
 def random_graph(n: int, rng) -> Graph:
@@ -135,21 +143,20 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     a = np.zeros((g.n + h.n, g.n + h.n), dtype=bool)
     a[: g.n, : g.n] = g.adj
     a[g.n :, g.n :] = h.adj
-    return Graph(a)
+    return Graph._built(a)
 
 
 def complement(g: Graph) -> Graph:
     a = ~g.adj
     np.fill_diagonal(a, False)
-    return Graph(a)
+    return Graph._built(a)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian (box) product; vertex (u, v) maps to index u*h.n + v."""
     eg = np.eye(g.n, dtype=bool)
     eh = np.eye(h.n, dtype=bool)
-    a = np.kron(g.adj, eh) | np.kron(eg, h.adj)
-    return Graph(a)
+    return Graph._built(np.kron(g.adj, eh) | np.kron(eg, h.adj))
 
 
 def closed_blowup_graph(g: Graph, t: int) -> Graph:
@@ -163,8 +170,7 @@ def closed_blowup_graph(g: Graph, t: int) -> Graph:
     block = np.ones((t, t), dtype=bool)
     inner = block.copy()
     np.fill_diagonal(inner, False)
-    a = np.kron(g.adj, block) | np.kron(np.eye(g.n, dtype=bool), inner)
-    return Graph(a)
+    return Graph._built(np.kron(g.adj, block) | np.kron(np.eye(g.n, dtype=bool), inner))
 
 
 # -- graph6 codec -----------------------------------------------------------

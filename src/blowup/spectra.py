@@ -10,7 +10,7 @@ nonconvergence or non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
 has a stated exact spectrum, one row at a time, one per orbit of the
 automorphisms it is given (n orbits when none are), as exact int64 sums over
-its neighbour lists.
+its neighbour lists, which also show that it is symmetric.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ class Spectrum:
 
     def trace_is_zero(self) -> bool:
         """Exact zero test when all entries are exact, else a float test within IDENTITY_TOL."""
-        sums = _field_sums((v, m) for v, m in self.entries if isinstance(v, Quadratic))
+        sums: dict[int, Quadratic] = {}  # sum of m*v per field d, 0 for rationals
+        for v, m in self.entries:
+            if isinstance(v, Quadratic):
+                sums[v.d] = sums.get(v.d, Quadratic(0)) + v * m
         fl = [v * m for v, m in self.entries if not isinstance(v, Quadratic)]
         if not fl:  # sqrt(d) for distinct squarefree d are independent over the rationals
             return all(s.is_rational for s in sums.values()) and sum(sums.values()) == 0
@@ -224,18 +227,12 @@ def _horner(x, coeffs):
     return out
 
 
-def _field_sums(pairs) -> dict[int, Quadratic]:
-    """sum m*v over (v, m) pairs of exact values, per field d (0 for rationals)."""
-    sums: dict[int, Quadratic] = {}
-    for v, m in pairs:
-        sums[v.d] = sums[v.d] + v * m if v.d in sums else v * m
-    return sums
-
-
-def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
-    """The top value k of a stated spectrum, and the coefficients (q_1, .., q_D)
-    of Q(x) = x^D + q_1 x^(D-1) + .. + q_D, the product of the integer monic
-    minimal polynomials of the other values; a conjugate pair shares one factor.
+def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int], list[int]]:
+    """The top value k of a stated spectrum; the coefficients (q_1, .., q_D) of
+    Q(x) = x^D + q_1 x^(D-1) + .. + q_D, the product of the integer monic minimal
+    polynomials of the other values, a conjugate pair sharing one factor; and the
+    power sums p_j = sum_i m_i theta_i^j, j < D, in integers by Newton's recurrence
+    s_j = -c_1 s_(j-1) - c_2 s_(j-2) on the roots of each factor x^2 + c_1 x + c_2.
 
     Refuses (ValueError) a top value that is not a simple integer, a value that
     is not an algebraic integer, and a surd whose conjugate is not stated with
@@ -245,8 +242,8 @@ def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
     k = top.as_integer()
     if top_mult != 1 or k is None:
         raise ValueError(f"stated top value {top} (multiplicity {top_mult}) is not a simple integer")
-    mults = dict(rest)
-    poly = [1]
+    mults, poly = dict(rest), [1]
+    power_sums = [k**j for j in range(len(rest))]  # Q's degree D counts the other values
     for v, m in rest:
         if v.is_rational:
             coeffs = [-v]
@@ -266,7 +263,12 @@ def _hoffman_polynomial(stated: Spectrum) -> tuple[int, list[int]]:
             for j, y in enumerate(factor):
                 prod[i + j] += x * y
         poly = prod
-    return k, poly[1:]
+        c1, c2 = (*factor[1:], 0)[:2]  # the factor is x^2 + c1 x + c2, or x + c1
+        sums = [len(factor) - 1, -c1]  # its roots' s_0 and s_1
+        while len(sums) < len(power_sums):
+            sums.append(-c1 * sums[-1] - c2 * sums[-2])
+        power_sums = [p + m * s for p, s in zip(power_sums, sums)]
+    return k, poly[1:], power_sums
 
 
 def _exactness_bound(k: int, q: list[int]) -> int:
@@ -298,12 +300,12 @@ def _orbits(n: int, generators) -> tuple[list[int], list[int]]:
 
 def _hoffman_row(nbrs: np.ndarray, q: list[int], v: int):
     """H_t(A)[v, v] for 1 <= t < D, and row v of Q(A) = H_D(A), in exact int64 sums:
-    r_t = r_{t-1} A + q_t e_v from r_0 = e_v, as H_t = x H_{t-1} + q_t, and entry j
-    of r A sums r's entries at j's neighbours nbrs[j]."""
+    r_t = r_{t-1} A + q_t e_v from r_0 = e_v (H_t = x H_{t-1} + q_t); e_v A is nbrs[v]'s
+    indicator, and entry j of r A sums r's entries at j's neighbours nbrs[j] (A = A^T)."""
     row, diag = np.zeros(len(nbrs), dtype=np.int64), []
-    row[v] = 1
-    for c in q:
-        row = row[nbrs].sum(1)
+    row[nbrs[v] if q else v] = 1
+    for t, c in enumerate(q):
+        row = row[nbrs].sum(1) if t else row
         row[v] += c
         diag.append(int(row[v]))
     return diag[:-1], row
@@ -318,14 +320,15 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple) -> 
     eigenvalue outside the stated values. The Horner partials H_t, of degrees
     t < D, span the polynomials below Q's degree, so the exact traces
     tr H_t(A) = sum m_i H_t(theta_i) fix the multiplicities of Q's D distinct
-    roots; t = 0 is the order. Each H_t(A) commutes with the automorphisms in
-    generators (index arrays, verified here; InternalConsistencyError if one
-    is not), so one row per orbit decides Q(A) and the traces, each orbit's
-    diagonal entries weighed by its size. The orbits' rows are taken in turn,
-    D sums of one row over A's neighbour lists each: O(D n k) for a
-    vertex-transitive group; with no generators, n singleton orbits.
+    roots; t = 0 is the order. Builders freeze A unchecked, so A[u, v] is tested
+    for each u in v's neighbour list (InternalConsistencyError unless symmetric).
+    Each H_t(A) commutes with the automorphisms in generators (index arrays,
+    verified here; InternalConsistencyError if one is not), so one row per orbit
+    decides Q(A) and the traces, each orbit's diagonal entries weighed by its
+    size. The orbits' rows are taken in turn, D sums of one row over A's
+    neighbour lists each: O(D n k) for a transitive group; n rows without one.
     """
-    k, q = _hoffman_polynomial(stated)
+    k, q, power_sums = _hoffman_polynomial(stated)
     n, adj = graph.n, graph.adj
     if stated.n != n:
         raise ValueError(f"stated spectrum has {stated.n} values for {n} vertices")
@@ -336,6 +339,8 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple) -> 
         nbrs -= np.arange(0, n * n, n)[:, None]
     if nbrs.ndim == 1 or ((nbrs[:, :1] < 0) | (nbrs[:, -1:] >= n)).any():
         raise ValueError(f"stated top value {k} is not the degree of every vertex")
+    if not adj.reshape(-1)[nbrs * n + np.arange(n)[:, None]].all():
+        raise InternalConsistencyError("the adjacency matrix of a stated spectrum is not symmetric")
     if _exactness_bound(k, q) >= 2**63:
         raise ValueError(f"Q(A) for a stated spectrum of degree {len(q)} at degree {k} "
                          "is beyond exact int64 sums")
@@ -356,8 +361,8 @@ def check_stated_spectrum(graph: Graph, stated: Spectrum, generators: tuple) -> 
                              "eigenvalue the stated spectrum lacks")
         traces = [t + size * x for t, x in zip(traces, diag)]
     for t, trace in enumerate(traces, 1):
-        # a conjugate pair shares its multiplicity, so each field's surds cancel
-        if trace != sum(_field_sums((_horner(v, q[:t]), m) for v, m in stated.entries).values()):
+        # sum_i m_i H_t(theta_i) = sum_s q_s p_(t-s), with q_0 = 1
+        if trace != sum(c * p for c, p in zip([1, *q], power_sums[t::-1])):
             raise ValueError(f"stated multiplicities disagree with tr H_{t}(A) = {trace}")
 
 

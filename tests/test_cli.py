@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, JSON, and the exit code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -584,3 +585,35 @@ def test_grammar_fuzz_exits_zero_or_two(expr, k):
     for argv in (["spectrum", expr[0], "--json"], ["bound", expr[0], f"--k={k}"]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2), argv
+
+
+#: sha256 of the stdout of exact commands, all of which exit 0: a faster path
+#: through the builders and the Hoffman check must print the same bytes
+PINNED_OUTPUTS = [
+    ("table --json", "f443e01dda66342b78303a48bb226d664475036e8c0e82488182d7b69918ccd5"),
+    ("bound johnson:6,2 --k 6 --json", "908a5883e3d46dbe8251413cca78010584522a22549d3f43c0323c3c98fed99a"),
+    ("bound johnson:12,2 --k 12 --json", "3d3337a49c2a282d61d46dfeb58732a0d24eecb6f61741e7ae9e00eac1c43b78"),
+    ("spectrum johnson:25,2 --json", "03ff0788d1e5bc420633c9cd5a089567a4c0740a28a740cf5879b2b58353341c"),
+    ("bound johnson:40,2 --k 30 --json", "58e69cc9cf09661d26cd5dcfb6a6a5dc0a1c8608695ba7b7a35c65d7092777a6"),
+    ("spectrum johnson:40,2", "c68d5715fe174cfedebb895fa7b9b285174aa009c81f75e53a6416b5c6989033"),
+    ("bound paley:29 --k 5 --json", "498f047519f99c8454299bf2db8410b224eef6c522578390d4031fd4cc8b4df0"),
+    ("spectrum paley:197 --json", "b0c10d229980b9c4cee6a988ce585eb83397cb6f030948b1c12c9aa7f45e4697"),
+    ("bound paley:197 --k 20", "10de4a93a7958036f170fbe32e72900ad9bb32c56ae968c966f981960a44e507"),
+    ("bound petersen --k 6 --json", "365e386add5025eec98d9c41d81d4443bfacf144f1db0936d8d57c1b1266211a"),
+    ("spectrum icosahedron --json", "235c7abd176ae469343afca7f8c41fcbcd325f0bb5fb39f0db3fbb43d07f9467"),
+    ("bound icosahedron --k 4 --json", "dc8effef6ac86fd18a8ee9a254dcdf7cd5d9864081975272902fcff21ced56b5"),
+    ("bound gosset --k 8 --json", "65c39131a2b5c18b5a75bd313699678124277485c1797f3630f525c91e30d721"),
+    ("spectrum srg:57,24,11,9 --json", "3f3083ded7b0f3aee9c97dec4f2dba480a82efdc43525f918b62f76e7eb0027f"),
+    ("bound srg:243,132,81,60 --k 22", "a126357092013cc6ccbc768fbbe78957ee669bde6340f25326bab2e75ac24b47"),
+    ("bound union:petersen+icosahedron --k 7 --json", "469c6feeb484c619799e85e98dcbd581bfc6901c86792e2a2af831d286ebe23c"),
+    ("spectrum union:johnson:12,2+paley:29 --json", "88236a8fbb1a701cfbfc0edde254caa68e15c3018bd2e35ca81c17687c93354b"),
+    ("bound blowup:petersen,3 --k 6 --json", "3a488655fe162f8a9fdc4b7a6b38dc91a5219dc358bc316f1bda71d183d513c6"),
+    ("spectrum blowup:johnson:25,2,2 --json", "dd0c53519b4c0f86fa243c3486103ea106415f0f139d88575956e7e74c21b1fd"),
+    ("bound blowup:icosahedron,50 --k 4 --json", "d875efd1e85d75cd0f12f08c07831cee26d6e90221d73785cb69d960e1e0357b"),
+]
+
+
+def test_exact_outputs_are_pinned(capsys):
+    for command, digest in PINNED_OUTPUTS:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -26,10 +26,12 @@ from blowup.families import (
     SpectralDescriptor,
     SrgParams,
     _icosahedron,
+    _johnson,
     _johnson_generators,
     _johnson_spectrum,
     _paley,
     _petersen,
+    _subsets,
     icosahedron,
     johnson,
     paley,
@@ -45,6 +47,7 @@ from blowup.graphs import (
     complete,
     cycle,
     disjoint_union,
+    empty,
     g6_encode,
 )
 from blowup.spectra import (
@@ -54,6 +57,7 @@ from blowup.spectra import (
     _hoffman_row,
     _orbits,
     blowup_transform,
+    check_stated_spectrum,
     eigen_spectrum,
 )
 
@@ -188,9 +192,9 @@ WRONG_STATED = [
 #: automorphisms spanning a vertex-transitive group of each WRONG_STATED graph
 _PETERSEN_GENERATORS = _petersen().generators
 WRONG_STATED_GENERATORS = [
-    _johnson_generators(7, 2),
-    _johnson_generators(9, 3),
-    _johnson_generators(7, 2),
+    _johnson(7, 2).generators,
+    _johnson(9, 3).generators,
+    _johnson(7, 2).generators,
     _icosahedron().generators,
     _paley(13).generators,
     # each copy's automorphisms, and the swap of the two copies
@@ -250,7 +254,7 @@ def test_johnson_products_stay_exact():
     for r in range(1, 8):
         m = 2 * r
         while math.comb(m, r) <= MAX_DENSE_ORDER:
-            k, q = _hoffman_polynomial(Spectrum(_johnson_spectrum(m, r)))
+            k, q, _ = _hoffman_polynomial(Spectrum(_johnson_spectrum(m, r)))
             assert k == r * (m - r) and len(q) == r
             worst = max(worst, _exactness_bound(k, q))
             m += 1
@@ -283,7 +287,7 @@ def test_float32_products_equal_float64(expr):
     # ones; the neighbour-list row of Q(A) at every vertex equals theirs, and
     # the diagonal entries summed over all vertices equal their traces
     d = parse_expression(expr)
-    _, q = _hoffman_polynomial(Spectrum(d.provenance.exact))
+    _, q, _ = _hoffman_polynomial(Spectrum(d.provenance.exact))
     adj = d.provenance.graph.adj
     want_traces, want_rows = dense_hoffman(adj, q, np.int64)
     for dtype in (np.float32, np.float64):
@@ -295,6 +299,98 @@ def test_float32_products_equal_float64(expr):
         assert row.dtype == np.int64 and np.array_equal(row, want_rows[v]), (expr, v)
         traces = [t + x for t, x in zip(traces, diag)]
     assert traces == want_traces
+
+
+#: Paley's orders: 9 and the primes up to 197 that are 1 mod 4
+PALEY_Q = [q for q in range(5, 200) if q == 9 or (q % 4 == 1 and all(q % p for p in range(2, q)))]
+
+
+def built_graphs():
+    """Every graph the package's builders and combinators freeze through Graph._built."""
+    pet, ico = petersen(), icosahedron()
+    yield from (complete(n) for n in range(1, 41))
+    yield from (cycle(n) for n in range(3, 41))
+    yield from (johnson(m, r) for m in range(2, 15) for r in range(1, m // 2 + 1))
+    yield from (paley(q) for q in PALEY_Q)
+    yield from (pet, ico, empty(4), complement(pet), disjoint_union(pet, ico),
+                cartesian_product(cycle(5), complete(3)), closed_blowup_graph(pet, 3),
+                ico.relabeled(np.random.default_rng(1).permutation(12)))
+
+
+def test_builders_own_symmetric_matrices():
+    # the oracle for the symmetry compare the builders skip: each matrix is a
+    # read-only bool array with no writable base, symmetric and loopless, and
+    # the validating constructor rebuilds the same graph from a copy
+    for g in built_graphs():
+        a = g.adj
+        assert a.dtype == bool and a.base is None and not a.flags.writeable, g
+        assert not a.diagonal().any() and np.array_equal(a, a.T), g
+        assert Graph(a.copy()) == g
+
+
+def quadratic_sum(stated, coeffs):
+    """sum_i m_i h(theta_i) in Quadratic arithmetic, h(x) = x^t + c_1 x^(t-1) + .. + c_t
+    for coeffs (c_1, .., c_t), term by term: the oracle for the integer power sums."""
+    total = Quadratic(0)
+    for v, m in stated.entries:
+        h = Quadratic(1)
+        for c in coeffs:
+            h = h * v + c
+        total = total + h * m
+    return total
+
+
+def test_integer_traces_equal_quadratic_sums():
+    # every stated family the builders make, Johnson graphs up to m = 14: the
+    # integer power sums and the traces formed from them are the exact sums
+    spectra = [_johnson_spectrum(m, r) for m in range(2, 15) for r in range(1, m // 2 + 1)]
+    spectra += [_paley(q).exact for q in PALEY_Q]
+    spectra += [parse_expression(e).provenance.exact
+                for e in ("complete:1", "complete:2", "complete:7", "cycle:3", "cycle:4", "cycle:5",
+                          "cycle:6", "petersen", "icosahedron")]
+    for exact in spectra:
+        stated = Spectrum(exact)
+        _, q, power_sums = _hoffman_polynomial(stated)
+        assert power_sums == [quadratic_sum(stated, [0] * j).as_integer() for j in range(len(q))], exact
+        traces = [sum(c * p for c, p in zip([1, *q], power_sums[t::-1])) for t in range(1, len(q))]
+        assert traces == [quadratic_sum(stated, q[:t]).as_integer() for t in range(1, len(q))], exact
+
+
+def test_asymmetric_builder_matrix_refused():
+    # a directed strongly regular graph (Duval's (6,2,1,0,1)): out-degree 2 and
+    # A^2 + A = J, so its Hoffman identity and traces fit the stated spectrum
+    # 2, 0^3, (-1)^2; only the symmetry test on its neighbour lists refuses it
+    adj = np.zeros((6, 6), dtype=bool)
+    for v, nbrs in enumerate(((1, 2), (0, 3), (4, 5), (4, 5), (0, 3), (1, 2))):
+        adj[v, nbrs] = True
+    a = adj.astype(int)
+    assert (a @ a + a == 1).all() and not np.array_equal(adj, adj.T)
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph(adj)
+    stated = Spectrum([(2, 1), (0, 3), (-1, 2)])
+    with pytest.raises(InternalConsistencyError, match="not symmetric"):
+        check_stated_spectrum(Graph._built(adj), stated, ())
+
+
+def test_johnson_generators_by_index_arithmetic():
+    # the images of (0 1) and (0 1 .. m-1), subset by subset
+    for m in range(2, 13):
+        for r in range(1, m // 2 + 1):
+            subsets = list(combinations(range(m), r))
+            index = {s: i for i, s in enumerate(subsets)}
+            swap, turn = _johnson_generators(m, _subsets(m, r))
+            for perm, g in (([1, 0, *range(2, m)], swap), ([*range(1, m), 0], turn)):
+                assert g.tolist() == [index[tuple(sorted(perm[x] for x in s))] for s in subsets], (m, r)
+
+
+def test_johnson_leaf_lists_its_subsets_once(monkeypatch):
+    import blowup.families as fam
+
+    calls = []
+    monkeypatch.setattr(fam, "_subsets", lambda m, r: calls.append((m, r)) or _subsets(m, r))
+    for expr in ("johnson:7,3", "petersen"):
+        parse_expression(expr)
+    assert calls == [(7, 3), (5, 2)]
 
 
 def test_degrees_off_by_one_refused():
@@ -351,7 +447,7 @@ def test_orbits_of_one_rotation():
     assert _orbits(5, ()) == ([0, 1, 2, 3, 4], [1] * 5)
     # the traces weigh each orbit by its size: with Q = (x + 1)(x^2 - 5),
     # tr(A + I) = 12, tr(A^2 + A - 5I) = 60 - 60, and Q(A) = (Q(5)/12) J = 10 J
-    _, q = _hoffman_polynomial(Spectrum(_icosahedron().exact))
+    _, q, _ = _hoffman_polynomial(Spectrum(_icosahedron().exact))
     assert q == [1, -5, -5]
     nbrs, traces = neighbours(icosahedron().adj), [0, 0]
     for v, size in zip(*_orbits(12, (rho,))):

@@ -70,6 +70,14 @@ def test_relabel_preserves_structure():
     assert h == g  # C5 is vertex-transitive under rotation
 
 
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3], [0, 1, -1], [[0, 1, 2]]])
+def test_relabel_refuses_a_non_permutation(perm):
+    # a repeated, missing or out-of-range vertex would leave a row of the
+    # inverse uninitialised
+    with pytest.raises(ValueError, match="permutation of range\\(3\\)"):
+        Graph.from_edges(3, [(0, 1)]).relabeled(perm)
+
+
 def test_eq_and_hash():
     assert complete(3) == complete(3)
     assert complete(3) != cycle(3) or complete(3) == cycle(3)  # C3 == K3
