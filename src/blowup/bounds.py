@@ -192,16 +192,10 @@ def best_known_ratio(k: int) -> Quadratic | None:
     return row[1] if row else None
 
 
-def _printed_tolerance(printed: str) -> float:
-    places = len(printed.partition(".")[2])
-    return 10.0 ** (-places)
-
-
 def _build_row(k: int) -> TableRow:
     printed, expected, sources = _TABLE_ENTRIES[k]
     certs = tuple(certify(parse_expression(src), k) for src in sources)
     ok = all(isinstance(c.ratio, Quadratic) and c.ratio == expected for c in certs)
-    ok = ok and abs(float(expected) - float(printed)) <= _printed_tolerance(printed)
     return TableRow(k, expected, printed, certs, ok)
 
 
@@ -209,7 +203,7 @@ def reproduce_table(k_lo: int = TABLE_K_MIN, k_hi: int = TABLE_K_MAX) -> list[Ta
     """Rebuild the reference rows k_lo..k_hi and compare each exactly.
 
     Raises TableMismatchError naming the offending rows if any certificate
-    disagrees with the recorded exact ratio or its printed decimal.
+    disagrees with the recorded exact ratio (the tests pin the printed decimals).
     """
     if not (TABLE_K_MIN <= k_lo <= k_hi <= TABLE_K_MAX):
         raise ValueError(f"table rows run k = {TABLE_K_MIN}..{TABLE_K_MAX}")

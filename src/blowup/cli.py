@@ -10,6 +10,7 @@ threshold (witness written to the working directory).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -166,16 +167,8 @@ def cmd_search(args) -> int:
     else:
         if args.n is None:
             raise ValueError("local search needs --n")
-        cfg = S.SearchConfig(
-            k=args.k,
-            n=args.n,
-            method=args.method,
-            seed=args.seed,
-            budget=args.budget,
-            restarts=args.restarts,
-            t0=args.t0,
-            cooling=args.cooling,
-        )
+        # every SearchConfig field is an argparse dest of the same name
+        cfg = S.SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(S.SearchConfig)})
         result = S.local_search(cfg)
 
     payload, witness = S.exceedance(result)

@@ -129,8 +129,10 @@ class SpectralDescriptor:
     """A named provenance with the spectrum and order it gives, derived once, on build.
 
     The spectrum comes only from the provenance, so a descriptor cannot
-    state one its provenance does not give. Descriptors and graphs are
-    immutable, so nothing downstream checks again.
+    state one its provenance does not give. No trace is summed here: every
+    leaf's is zero by its derivation (Hoffman's traces, the srg and Biggs
+    multiplicity formulas, a zero-diagonal eigensolve). Descriptors and graphs
+    are immutable, so nothing downstream checks again.
     """
 
     name: str
@@ -142,12 +144,6 @@ class SpectralDescriptor:
         spectrum = self.provenance.spectrum()
         if spectrum.n < 1:
             raise ValueError("descriptor order must be >= 1")
-        # only an unstated leaf's trace is tested: a union's and a blowup's follow from
-        # their parts' (a large float blowup's sum would round past the tolerance), and
-        # a stated leaf's Hoffman check has shown it is tr A = 0
-        if (not isinstance(self.provenance, Derived) and getattr(self.provenance, "exact", None) is None
-                and not spectrum.trace_is_zero()):
-            raise ValueError(f"{self.name}: spectrum trace is not zero")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "n", spectrum.n)
 
@@ -412,7 +408,12 @@ class IntersectionArray:
     c: tuple[int, ...]
     strength = EXACT_FORMULA
 
+    _a: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _k: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
+        """Check the array and store a_i = b0 - b_i - c_i (b_d = 0, c_0 = 0, a_0 = 0)
+        and k_0 = 1, k_j = k_{j-1} b_{j-1} / c_j, refused unless each is an integer."""
         b, c = tuple(self.b), tuple(self.c)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -427,37 +428,32 @@ class IntersectionArray:
             raise InfeasibleIntersectionArray("b sequence must be nonincreasing")
         if any(c[i + 1] < c[i] for i in range(d - 1)):
             raise InfeasibleIntersectionArray("c sequence must be nondecreasing")
+        a = (0, *(b[0] - bi - ci for bi, ci in zip((*b[1:], 0), c)))
         for i in range(1, d + 1):
-            if self.a(i) < 0:
-                raise InfeasibleIntersectionArray(f"a_{i} = {self.a(i)} is negative")
-        self.valencies()
+            if a[i] < 0:
+                raise InfeasibleIntersectionArray(f"a_{i} = {a[i]} is negative")
+        k = [1]
+        for j in range(1, d + 1):
+            num = k[-1] * b[j - 1]
+            kj, rem = divmod(num, c[j - 1])
+            if rem:
+                raise InfeasibleIntersectionArray(
+                    f"valency k_{j} = {Quadratic(num) / c[j - 1]} is not a positive integer")
+            k.append(kj)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_k", tuple(k))
 
     @property
     def diameter(self) -> int:
         return len(self.b)
 
-    def a(self, i: int) -> int:
-        """Diagonal entry a_i = b0 - b_i - c_i (with b_d = 0, c_0 = 0)."""
-        if i == 0:
-            return 0
-        bi = self.b[i] if i < self.diameter else 0
-        return self.b[0] - bi - self.c[i - 1]
-
     def valencies(self) -> tuple[int, ...]:
-        """k_0 = 1 and k_j = k_{j-1} b_{j-1} / c_j; refused unless each is an integer."""
-        out = [1]
-        for j in range(1, self.diameter + 1):
-            num, c = out[-1] * self.b[j - 1], self.c[j - 1]
-            kj, rem = divmod(num, c)
-            if rem:
-                raise InfeasibleIntersectionArray(
-                    f"valency k_{j} = {Quadratic(num) / c} is not a positive integer")
-            out.append(kj)
-        return tuple(out)
+        """k_0 = 1 and k_j = k_{j-1} b_{j-1} / c_j."""
+        return self._k
 
     @property
     def n(self) -> int:
-        return sum(self.valencies())
+        return sum(self._k)
 
     def _charpoly_at(self, x: int) -> int:
         """The intersection matrix's characteristic polynomial at an integer x.
@@ -467,7 +463,7 @@ class IntersectionArray:
         """
         prev, cur = 1, x  # p_0 and p_1 = x - a_0, a_0 = 0
         for i in range(1, self.diameter + 1):
-            prev, cur = cur, (x - self.a(i)) * cur - self.b[i - 1] * self.c[i - 1] * prev
+            prev, cur = cur, (x - self._a[i]) * cur - self.b[i - 1] * self.c[i - 1] * prev
         return cur
 
     def spectrum(self) -> Spectrum:
@@ -486,8 +482,7 @@ class IntersectionArray:
         """
         d, b, c = self.diameter, self.b, self.c
         check_dense_order(d + 1, f"drg of diameter {d}")
-        kj = self.valencies()
-        a = [self.a(i) for i in range(d + 1)]
+        a, kj = self._a, self._k
         n = sum(kj)
 
         def multiplicity(theta):

@@ -1,8 +1,9 @@
 """Simple undirected graphs with dense boolean adjacency, plus the graph6 codec.
 
 Vertices are 0..n-1; loops and multi-edges cannot be represented. The constructor
-rejects asymmetric or loopy adjacency. Builders and combinators, symmetric by
-construction, freeze new matrices of their own (Graph._built) and never mutate.
+rejects asymmetric or loopy adjacency. Builders, combinators, from_edges and
+g6_decode, symmetric by construction, freeze new matrices of their own
+(Graph._built) and never mutate.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             a[i, j] = a[j, i] = True
-        return cls(a)
+        return cls._built(a)
 
     @property
     def adj(self) -> np.ndarray:
@@ -297,4 +298,4 @@ def g6_decode(text: str) -> Graph:
     lower, bits = np.tri(n, n, -1, dtype=bool), g6_unpack(payload, n)[0]
     a = np.zeros((n, n), dtype=bool)
     a[lower] = a.T[lower] = bits
-    return Graph(a)
+    return Graph._built(a)

@@ -430,13 +430,7 @@ def local_search(cfg: SearchConfig) -> SearchResult:
             value = _ratio(a, k)
             evaluations += 1
             delta = value - current
-            if delta > 0:
-                accept = True
-            elif anneal:
-                accept = rng.random() < math.exp(delta / temp)
-            else:
-                accept = False
-            if accept:
+            if delta > 0 or (anneal and rng.random() < math.exp(delta / temp)):
                 current = value
                 rejections = 0
                 if anneal:

@@ -102,17 +102,6 @@ class Spectrum:
     def power_sum(self, p: int) -> float:
         return float(math.fsum((float(v) ** p) * m for v, m in self.entries))
 
-    def trace_is_zero(self) -> bool:
-        """Exact zero test when all entries are exact, else a float test within IDENTITY_TOL."""
-        sums: dict[int, Quadratic] = {}  # sum of m*v per field d, 0 for rationals
-        for v, m in self.entries:
-            if isinstance(v, Quadratic):
-                sums[v.d] = sums.get(v.d, Quadratic(0)) + v * m
-        fl = [v * m for v, m in self.entries if not isinstance(v, Quadratic)]
-        if not fl:  # sqrt(d) for distinct squarefree d are independent over the rationals
-            return all(s.is_rational for s in sums.values()) and sum(sums.values()) == 0
-        return abs(math.fsum([*map(float, sums.values()), *fl])) <= IDENTITY_TOL
-
     # -- comparisons ----------------------------------------------------------
 
     def allclose(self, other: "Spectrum") -> bool:
@@ -138,7 +127,7 @@ class Spectrum:
             toks = []
             for v, m in self.entries:
                 s = v.compact()
-                if s.startswith("-") or "+" in s or "*" in s or s.startswith("sqrt"):
+                if v.as_integer() is None or v < 0:  # so 2-sqrt3 shows as (2-sqrt3)
                     s = f"({s})"
                 toks.append(f"{s}^{m}")
             return " ".join(toks)

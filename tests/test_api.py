@@ -158,3 +158,15 @@ def test_provenance_nodes_share_one_interface():
     assert {e.partition(":")[0] for e in exprs} >= set(fam._INTEGER_HEADS) | set(fam._PRESETS)
     for gone in ("FromSrg", "FromIntersectionArray", "strength", "_graph"):
         assert not hasattr(fam, gone), gone
+
+
+def test_no_runtime_recheck_of_a_proven_fact():
+    # a leaf's derivation proves its trace zero, an intersection array stores
+    # its a_i and k_i once, and the tests pin the table's printed decimals
+    from blowup import bounds
+    from blowup.families import IntersectionArray
+    from blowup.spectra import Spectrum
+
+    assert not hasattr(Spectrum, "trace_is_zero")
+    assert not hasattr(IntersectionArray, "a")
+    assert not hasattr(bounds, "_printed_tolerance")

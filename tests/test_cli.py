@@ -31,6 +31,10 @@ def test_spectrum_exact_display(capsys):
     assert code == 0
     assert "icosahedron  n=12" in out
     assert "5^1 (sqrt5)^3 (-1)^5 (-sqrt5)^3" in out
+    # the generalized dodecagon of order (3, 1): a - sqrt(d) is parenthesised too
+    code, out, _ = run(capsys, "spectrum", "drg:6,3,3,3,3,3;1,1,1,1,1,2")
+    assert code == 0
+    assert out.splitlines()[1] == "6^1 5^104 (2+sqrt3)^168 2^182 (2-sqrt3)^168 (-1)^104 (-2)^729"
 
 
 def test_spectrum_numeric_flag(capsys):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -48,7 +49,9 @@ from blowup.graphs import (
     cycle,
     disjoint_union,
     empty,
+    g6_decode,
     g6_encode,
+    random_graph,
 )
 from blowup.spectra import (
     Spectrum,
@@ -306,7 +309,8 @@ PALEY_Q = [q for q in range(5, 200) if q == 9 or (q % 4 == 1 and all(q % p for p
 
 
 def built_graphs():
-    """Every graph the package's builders and combinators freeze through Graph._built."""
+    """Every graph the package's builders, combinators, from_edges and g6_decode freeze
+    through Graph._built."""
     pet, ico = petersen(), icosahedron()
     yield from (complete(n) for n in range(1, 41))
     yield from (cycle(n) for n in range(3, 41))
@@ -315,12 +319,20 @@ def built_graphs():
     yield from (pet, ico, empty(4), complement(pet), disjoint_union(pet, ico),
                 cartesian_product(cycle(5), complete(3)), closed_blowup_graph(pet, 3),
                 ico.relabeled(np.random.default_rng(1).permutation(12)))
+    rng = random.Random(23)
+    randoms = [random_graph(n, rng) for n in (1, 2, 3, 7, 12, 40, 70)]
+    yield from randoms
+    yield from (Graph.from_edges(1, []), Graph.from_edges(4, [(0, 1), (1, 0), (3, 2), (0, 1)]))
+    # the short and the long graph6 order forms, and a line with its header
+    yield from (g6_decode(g6_encode(g)) for g in (*randoms, pet, johnson(12, 2)))
+    yield g6_decode(">>graph6<<" + g6_encode(ico) + "\n")
 
 
 def test_builders_own_symmetric_matrices():
-    # the oracle for the symmetry compare the builders skip: each matrix is a
-    # read-only bool array with no writable base, symmetric and loopless, and
-    # the validating constructor rebuilds the same graph from a copy
+    # the oracle for the symmetry compare the builders, from_edges and g6_decode
+    # skip: each matrix is a read-only bool array with no writable base,
+    # symmetric and loopless, and the validating constructor rebuilds the same
+    # graph from a copy
     for g in built_graphs():
         a = g.adj
         assert a.dtype == bool and a.base is None and not a.flags.writeable, g
@@ -764,7 +776,7 @@ def test_taylor_co3():
         (Quadratic(-5), 253),
     )
     assert d.spectrum.kth(24) == Quadratic(55)
-    assert d.spectrum.trace_is_zero()
+    assert sum(v * m for v, m in d.spectrum.entries) == 0
     # regular of degree 275: second moment equals n * k
     second = sum(float(v) ** 2 * m for v, m in d.spectrum.entries)
     assert second == 552 * 275
@@ -985,3 +997,60 @@ def test_drg_order_beyond_float_integrality_is_refused():
     q60 = drg(range(60, 0, -1), range(1, 61))
     assert q60.n == 2**60
     assert q60.spectrum.is_exact
+
+
+# -- trace identities of the formula leaves ----------------------------------------
+
+
+def srg_sets(v_max):
+    """(v, k, lambda, mu) with v <= v_max, 1 <= k < v, 0 <= lambda < k and
+    0 <= mu <= k that pass the counting identity, which refuses every other set."""
+    for v in range(2, v_max + 1):
+        for k in range(1, v):
+            for lam in range(k):
+                for mu in range(k + 1):
+                    if k * (k - lam - 1) == (v - k - 1) * mu:
+                        yield v, k, lam, mu
+
+
+def drg_arrays():
+    """(b, c, order) of the cycles C_3..C_60, J(m, r) for m <= 20, H(d, q) for
+    d, q <= 6, the Gosset and Taylor graphs, Petersen and the icosahedron."""
+    for n in range(3, 61):
+        d = n // 2
+        yield (2, *[1] * (d - 1)), (*[1] * (d - 1), 2 - n % 2), n
+    for m in range(2, 21):
+        for r in range(1, m // 2 + 1):
+            yield ([(r - i) * (m - r - i) for i in range(r)], [i * i for i in range(1, r + 1)],
+                   math.comb(m, r))
+    for d in range(1, 7):
+        for q in range(2, 7):
+            yield [(d - i) * (q - 1) for i in range(d)], range(1, d + 1), q**d
+    yield from (((27, 10, 1), (1, 10, 27), 56), ((275, 112, 1), (1, 112, 275), 552),
+                ((3, 2), (1, 1), 10), ((5, 2, 1), (1, 2, 5), 12))
+
+
+def test_formula_leaves_have_trace_zero():
+    # the oracle for the trace test the descriptor no longer runs: for a
+    # k-regular graph on n vertices, sum m = n, sum m theta = 0 and
+    # sum m theta^2 = n k, exactly in Quadratic arithmetic over the exact
+    # values; a cycle's roots of degree above two are floats, summed to 1e-9
+    leaves = []
+    for v, k, lam, mu in srg_sets(60):
+        try:
+            leaves.append((srg((v, k, lam, mu)), v, k))
+        except InfeasibleSrgParameters:
+            pass
+    assert len(leaves) > 1000
+    leaves += [(drg(b, c), n, b[0]) for b, c, n in drg_arrays()]
+    for d, n, k in leaves:
+        exact = [(v, m) for v, m in d.spectrum.entries if isinstance(v, Quadratic)]
+        floats = [(v, m) for v, m in d.spectrum.entries if not isinstance(v, Quadratic)]
+        assert sum(m for _, m in d.spectrum.entries) == n, d.name
+        s1 = sum((v * m for v, m in exact), Quadratic(0))
+        s2 = sum((v * v * m for v, m in exact), Quadratic(0))
+        if floats:
+            assert abs(float(s1) + math.fsum(v * m for v, m in floats)) <= 1e-9, d.name
+            assert abs(float(s2) + math.fsum(v * v * m for v, m in floats) - n * k) <= 1e-9 * n * k, d.name
+        else:
+            assert s1 == 0 and s2 == n * k, d.name

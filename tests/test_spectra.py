@@ -104,13 +104,6 @@ def test_invariant_checks():
     assert not spectrum_invariant_checks(g, bad)
 
 
-def test_trace_is_zero_exact():
-    s = Spectrum([(Quadratic(5), 1), (Quadratic.sqrt(5), 3),
-                  (Quadratic(-1), 5), (-Quadratic.sqrt(5), 3)])
-    assert s.trace_is_zero()
-    assert not Spectrum([(Quadratic(1), 2)]).trace_is_zero()
-
-
 def test_blowup_transform_exact():
     # K3 spectrum {2, -1, -1}; closed 2-blowup is K6: {5, -1^5}
     s = Spectrum([(Quadratic(2), 1), (Quadratic(-1), 2)])
@@ -150,6 +143,12 @@ def test_display_exact():
     s = Spectrum([(Quadratic(5), 1), (Quadratic.sqrt(5), 3),
                   (Quadratic(-1), 5), (-Quadratic.sqrt(5), 3)])
     assert s.display() == "5^1 (sqrt5)^3 (-1)^5 (-sqrt5)^3"
+    # every value but a nonnegative integer is parenthesised, so (2-sqrt3)^168
+    # cannot be read as 2 - (sqrt3)^168
+    r3 = Quadratic.sqrt(3)
+    s = Spectrum([(Quadratic(6), 1), (2 + r3, 168), (Quadratic(0), 3), (2 - r3, 168),
+                  (Quadratic(-1, 1, 5) / 2, 2), (Quadratic(-2), 729)])
+    assert s.display() == "6^1 (2+sqrt3)^168 (-1/2+1/2*sqrt5)^2 (2-sqrt3)^168 0^3 (-2)^729"
 
 
 def test_display_float_grouping():
