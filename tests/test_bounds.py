@@ -194,6 +194,19 @@ def test_table_reproduces_and_is_fast():
         assert abs(float(r.expected) - float(r.printed)) <= 10 ** -places
 
 
+def test_table_builds_each_source_once(monkeypatch):
+    # rows 17-19, 20-21 and 22-23 each rest on one shared source
+    built = []
+    real = bounds.parse_expression
+    monkeypatch.setattr(bounds, "parse_expression", lambda expr: built.append(expr) or real(expr))
+    rows = reproduce_table()
+    assert sum(len(r.certificates) for r in rows) == 23
+    assert len(built) == len(set(built)) == 19
+    base = {r.k: r.certificates[0].base for r in rows}
+    assert base[17] is base[18] is base[19]
+    assert base[20] is base[21] and base[22] is base[23]
+
+
 def test_table_monotone_nonincreasing():
     rows = reproduce_table()
     vals = [float(r.expected) for r in rows]

@@ -63,8 +63,10 @@ def test_exhaustive_k2_n4():
     g = g6_decode(r.best_graph)
     assert ratio_of(g, 2) == pytest.approx(r.best_ratio, abs=1e-12)
     # of the 4 classes on 3 vertices, the empty one has lambda_1 = 0 and cannot
-    # reach the floor 1/2 of two disjoint edges; the other 3 have 8 extensions each
-    assert r.evaluations == 24
+    # reach the floor 1/2 of two disjoint edges; the other 3 have 8
+    # neighbourhoods each, in 6 orbits under the automorphisms of P3 and of
+    # an edge plus a vertex, and 4 under those of K3
+    assert r.evaluations == 16
 
 
 def test_exhaustive_k3_n6():
@@ -213,11 +215,12 @@ def solved(monkeypatch):
 
 def test_exhaustive_solve_count_n7(solved):
     # the 34 classes on 5 vertices and the 155 on 6 built from the 33 kept,
-    # one stack each; 60 of those 155 keep their 2^6 extensions. Plus the
+    # one stack each; 60 of those 155 keep one extension per automorphism
+    # orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 = 3,840. Plus the
     # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
     r = exhaustive_max(3, 7)
-    assert r.evaluations == 60 * 64
-    assert solved[0] == 34 + 155 + 60 * 64 + 1
+    assert r.evaluations == 2030
+    assert solved[0] == 34 + 155 + 2030 + 1
 
 
 @pytest.mark.parametrize("k,n,levels,kept", [
@@ -227,32 +230,89 @@ def test_exhaustive_solve_count_n7(solved):
 ])
 def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
     # the class stacks of the levels j > n - k, the extensions of the kept
-    # classes on n - 1 vertices, and the witness's self-check
+    # classes on n - 1 vertices, one per automorphism orbit of their
+    # neighbourhoods (at most kept << (n - 1)), and the witness's self-check
     r = exhaustive_max(k, n)
-    assert r.evaluations == kept << (n - 1)
+    assert r.evaluations == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
     assert solved[0] == sum(levels) + r.evaluations + 1
+    classes = search._classes(n - 1, k)
+    assert len(classes) == kept
+    assert r.evaluations == sum(hood_orbits(row, n - 1) for row in classes)
+
+
+def automorphisms(row: np.ndarray, j: int) -> np.ndarray:
+    """Every permutation of range(j) that maps the graph with these edge bits onto itself."""
+    ii, jj = triu_pair_arrays(j)
+    a = np.zeros((j, j), dtype=np.uint8)
+    a[ii, jj] = a[jj, ii] = row
+    perms = np.array(list(itertools.permutations(range(j))), dtype=np.intp)
+    return perms[(a[perms[:, :, None], perms[:, None, :]] == a).all(axis=(1, 2))]
+
+
+def hood_orbits(row: np.ndarray, j: int) -> int:
+    """Orbits of the 2^j neighbourhoods of a new vertex under the graph's
+    automorphisms, by Burnside: the mean over the group of 2^(cycles)."""
+    def cycles(p):
+        seen, count = set(), 0
+        for v in range(j):
+            count += v not in seen
+            while v not in seen:
+                seen.add(v)
+                v = p[v]
+        return count
+
+    auts = automorphisms(row, j)
+    return sum(2 ** cycles(p) for p in auts) // len(auts)
+
+
+def test_extensions_keep_one_neighbourhood_per_orbit():
+    # against automorphisms found by trying every permutation: each class on
+    # j <= 5 vertices keeps exactly the neighbourhoods smallest in their
+    # orbit (vertex i at bit j-1-i), and the kept extensions reach every
+    # class that all 2^j extensions reach
+    for j in range(6):
+        classes = search._classes(j, 1)
+        got = search._extensions(classes, j)
+        at, everything = 0, []
+        for row in classes:
+            auts = automorphisms(row, j)
+            images = [[sum(1 << (j - 1 - p[i]) for i in range(j) if hood >> (j - 1 - i) & 1)
+                       for hood in range(1 << j)] for p in auts]
+            minima = [hood for hood in range(1 << j) if min(image[hood] for image in images) == hood]
+            assert len(minima) == hood_orbits(row, j)
+            everything += [np.concatenate([row, [hood >> (j - 1 - i) & 1 for i in range(j)]])
+                           for hood in range(1 << j)]
+            mine, at = got[at : at + len(minima)], at + len(minima)
+            assert (mine[:, :len(row)] == row).all(), j
+            hoods = (mine[:, len(row):].astype(int) << np.arange(j - 1, -1, -1)).sum(axis=1)
+            assert hoods.tolist() == minima, (j, row)
+        assert at == len(got)
+        reached = search._canonical_labels(got, j + 1)
+        assert set(reached) == set(search._canonical_labels(np.array(everything, dtype=np.uint8), j + 1))
 
 
 @functools.cache
 def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
     """Exhaustive oracle: the documented rules applied one extension at a time.
 
-    Each one-vertex extension of one graph per class on n - 1 vertices is
-    solved on its own, for every k, with no pruning; the history lists the
-    strict improvements of the float maximum, and the witness is the smallest
-    graph6 over all relabelings of the extensions tied with the maximum to 12
-    decimals. Beside each result is a ceiling on any interlacing floor: the
-    clique floor floor(n/k)/n or the best ratio of a graph with an isolated
-    vertex, whichever is larger.
+    Each one-vertex extension of one graph per class on n - 1 vertices, by
+    each of the 2^(n-1) neighbourhoods, is solved on its own, for every k,
+    with no pruning or isomorph rejection; the history lists the strict
+    improvements of the float maximum, and the witness is the smallest
+    graph6 over all relabelings of the extensions tied with the maximum to
+    12 decimals. Beside each result is a ceiling on any interlacing floor:
+    the clique floor floor(n/k)/n or the best ratio of a graph with an
+    isolated vertex, whichever is larger.
     """
     ii, jj = triu_pair_arrays(n)
     perms = np.array(list(itertools.permutations(range(n))))
     weights = 1 << np.arange(len(ii) - 1, -1, -1)
     matrices = []
-    for bits in search._extensions(search._classes(n - 1, 1), n - 1):
-        a = np.zeros((n, n))
-        a[ii, jj] = a[jj, ii] = bits
-        matrices.append(a)
+    for row in search._classes(n - 1, 1):
+        for hood in itertools.product((0, 1), repeat=n - 1):
+            a = np.zeros((n, n))
+            a[ii, jj] = a[jj, ii] = np.concatenate([row, hood])
+            matrices.append(a)
 
     @functools.cache
     def smallest_relabeling(i: int) -> str:
@@ -281,21 +341,27 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
 def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
     # a small cell cap splits each search into many batches (10 at a time at
     # n = 7), so the history and the witness fold across batches. Pruning
-    # drops only extensions below the floor, so the ratio and the witness
-    # are the unpruned ones, and so are the history entries at or above any
-    # floor the engine can reach; k = 1 prunes nothing.
+    # drops only extensions below the floor, and isomorph rejection only
+    # extensions isomorphic to an earlier one of the same class, so the
+    # witness is the reference's, and the ratio and the distinct history
+    # values at or above any floor the engine can reach agree with it to
+    # 12 decimals: an isomorphic copy that the reference solves may differ
+    # by solver noise. k = 1 prunes nothing, so its solves are the orbits.
     if cells:
         monkeypatch.setattr(search, "_CELLS", cells)
     for n in range(1, 8):
         want = per_extension_exhaustive(n)
         for k in range(1, n + 1):
             got, (unpruned, ceiling) = exhaustive_max(k, n), want[k]
-            assert (got.best_ratio, got.best_graph) == (unpruned.best_ratio, unpruned.best_graph), (k, n)
-            above = [[r for _, r in result.history if r >= ceiling] for result in (got, unpruned)]
+            assert got.best_graph == unpruned.best_graph, (k, n)
+            assert abs(got.best_ratio - unpruned.best_ratio) <= 1e-12, (k, n)
+            above = [{round(r, 12) for _, r in result.history if round(r, 12) >= round(ceiling, 12)}
+                     for result in (got, unpruned)]
             assert above[0] == above[1], (k, n)
             assert got.evaluations <= unpruned.evaluations, (k, n)
             if k == 1:
-                assert got == unpruned, n
+                orbits = sum(hood_orbits(row, n - 1) for row in search._classes(n - 1, 1))
+                assert got.evaluations == orbits, n
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
