@@ -15,8 +15,9 @@ the running maximum, history and witness, and self-checks the result. The
 exhaustive engine builds one graph per isomorphism class, level by level,
 extending each class once per automorphism orbit of new neighbourhoods,
 drops each class whose interlacing bound lies below a ratio some graph on
-n vertices already reaches, and yields the extensions of the classes left
-one vertex short in single-order batches. The stream engine
+n vertices already reaches, and yields, in single-order batches, those
+extensions of the classes left one vertex short that an inertia test on
+their class's eigenpairs cannot rule out. The stream engine
 checks each line as it is read and yields its checked lines once they fill
 `_CELLS` matrix entries.
 
@@ -46,7 +47,7 @@ import numpy as np
 from . import bounds
 from .errors import GraphParseError, InternalConsistencyError
 from .graphs import g6_decode, g6_encode_bits, g6_parse, g6_unpack, triu_pair_arrays
-from .spectra import eigen_spectrum, eigenvalues
+from .spectra import eigen_spectrum, eigenpairs, eigenvalues
 
 #: seed used when the caller does not provide one
 DEFAULT_SEED = 1729
@@ -64,6 +65,14 @@ _TIE_DECIMALS = 12
 
 #: every ratio tied with the maximum lies this close below it
 _TIE_WINDOW = 1e-11
+
+#: the inertia filter's threshold lies this far below the floor's lambda_k, and
+#: it reads a parent's eigenpairs only if none lies within half of it of the threshold
+_INERTIA_MARGIN = 1e-3
+
+#: share of its terms' magnitudes by which the filter's Schur complement must be
+#: negative; a solver backward error near 1e-13 moves it by under 1e-9 of them
+_SCHUR_TOL = 1e-6
 
 #: float64 entries per working array, 8 MiB: a batched eigensolve stack
 #: (16,384 graphs at n = 8), a stream's pending lines, a relabeling product
@@ -305,8 +314,8 @@ def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     return _label_bits(((own[:, None] << j) | images[0])[kept], graphs.shape[1] + j)
 
 
-def _classes(n: int, k: int) -> np.ndarray:
-    """One graph per isomorphism class on n vertices, as rows of edge bits.
+def _classes(n: int, k: int) -> tuple[np.ndarray, float]:
+    """One graph per isomorphism class on n vertices, as rows of edge bits, and the floor.
 
     Level j + 1 is the one-vertex extensions of level j's classes, one per
     automorphism orbit of new neighbourhoods (_extensions), reduced by
@@ -322,7 +331,9 @@ def _classes(n: int, k: int) -> np.ndarray:
     lambda_{k-d}(H), so H is dropped when (lambda_{k-d}(H) + 1)/(n+1) lies
     below the floor by more than _TIE_WINDOW: no extension of it can tie
     with the maximum. Both eigenvalues sit at ascending index n + 1 - k, of
-    H's j and of the padded n + 1.
+    H's j and of the padded n + 1. The floor returned is the last one, which
+    exhaustive_max hands to its inertia filter: every graph on n + 1 vertices
+    tied with the maximum has a ratio of at least floor - _TIE_WINDOW.
     """
     top = n + 1
     floor = (top // k) / top
@@ -335,7 +346,36 @@ def _classes(n: int, k: int) -> np.ndarray:
             padded = np.sort(np.hstack([w, np.zeros((len(w), top - j))]), axis=1)
             floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
             graphs = graphs[(w[:, top - k] + 1.0) / top >= floor - _TIE_WINDOW]
-    return graphs
+    return graphs, floor
+
+
+def _may_exceed(extensions: np.ndarray, j: int, k: int, tau: float) -> np.ndarray:
+    """Mask of the one-vertex extensions G = H + x of graphs H on j vertices
+    whose lambda_k may exceed tau: every extension it leaves out has lambda_k(G) <= tau.
+
+    The extensions of one H are consecutive rows, H's bits followed by x, as
+    _extensions makes them. For eigenpairs (mu_i, u_i) of A_H with no mu_i
+    equal to tau, Haynsworth's inertia additivity (Linear Algebra Appl. 1,
+    1968) on the bordered matrix A_G - tau I gives n+(A_G - tau I) =
+    n+(A_H - tau I) + [s > 0], with the Schur complement s = -tau -
+    sum_i (u_i . x)^2 / (mu_i - tau), Golub's secular function (SIAM Review
+    15, 1973). lambda_k(G) > tau exactly when n+(A_G - tau I) >= k, so when H
+    has k - 1 eigenvalues above tau, one eigendecomposition of H decides all
+    its extensions. An extension is left out only when every |mu_i - tau|
+    exceeds _INERTIA_MARGIN / 2 and s < 0 by more than _SCHUR_TOL times the
+    sum of |tau| and the terms' magnitudes: a backward error E of the solve
+    moves s by at most about |E| / min |mu_i - tau| times that sum.
+    """
+    m = j * (j - 1) // 2
+    first = np.r_[True, (extensions[1:, :m] != extensions[:-1, :m]).any(axis=1)]
+    mu, u = eigenpairs(_adjacency_stack(extensions[first, :m], j))
+    gap = mu - tau
+    sure = ((gap > 0).sum(axis=1) == k - 1) & (np.abs(gap) > _INERTIA_MARGIN / 2).all(axis=1)
+    # every neighbourhood value of each sure parent: at most 1,044 x 2^7 x 7 < _CELLS terms for n <= 8
+    terms = (_label_bits(np.arange(1 << j), j) @ u[sure]) ** 2 / gap[sure, None, :]
+    drop = np.zeros((len(mu), 1 << j), dtype=bool)
+    drop[sure] = -tau - terms.sum(axis=2) < -_SCHUR_TOL * (abs(tau) + np.abs(terms).sum(axis=2))
+    return ~drop[np.cumsum(first) - 1, extensions[:, m:] @ (1 << np.arange(j - 1, -1, -1))]
 
 
 def exhaustive_max(k: int, n: int) -> SearchResult:
@@ -346,14 +386,18 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     vertices cover every isomorphism class on n, and so do those left when
     each class keeps one neighbourhood per orbit of its automorphisms.
     _classes drops the classes that cannot reach its interlacing floor on
-    the way, and the kept extensions of the classes left are solved, in
-    batches: 98 instead of 1,088 at (3, 6), 20,958 instead of 133,632 at
-    (3, 8). Every graph tied with the maximum survives the floor. The
-    witness is the smallest graph6 over all relabelings of the extensions
-    tied with the maximum, which is the smallest over all labeled graphs
-    tied with it. The history lists the strict improvements among the
-    solved extensions; their distinct values at or above the floor agree
-    with those of the unpruned run over every extension to 12 decimals.
+    the way and returns that floor. One eigendecomposition of each class
+    left then decides by inertia (_may_exceed) which of its kept extensions
+    can have lambda_k above tau = (floor - _TIE_WINDOW) n - 1 - _INERTIA_MARGIN,
+    and only those are solved, in batches: 2 at (3, 6) and 217 at (3, 8),
+    against 98 and 20,958 without the filter and 1,088 and 133,632 without
+    any pruning. Every graph tied with the maximum survives the floor and
+    the filter. The witness is the smallest graph6 over all relabelings of
+    the extensions tied with the maximum, which is the smallest over all
+    labeled graphs tied with it. The history lists the strict improvements
+    among the solved extensions; their distinct values at or above the
+    floor agree with those of the unpruned run over every extension to 12
+    decimals.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -361,7 +405,9 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
         raise ValueError("need n >= k so lambda_k exists")
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
-    graphs = _extensions(_classes(n - 1, k), n - 1)
+    classes, floor = _classes(n - 1, k)
+    graphs = _extensions(classes, n - 1)
+    graphs = graphs[_may_exceed(graphs, n - 1, k, (floor - _TIE_WINDOW) * n - 1 - _INERTIA_MARGIN)]
     per_stack = _CELLS // (n * n)
     batches = ((np.full(len(bits), n), {n: bits})
                for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))

@@ -4,9 +4,10 @@ A Spectrum stores (value, multiplicity) pairs sorted in descending order.
 Exact values (Quadratic, including rationals) with equal canonical form are
 merged at construction; float values are kept unmerged internally and only
 grouped for display. `eigenvalues` is the package's one call into the
-numeric eigensolver, LAPACK's symmetric solver via numpy; accuracy for the
-dense orders used here (n <= ~2000) is far inside the 1e-9 contract, and
-nonconvergence or non-finite output surfaces as NumericError.
+numeric eigensolver, LAPACK's symmetric solver via numpy, and `eigenpairs`
+its one call for eigenvectors too; accuracy for the dense orders used here
+(n <= ~2000) is far inside the 1e-9 contract, and nonconvergence or
+non-finite output surfaces as NumericError.
 `check_stated_spectrum` decides exactly, with no eigensolve, whether a graph
 has a stated exact spectrum, one row at a time, one per orbit of the
 automorphisms it is given (n orbits when none are), as exact int64 sums over
@@ -184,9 +185,9 @@ def blowup_transform(s: Spectrum, t: int) -> Spectrum:
 def eigenvalues(a: np.ndarray, index: int | None = None):
     """Ascending eigenvalues of a symmetric matrix, or of each matrix in a stack.
 
-    The package's one eigensolver call. Only the lower triangle of a is read
-    (LAPACK's uplo = 'L'), so a matrix filled on and below its diagonal
-    alone gives the eigenvalues of its symmetric completion. With index,
+    The package's one call for eigenvalues alone. Only the lower triangle
+    of a is read (LAPACK's uplo = 'L'), so a matrix filled on and below its
+    diagonal alone gives the eigenvalues of its symmetric completion. With index,
     only w[..., index] is returned and checked, so a caller reading one
     eigenvalue of a small matrix skips a whole-vector finiteness test that
     costs about 15% of a 12x12 solve. Nonconvergence and non-finite output
@@ -201,6 +202,18 @@ def eigenvalues(a: np.ndarray, index: int | None = None):
     if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
         raise NumericError("eigensolver returned non-finite values")
     return w
+
+
+def eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unit eigenvectors, as columns, of a symmetric
+    matrix or of each matrix in a stack, read and checked as eigenvalues reads them."""
+    try:
+        w, v = np.linalg.eigh(a, UPLO="L")
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"eigensolver failed to converge: {e}") from e
+    if not np.isfinite(w).all():
+        raise NumericError("eigensolver returned non-finite values")
+    return w, v
 
 
 def eigen_spectrum(g: Graph) -> Spectrum:

@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import blowup
@@ -59,9 +60,11 @@ def test_bench_table_names_have_closed_forms(monkeypatch):
 def test_one_eigensolver_call_site():
     # The tracer counts solves by patching numpy.linalg.eigvalsh; a solver
     # bound under another name, or called elsewhere, would escape its counts.
-    uses = {p.name: p.read_text().count("eigvalsh") for p in PACKAGE.rglob("*.py")}
-    assert {name: count for name, count in uses.items() if count} == {"spectra.py": 1}
-    assert (PACKAGE / "spectra.py").read_text().count("np.linalg.eigvalsh(") == 1
+    # The one eigenvector solve is named as plainly, beside it.
+    for solver in ("eigvalsh", "eigh"):
+        uses = {p.name: len(re.findall(rf"\b{solver}\b", p.read_text())) for p in PACKAGE.rglob("*.py")}
+        assert {name: count for name, count in uses.items() if count} == {"spectra.py": 1}, solver
+        assert (PACKAGE / "spectra.py").read_text().count(f"np.linalg.{solver}(") == 1
 
 
 def test_one_graph6_line_rule():
@@ -111,12 +114,13 @@ def test_no_cache_keyed_by_an_input_order():
 def test_batched_engines_share_drive():
     # both batched engines return through _drive, the one place a stack of
     # adjacency matrices is built and folded into a result; the exhaustive
-    # engine's interlacing floor builds the only other stack, of classes it
-    # solves to prune, never folded into a result
+    # engine's interlacing floor and inertia filter build the only other
+    # stacks, of classes they solve to prune, never folded into a result
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
-    assert {name: count for name, count in uses.items() if count} == {"search.py": 3}
+    assert {name: count for name, count in uses.items() if count} == {"search.py": 4}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
     assert inspect.getsource(search._classes).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search._may_exceed).count("_adjacency_stack(") == 1
     for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor"):
         assert not hasattr(search, gone), gone
 

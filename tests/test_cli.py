@@ -231,9 +231,9 @@ def test_search_json_fields(capsys):
     assert obj["threshold"] == pytest.approx(1 / 3)
     assert obj["exceeded"] is False
     # the 6 of the 34 classes on 5 vertices that reach the interlacing floor
-    # 1/3, each with one extension per automorphism orbit of its 32
-    # neighbourhoods
-    assert obj["evaluations"] == 98
+    # 1/3 have 98 extensions, one per automorphism orbit of their 32
+    # neighbourhoods; inertia leaves the 2 with lambda_3 = 1
+    assert obj["evaluations"] == 2
 
 
 def test_search_anneal_seeded(capsys):
@@ -348,9 +348,9 @@ def test_search_exhaustive_n8(capsys):
     obj = json.loads(out)
     assert obj["best_ratio"] <= 1 / 3 + 1e-9
     # the 262 of the 1,044 classes on 7 vertices that reach the interlacing
-    # floor, each with one extension per automorphism orbit of its 128
-    # neighbourhoods
-    assert obj["evaluations"] == 20_958
+    # floor have 20,958 extensions, one per automorphism orbit of their 128
+    # neighbourhoods; inertia leaves 217 that may reach it
+    assert obj["evaluations"] == 217
 
 
 def test_exceedance_exit_ten(capsys, monkeypatch, tmp_path):

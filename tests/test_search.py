@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -65,8 +66,9 @@ def test_exhaustive_k2_n4():
     # of the 4 classes on 3 vertices, the empty one has lambda_1 = 0 and cannot
     # reach the floor 1/2 of two disjoint edges; the other 3 have 8
     # neighbourhoods each, in 6 orbits under the automorphisms of P3 and of
-    # an edge plus a vertex, and 4 under those of K3
-    assert r.evaluations == 16
+    # an edge plus a vertex, and 4 under those of K3. Of those 16, inertia
+    # leaves only two disjoint edges, the one graph with lambda_2 = 1
+    assert r.evaluations == 1
 
 
 def test_exhaustive_k3_n6():
@@ -161,14 +163,14 @@ def labeled_sweep(n: int):
 
 
 def test_class_counts_match_oeis_a000088():
-    counts = [len(search._classes(n, 1)) for n in range(1, 8)]
+    counts = [len(search._classes(n, 1)[0]) for n in range(1, 8)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_classes_are_canonical_and_distinct():
     # each kept graph is the smallest label among its relabelings, and no two agree
     for n in (4, 5):
-        reps = search._classes(n, 1)
+        reps, _ = search._classes(n, 1)
         labels = [g6_encode_bits(n, row) for row in reps]
         assert labels == sorted(set(labels))
         for label in labels:
@@ -201,26 +203,29 @@ def test_exhaustive_n7_against_atlas():
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Number of matrices handed to numpy.linalg.eigvalsh during a test."""
+    """Number of matrices handed to numpy.linalg.eigvalsh or numpy.linalg.eigh during a test."""
     count = [0]
-    real = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        count[0] += int(np.prod(np.shape(a)[:-2]))
-        return real(a, *args, **kwargs)
+    def counting(real):
+        def solve(a, *args, **kwargs):
+            count[0] += int(np.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     return count
 
 
 def test_exhaustive_solve_count_n7(solved):
     # the 34 classes on 5 vertices and the 155 on 6 built from the 33 kept,
     # one stack each; 60 of those 155 keep one extension per automorphism
-    # orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 = 3,840. Plus the
-    # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
+    # orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 = 3,840, and one
+    # eigendecomposition of those 60 leaves 113 of the 2,030 to solve. Plus
+    # the witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
     r = exhaustive_max(3, 7)
-    assert r.evaluations == 2030
-    assert solved[0] == 34 + 155 + 2030 + 1
+    assert r.evaluations == 113
+    assert solved[0] == 34 + 155 + 60 + 113 + 1
 
 
 @pytest.mark.parametrize("k,n,levels,kept", [
@@ -229,15 +234,17 @@ def test_exhaustive_solve_count_n7(solved):
     (3, 8, [156, 1043], 262),  # unpruned: 1044 classes on 7 vertices
 ])
 def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
-    # the class stacks of the levels j > n - k, the extensions of the kept
-    # classes on n - 1 vertices, one per automorphism orbit of their
-    # neighbourhoods (at most kept << (n - 1)), and the witness's self-check
+    # the class stacks of the levels j > n - k, one eigendecomposition of each
+    # kept class on n - 1 vertices, the extensions of those classes that it
+    # cannot rule out (of one per automorphism orbit of their neighbourhoods,
+    # at most kept << (n - 1)), and the witness's self-check
     r = exhaustive_max(k, n)
-    assert r.evaluations == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
-    assert solved[0] == sum(levels) + r.evaluations + 1
-    classes = search._classes(n - 1, k)
+    assert r.evaluations == {(2, 4): 1, (3, 6): 2, (3, 8): 217}[k, n]
+    assert solved[0] == sum(levels) + kept + r.evaluations + 1
+    classes, _ = search._classes(n - 1, k)
     assert len(classes) == kept
-    assert r.evaluations == sum(hood_orbits(row, n - 1) for row in classes)
+    orbits = sum(hood_orbits(row, n - 1) for row in classes)
+    assert len(search._extensions(classes, n - 1)) == orbits == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
 
 
 def automorphisms(row: np.ndarray, j: int) -> np.ndarray:
@@ -271,7 +278,7 @@ def test_extensions_keep_one_neighbourhood_per_orbit():
     # orbit (vertex i at bit j-1-i), and the kept extensions reach every
     # class that all 2^j extensions reach
     for j in range(6):
-        classes = search._classes(j, 1)
+        classes, _ = search._classes(j, 1)
         got = search._extensions(classes, j)
         at, everything = 0, []
         for row in classes:
@@ -308,7 +315,7 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
     perms = np.array(list(itertools.permutations(range(n))))
     weights = 1 << np.arange(len(ii) - 1, -1, -1)
     matrices = []
-    for row in search._classes(n - 1, 1):
+    for row in search._classes(n - 1, 1)[0]:
         for hood in itertools.product((0, 1), repeat=n - 1):
             a = np.zeros((n, n))
             a[ii, jj] = a[jj, ii] = np.concatenate([row, hood])
@@ -346,7 +353,8 @@ def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
     # witness is the reference's, and the ratio and the distinct history
     # values at or above any floor the engine can reach agree with it to
     # 12 decimals: an isomorphic copy that the reference solves may differ
-    # by solver noise. k = 1 prunes nothing, so its solves are the orbits.
+    # by solver noise. At k = 1 only K_n reaches the floor 1, so inertia
+    # leaves it alone to solve.
     if cells:
         monkeypatch.setattr(search, "_CELLS", cells)
     for n in range(1, 8):
@@ -360,8 +368,78 @@ def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
             assert above[0] == above[1], (k, n)
             assert got.evaluations <= unpruned.evaluations, (k, n)
             if k == 1:
-                orbits = sum(hood_orbits(row, n - 1) for row in search._classes(n - 1, 1))
-                assert got.evaluations == orbits, n
+                assert got.evaluations == 1, n
+
+
+#: eigenvalues that small graphs have exactly
+EXACT_EIGENVALUES = sorted({sign * v for sign in (1, -1) for v in (
+    0.0, 1.0, 2.0, 3.0, math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(6), 2 * math.sqrt(2),
+    (1 + math.sqrt(5)) / 2, (math.sqrt(5) - 1) / 2, 1 + math.sqrt(2), math.sqrt(2) - 1,
+    (1 + math.sqrt(17)) / 2, (math.sqrt(17) - 1) / 2, (1 + math.sqrt(13)) / 2, (math.sqrt(13) - 1) / 2)})
+
+
+def eigenvalues_above(a: np.ndarray, tau: float) -> int:
+    """Eigenvalues of a symmetric 0/1 matrix above tau, counted exactly.
+
+    The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
+    in integers; shifted by tau as a Fraction, its sign changes count its roots
+    above tau, which Descartes' rule gives exactly for a real-rooted polynomial.
+    """
+    n, a = len(a), a.astype(int).tolist()
+    coeffs, m = [1], [[0] * n for _ in range(n)]  # x^n first
+    for t in range(1, n + 1):
+        m = [[sum(a[r][i] * m[i][c] for i in range(n)) + (coeffs[-1] if r == c else 0)
+              for c in range(n)] for r in range(n)]
+        coeffs.append(-sum(a[r][i] * m[i][r] for r in range(n) for i in range(n)) // t)
+    shifted, x = [], Fraction(tau)
+    for _ in range(n + 1):  # Taylor shift by repeated synthetic division
+        coeffs = list(itertools.accumulate(coeffs, lambda acc, c: acc * x + c))
+        shifted.append(coeffs.pop())
+    signs = [c > 0 for c in shifted[::-1] if c != 0]
+    return sum(p != q for p, q in zip(signs, signs[1:]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_inertia_filter_drops_only_graphs_at_or_below_tau(data):
+    # extensions G = H + x of up to three graphs H on j <= 9 vertices; tau at
+    # exact eigenvalues of small graphs, at G's and H's own, and 1e-12 off
+    # them, where the Schur complement or a parent eigenvalue meets tau. Every
+    # G the filter drops has lambda_k(G) <= tau, by the dense solver and exactly.
+    j = data.draw(st.integers(0, 9))
+    m = j * (j - 1) // 2
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        for _ in range(data.draw(st.integers(1, 4))):
+            rows.append(parent + data.draw(st.lists(st.integers(0, 1), min_size=j, max_size=j)))
+    extensions = np.array(rows, dtype=np.uint8).reshape(len(rows), m + j)
+    ii, jj = triu_pair_arrays(j + 1)
+    a = np.zeros((len(rows), j + 1, j + 1))
+    a[:, ii, jj] = a[:, jj, ii] = extensions
+    w = np.linalg.eigvalsh(a)
+    own = np.concatenate([w.ravel(), np.linalg.eigvalsh(a[:, :j, :j]).ravel()])
+    tau = data.draw(st.sampled_from(EXACT_EIGENVALUES + sorted(set(own.tolist()))))
+    tau += data.draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+    for k in range(1, j + 2):
+        dropped = ~search._may_exceed(extensions, j, k, tau)
+        assert (w[dropped, j + 1 - k] <= tau + 1e-12).all(), (k, tau, w[dropped, j + 1 - k])
+        assert all(eigenvalues_above(a[i], tau) < k for i in np.flatnonzero(dropped)), (k, tau)
+
+
+def test_inertia_filter_changes_no_result(monkeypatch):
+    # against the same search with every kept extension solved: the filter
+    # leaves out only extensions below the floor, so the witness, the ratio
+    # to the bit and the distinct history values at or above the floor agree
+    searches = {(k, n): exhaustive_max(k, n) for n in range(1, 9) for k in range(1, n + 1)}
+    monkeypatch.setattr(search, "_may_exceed", lambda extensions, j, k, tau: np.ones(len(extensions), bool))
+    for (k, n), got in searches.items():
+        want, floor = exhaustive_max(k, n), round(search._classes(n - 1, k)[1], 12)
+        assert got.best_graph == want.best_graph, (k, n)
+        assert got.best_ratio == want.best_ratio, (k, n)
+        above = [{round(r, 12) for _, r in result.history if round(r, 12) >= floor} for result in (got, want)]
+        assert above[0] == above[1], (k, n)
+        assert got.evaluations <= want.evaluations, (k, n)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -743,6 +821,15 @@ def test_failed_solve_is_numeric_error(engine, mode, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh(mode))
     with pytest.raises(NumericError):
         SOLVES[engine]()
+
+
+@pytest.mark.parametrize("mode", ["raise", "nan"])
+def test_failed_eigenvector_solve_is_numeric_error(mode, monkeypatch):
+    # the inertia filter's eigendecomposition fails as the eigenvalue solves do
+    values = failing_eigvalsh(mode)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (values(a), np.full(np.shape(a), np.nan)))
+    with pytest.raises(NumericError):
+        exhaustive_max(3, 4)
 
 
 @pytest.mark.parametrize("mode", ["raise", "nan"])
