@@ -1,6 +1,6 @@
 """Search for graphs with a large (lambda_k + 1)/n limit ratio.
 
-Three strategies: exhaustive search over every graph on up to 8 vertices,
+Three strategies: exhaustive search over every graph on up to 9 vertices,
 a streaming maximum over externally supplied graph6 lines, and seeded
 local search (hill climb or simulated annealing) over edge toggles. All of
 them score graphs with one evaluator, `_ratio`, over `spectra.eigenvalues`,
@@ -12,14 +12,16 @@ evaluation order: an array of each graph's order, and a dict from each
 order to the edge bits of that order's graphs. `_drive` solves each order's
 graphs in one stack, puts the ratios back in batch order, folds them into
 the running maximum, history and witness, and self-checks the result. The
-exhaustive engine builds one graph per isomorphism class, level by level,
-extending each class once per automorphism orbit of new neighbourhoods,
-drops each class whose interlacing bound lies below a ratio some graph on
-n vertices already reaches, and yields, in single-order batches, those
-extensions of the classes left one vertex short that an inertia test on
-their class's eigenpairs cannot rule out. The stream engine
-checks each line as it is read and yields its checked lines once they fill
-`_CELLS` matrix entries.
+exhaustive engine builds one graph per isomorphism class in one level loop
+from the graph on 1 vertex: each level extends the classes of the last once
+per automorphism orbit of new neighbourhoods, leaves out the extensions
+that an inertia test on their parent's eigenpairs rules out, labels and
+dedupes the rest, and solves the new classes for their eigenpairs once,
+dropping each class whose interlacing bound lies below a ratio some graph
+on n vertices already reaches. The extensions of the classes left one
+vertex short that pass the same two tests are yielded, unlabelled, in
+single-order batches. The stream engine checks each line as it is read and
+yields its checked lines once they fill `_CELLS` matrix entries.
 
 Determinism: a (seed, config) pair gives byte-identical results within one
 build. The generator is numpy's PCG64 behind default_rng. The best ratio
@@ -28,9 +30,10 @@ stream witness is the lexicographically smallest graph6 string among the
 graphs whose ratios equal that maximum to 12 decimals: relabelings of one
 graph differ by solver noise of about 1e-16, so stacked, serial and
 reordered scans agree. The exhaustive search solves one labeling per
-extension and takes the smallest graph6 over all relabelings of the tied
-extensions; no graph it prunes can tie. Local search keeps the first state
-that reaches the float maximum of its run.
+extension and takes, once at the end, the smallest graph6 over all
+relabelings of the extensions tied with the maximum; no graph it prunes can
+tie. Local search keeps the first state that reaches the float maximum of
+its run.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ THRESHOLD_TOL = 1e-9
 #: the open threshold at k = 3: no graph is known with a ratio above 1/3
 C3_THRESHOLD = 1.0 / 3.0
 
-EXHAUSTIVE_HARD_MAX = 8
+EXHAUSTIVE_HARD_MAX = 9
 
 #: ratios equal to this many decimals tie for the witness
 _TIE_DECIMALS = 12
@@ -168,9 +171,18 @@ def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
     the edge bits of its graphs. smallest(order, bits) is the smallest
     graph6 among those graphs. The history lists the strict improvements of
     the float maximum. The witness is the smallest graph6 among the graphs
-    tied with the maximum to 12 decimals, whichever batches they were in.
+    tied with the maximum to 12 decimals, whichever batches they were in:
+    the rows tied with the running maximum are held, dropped when it rises,
+    and labelled once per order at the end, or as soon as they fill _CELLS
+    matrix entries, so a long run of ties keeps bounded memory.
     """
-    best, key, evaluations, history = -math.inf, (math.inf, ""), 0, []
+    best, tie, evaluations, history = -math.inf, (math.inf, ""), 0, []
+    held, cells, labels = defaultdict(list), 0, []  # tied rows by order, their matrix entries, labels so far
+
+    def label():
+        labels.append(min(smallest(order, np.concatenate(bits)) for order, bits in held.items()))
+        held.clear()
+
     for orders, stacks in batches:
         ratios, rows = np.empty(len(orders)), {}
         for order, bits in stacks.items():
@@ -182,17 +194,25 @@ def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
         top = ratios.max()
         best = max(best, float(top))
         top_key = _witness_key(top, "")
-        # the empty label sorts first: a batch that loses even with it cannot win
-        if top_key < key:
+        if top_key < tie:
+            tie, cells = top_key, 0
+            held.clear()
+            labels.clear()
+        if top_key == tie:
             near = np.flatnonzero(ratios >= top - _TIE_WINDOW)
-            tied = near[[_witness_key(ratios[i], "") == top_key for i in near]]
+            tied = near[[_witness_key(ratios[i], "") == tie for i in near]]
             at = orders[tied]
-            label = min(smallest(order, stacks[order][np.searchsorted(rows[order], tied[at == order])])
-                        for order in set(at.tolist()))
-            key = min(key, _witness_key(top, label))
+            for order in set(at.tolist()):
+                held[order].append(stacks[order][np.searchsorted(rows[order], tied[at == order])])
+            cells += int((at * at).sum())
+            if cells >= _CELLS:
+                label()
+                cells = 0
         evaluations += len(ratios)
+    if held:
+        label()
     return _self_check(SearchResult(
-        best_ratio=best, best_graph=key[1], evaluations=evaluations,
+        best_ratio=best, best_graph=min(labels), evaluations=evaluations,
         k=k, n=n, seed=None, method=method, history=tuple(history)))
 
 
@@ -244,7 +264,7 @@ def _relabel_weights(n: int) -> np.ndarray:
     Entry (e, p) is 2^(m-1-q), where q is the graph6 position of pair e's
     image under the p-th permutation, so bits @ weights lists a graph's
     label under each relabeling. The sums are distinct powers of two below
-    2^28, exact in float64, so the product runs in BLAS.
+    2^36, exact in float64, so the product runs in BLAS.
     """
     ii, jj = triu_pair_arrays(n)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -292,112 +312,184 @@ def _hood_images(j: int) -> np.ndarray:
 
 
 def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
-    """One-vertex extensions of graphs on j vertices, one per automorphism orbit of neighbourhoods.
+    """Mask of the one-vertex extensions of graphs on j vertices, one per automorphism
+    orbit of neighbourhoods, shape (graphs, 2^j).
 
     The new vertex j's pairs (0, j)..(j-1, j) come last in graph6 order, so
     an extension's bits are its parent's followed by the new neighbourhood N,
     a j-bit value. H + N and H + sigma(N) are isomorphic for every
-    automorphism sigma of H, so each graph H keeps only the values that are
-    the smallest in their orbit under Aut(H), in increasing order. Aut(H) is
-    the set of relabelings under which H keeps its own label.
+    automorphism sigma of H, so entry (H, N) is true only for the values N
+    that are the smallest in their orbit under Aut(H). Aut(H) is the set of
+    relabelings under which H keeps its own label.
     """
     images = _hood_images(j)
     kept = np.empty((len(graphs), 1 << j), dtype=bool)
-    own = np.empty(len(graphs), dtype=np.int64)
     # chunks of at most _CELLS >> j labels, so the images gathered fit in _CELLS
     for s, labels in _labelings(graphs, j, _CELLS >> j):
         auts = np.nonzero(labels == labels[:, :1])[1]
         first = np.flatnonzero(auts == 0)  # the identity opens each row's automorphisms
         kept[s : s + len(labels)] = np.minimum.reduceat(images[auts], first) == images[0]
-        own[s : s + len(labels)] = labels[:, 0]
-    # an extension's label is its parent's followed by N's j bits
-    return _label_bits(((own[:, None] << j) | images[0])[kept], graphs.shape[1] + j)
+    return kept
 
 
-def _classes(n: int, k: int) -> tuple[np.ndarray, float]:
-    """One graph per isomorphism class on n vertices, as rows of edge bits, and the floor.
+def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float) -> np.ndarray:
+    """Mask of the one-vertex extensions G = H + N of graphs H on j vertices, given
+    their eigenpairs, whose lambda_k may exceed tau, shape (graphs, 2^j): every
+    extension it leaves out has lambda_k(G) <= tau.
 
-    Level j + 1 is the one-vertex extensions of level j's classes, one per
-    automorphism orbit of new neighbourhoods (_extensions), reduced by
-    canonical label; each class is kept as its smallest-label relabeling,
-    in label order. Classes that no extension to n + 1 vertices can lift to
-    the maximum ratio at k are dropped, and all their extensions with them;
-    k = 1 drops none. The floor is a ratio some graph on n + 1 vertices reaches:
-    first floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k)
-    vertices plus isolated vertices. On each level j > n + 1 - k, the classes
-    are solved as one stack, and the floor rises to the best ratio of a class
-    H plus n + 1 - j isolated vertices. Deleting d = n + 1 - j vertices from
-    a graph G leaves some H, and interlacing gives lambda_k(G) <=
+    Row i of mu holds H_i's ascending eigenvalues and the columns of u[i] its
+    unit eigenvectors; entry (i, N) is the extension by neighbourhood N, with
+    vertex v at bit j-1-v. For eigenpairs (mu_i, u_i) of A_H with no mu_i equal
+    to tau, Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) on
+    the bordered matrix A_G - tau I gives n+(A_G - tau I) = n+(A_H - tau I) +
+    [s > 0], with the Schur complement s = -tau - sum_i (u_i . x)^2 / (mu_i -
+    tau), Golub's secular function (SIAM Review 15, 1973). lambda_k(G) > tau
+    exactly when n+(A_G - tau I) >= k, so when H has k - 1 eigenvalues above
+    tau, its eigenpairs decide all its extensions. An extension is left out
+    only when every |mu_i - tau| exceeds _INERTIA_MARGIN / 2 and s < 0 by more
+    than _SCHUR_TOL times the sum of |tau| and the terms' magnitudes: a
+    backward error E of the solve moves s by at most about |E| / min |mu_i -
+    tau| times that sum.
+    """
+    j = mu.shape[1]
+    gap = mu - tau
+    sure = np.flatnonzero(((gap > 0).sum(axis=1) == k - 1) & (np.abs(gap) > _INERTIA_MARGIN / 2).all(axis=1))
+    hoods = _label_bits(np.arange(1 << j), j)
+    keep = np.ones((len(mu), 1 << j), dtype=bool)
+    # chunks of sure parents, so the j products of each of their 2^j extensions fit in _CELLS
+    step = max(1, (_CELLS >> j) // (j + 1))
+    for start in range(0, len(sure), step):
+        rows = sure[start : start + step]
+        inv, squares = 1.0 / gap[rows, :, None], (hoods @ u[rows]) ** 2
+        # s is -tau - squares @ inv, and squares @ |inv| sums its terms' magnitudes
+        keep[rows] = ~(-tau - squares @ inv < -_SCHUR_TOL * (abs(tau) + squares @ np.abs(inv)))[..., 0]
+    return keep
+
+
+def _extend(graphs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None, j: int, k: int,
+            top: int, floor: float) -> np.ndarray:
+    """Edge bits of the kept one-vertex extensions of graphs on j vertices, each
+    graph's in increasing neighbourhood order, in a search at k on top vertices.
+
+    An extension G is left out when its neighbourhood is not the smallest in
+    its orbit (_extensions) or, where pairs holds the graphs' eigenpairs, when
+    _may_exceed shows lambda_{k-d}(G) <= tau = (floor - _TIE_WINDOW) top - 1 -
+    _INERTIA_MARGIN, with d = top - j - 1: by interlacing no graph on top
+    vertices that contains G can then reach floor - _TIE_WINDOW, nor can G
+    plus d isolated vertices, whose lambda_k is at most lambda_{k-d}(G).
+    Orbits are found only for graphs with an extension left to keep.
+    """
+    if pairs is None:
+        keep = _extensions(graphs, j)
+    else:
+        keep = _may_exceed(*pairs, k - (top - j - 1), (floor - _TIE_WINDOW) * top - 1.0 - _INERTIA_MARGIN)
+        some = keep.any(axis=1)
+        keep[some] &= _extensions(graphs[some], j)
+    parent, hood = np.nonzero(keep)
+    return np.hstack([graphs[parent], _label_bits(hood, j)])
+
+
+def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
+    """One graph per isomorphism class on n vertices that may lie in a graph on
+    n + 1 vertices with the maximum ratio at k, as rows of edge bits; the floor;
+    and the classes' eigenpairs.
+
+    The loop starts from the one graph on 1 vertex. Level j + 1 is the kept
+    one-vertex extensions of level j's classes (_extend), reduced by canonical
+    label; each class is kept as its smallest-label relabeling, in label
+    order. The floor is a ratio some graph on n + 1 vertices reaches: first
+    floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k) vertices
+    plus isolated vertices. On each level j > n + 1 - k, the classes are
+    solved as one eigenpairs stack, and the floor rises to the best ratio of a
+    class H plus n + 1 - j isolated vertices. Deleting d = n + 1 - j vertices
+    from a graph G leaves some H, and interlacing gives lambda_k(G) <=
     lambda_{k-d}(H), so H is dropped when (lambda_{k-d}(H) + 1)/(n+1) lies
-    below the floor by more than _TIE_WINDOW: no extension of it can tie
-    with the maximum. Both eigenvalues sit at ascending index n + 1 - k, of
-    H's j and of the padded n + 1. The floor returned is the last one, which
-    exhaustive_max hands to its inertia filter: every graph on n + 1 vertices
-    tied with the maximum has a ratio of at least floor - _TIE_WINDOW.
+    below the floor by more than _TIE_WINDOW: no extension of it can tie with
+    the maximum. Both eigenvalues sit at ascending index n + 1 - k, of H's j
+    and of the padded n + 1. The kept classes' eigenpairs go down to the next
+    level's inertia filter, which leaves out, before labelling, extensions
+    this prune would drop and that could not raise the floor. The floor
+    returned is the last one: every graph on n + 1 vertices tied with the
+    maximum has a ratio of at least floor - _TIE_WINDOW. The eigenpairs
+    returned are level n's, or None when no level is solved (k = 1).
     """
     top = n + 1
     floor = (top // k) / top
-    graphs = np.zeros((1, 0), dtype=np.uint8)
+    graphs, pairs = np.zeros((1, 0), dtype=np.uint8), None
     for j in range(1, n + 1):
-        labels = np.unique(_canonical_labels(_extensions(graphs, j - 1), j))
-        graphs = _label_bits(labels, j * (j - 1) // 2)
+        if j > 1:
+            labels = np.unique(_canonical_labels(_extend(graphs, pairs, j - 1, k, top, floor), j))
+            graphs = _label_bits(labels, j * (j - 1) // 2)
         if j > top - k:
-            w = eigenvalues(_adjacency_stack(graphs, j))
-            padded = np.sort(np.hstack([w, np.zeros((len(w), top - j))]), axis=1)
+            mu, u = eigenpairs(_adjacency_stack(graphs, j))
+            padded = np.sort(np.hstack([mu, np.zeros((len(mu), top - j))]), axis=1)
             floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
-            graphs = graphs[(w[:, top - k] + 1.0) / top >= floor - _TIE_WINDOW]
-    return graphs, floor
+            keep = (mu[:, top - k] + 1.0) / top >= floor - _TIE_WINDOW
+            graphs, pairs = graphs[keep], (mu[keep], u[keep])
+    return graphs, floor, pairs
 
 
-def _may_exceed(extensions: np.ndarray, j: int, k: int, tau: float) -> np.ndarray:
-    """Mask of the one-vertex extensions G = H + x of graphs H on j vertices
-    whose lambda_k may exceed tau: every extension it leaves out has lambda_k(G) <= tau.
+@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
+def _subgraph_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the subgraphs on n - 2 vertices of a graph on n sit, and their smallest labels.
 
-    The extensions of one H are consecutive rows, H's bits followed by x, as
-    _extensions makes them. For eigenpairs (mu_i, u_i) of A_H with no mu_i
-    equal to tau, Haynsworth's inertia additivity (Linear Algebra Appl. 1,
-    1968) on the bordered matrix A_G - tau I gives n+(A_G - tau I) =
-    n+(A_H - tau I) + [s > 0], with the Schur complement s = -tau -
-    sum_i (u_i . x)^2 / (mu_i - tau), Golub's secular function (SIAM Review
-    15, 1973). lambda_k(G) > tau exactly when n+(A_G - tau I) >= k, so when H
-    has k - 1 eigenvalues above tau, one eigendecomposition of H decides all
-    its extensions. An extension is left out only when every |mu_i - tau|
-    exceeds _INERTIA_MARGIN / 2 and s < 0 by more than _SCHUR_TOL times the
-    sum of |tau| and the terms' magnitudes: a backward error E of the solve
-    moves s by at most about |E| / min |mu_i - tau| times that sum.
+    Row i of the first array lists the graph6 positions, in the subgraph's own
+    graph6 order, of the pairs within the i-th (n-2)-subset of the vertices.
+    Entry x of the second is the smallest label over all relabelings of the
+    graph on n - 2 vertices with label x, read off the relabelings of one
+    graph per class.
     """
-    m = j * (j - 1) // 2
-    first = np.r_[True, (extensions[1:, :m] != extensions[:-1, :m]).any(axis=1)]
-    mu, u = eigenpairs(_adjacency_stack(extensions[first, :m], j))
-    gap = mu - tau
-    sure = ((gap > 0).sum(axis=1) == k - 1) & (np.abs(gap) > _INERTIA_MARGIN / 2).all(axis=1)
-    # every neighbourhood value of each sure parent: at most 1,044 x 2^7 x 7 < _CELLS terms for n <= 8
-    terms = (_label_bits(np.arange(1 << j), j) @ u[sure]) ** 2 / gap[sure, None, :]
-    drop = np.zeros((len(mu), 1 << j), dtype=bool)
-    drop[sure] = -tau - terms.sum(axis=2) < -_SCHUR_TOL * (abs(tau) + np.abs(terms).sum(axis=2))
-    return ~drop[np.cumsum(first) - 1, extensions[:, m:] @ (1 << np.arange(j - 1, -1, -1))]
+    s = n - 2
+    pos = np.array([[b * (b - 1) // 2 + a for i, b in enumerate(subset) for a in subset[:i]]
+                    for subset in itertools.combinations(range(n), s)], dtype=np.intp)
+    classes = _classes(s, 1)[0]
+    own = classes.astype(np.int64) @ (1 << np.arange(pos.shape[1] - 1, -1, -1))
+    smallest = np.empty(1 << pos.shape[1], dtype=np.int64)
+    for start, labels in _labelings(classes, s, _CELLS):
+        smallest[labels.astype(np.int64)] = own[start : start + len(labels), None]
+    return pos, smallest
+
+
+def _smallest_label(bits: np.ndarray, n: int) -> int:
+    """Smallest label over all relabelings of rows of edge bits on n vertices.
+
+    A relabeling's label begins with the label of the subgraph its first
+    n - 2 vertices induce, so the smallest label begins with the smallest
+    label of any subgraph on n - 2 vertices of any row, and only the rows
+    that reach it can hold it. When labelling every row under all n!
+    relabelings would take more than _CELLS labels, the rows are first cut
+    to those.
+    """
+    if len(bits) * math.factorial(n) > _CELLS:
+        pos, smallest = _subgraph_labels(n)
+        weights = 1 << np.arange(pos.shape[1] - 1, -1, -1)
+        prefix = np.min([smallest[bits[:, subset] @ weights] for subset in pos], axis=0)
+        bits = bits[prefix == prefix.min()]
+    return int(_canonical_labels(bits, n).min())
 
 
 def exhaustive_max(k: int, n: int) -> SearchResult:
-    """Maximum limit ratio over every graph on n vertices, n <= 8.
+    """Maximum limit ratio over every graph on n vertices, n <= 9.
 
     Deleting the last vertex of any graph on n vertices leaves a graph on
     n - 1, so the one-vertex extensions of one graph per class on n - 1
     vertices cover every isomorphism class on n, and so do those left when
     each class keeps one neighbourhood per orbit of its automorphisms.
-    _classes drops the classes that cannot reach its interlacing floor on
-    the way and returns that floor. One eigendecomposition of each class
-    left then decides by inertia (_may_exceed) which of its kept extensions
-    can have lambda_k above tau = (floor - _TIE_WINDOW) n - 1 - _INERTIA_MARGIN,
-    and only those are solved, in batches: 2 at (3, 6) and 217 at (3, 8),
-    against 98 and 20,958 without the filter and 1,088 and 133,632 without
-    any pruning. Every graph tied with the maximum survives the floor and
-    the filter. The witness is the smallest graph6 over all relabelings of
-    the extensions tied with the maximum, which is the smallest over all
-    labeled graphs tied with it. The history lists the strict improvements
-    among the solved extensions; their distinct values at or above the
-    floor agree with those of the unpruned run over every extension to 12
-    decimals.
+    _classes builds those classes level by level, drops on the way the
+    classes that cannot reach its interlacing floor, and returns that floor
+    with the eigenpairs of the classes left. Those eigenpairs decide by
+    inertia (_may_exceed) which kept extensions can have lambda_k above tau =
+    (floor - _TIE_WINDOW) n - 1 - _INERTIA_MARGIN, and only those are solved,
+    in batches and without labelling: 2 at (3, 6) and 217 at (3, 8), against
+    98 and 20,958 without the filter and 1,088 and 133,632 without any
+    pruning. Counting every matrix solved, class levels included, (3, 6)
+    solves 20 and (3, 8) 1,032. Every graph tied with the maximum survives
+    the floor and the filter. The witness is the smallest graph6 over all
+    relabelings of the extensions tied with the maximum, which is the
+    smallest over all labeled graphs tied with it. The history lists the
+    strict improvements among the solved extensions; their distinct values
+    at or above the floor agree with those of the unpruned run over every
+    extension to 12 decimals.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -405,14 +497,15 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
         raise ValueError("need n >= k so lambda_k exists")
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
-    classes, floor = _classes(n - 1, k)
-    graphs = _extensions(classes, n - 1)
-    graphs = graphs[_may_exceed(graphs, n - 1, k, (floor - _TIE_WINDOW) * n - 1 - _INERTIA_MARGIN)]
+    classes, floor, pairs = _classes(n - 1, k)
+    if pairs is None and n > 1:  # k = 1 prunes no level, but the filter still reads the last one's eigenpairs
+        pairs = eigenpairs(_adjacency_stack(classes, n - 1))
+    graphs = _extend(classes, pairs, n - 1, k, n, floor)
     per_stack = _CELLS // (n * n)
     batches = ((np.full(len(bits), n), {n: bits})
                for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))
     return _drive(k, batches, lambda order, bits: g6_encode_bits(order, _label_bits(
-        _canonical_labels(bits, order).min(keepdims=True), bits.shape[1])[0]), n, "exhaustive")
+        np.array([_smallest_label(bits, order)]), bits.shape[1])[0]), n, "exhaustive")
 
 
 # -- streaming maximum -------------------------------------------------------------

@@ -91,8 +91,9 @@ def test_stated_spectrum_check_takes_one_row_at_a_time():
 
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
-    # brings. The three left hold little: one parser, and one relabeling
-    # table and one neighbourhood-image table per exhaustive order up to 8.
+    # brings. The four left hold little: one parser, and one relabeling
+    # table, one neighbourhood-image table and one subgraph-label table per
+    # exhaustive order up to 9.
     # Quadratic arithmetic never splits a radicand again, so
     # squarefree_split needs no cache.
     cached, uses = set(), 0
@@ -107,6 +108,7 @@ def test_no_cache_keyed_by_an_input_order():
         ("cli.py", "build_parser", "functools.cache"),
         ("search.py", "_relabel_weights", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
         ("search.py", "_hood_images", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
+        ("search.py", "_subgraph_labels", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
     }
     assert uses == len(cached)
 
@@ -114,13 +116,16 @@ def test_no_cache_keyed_by_an_input_order():
 def test_batched_engines_share_drive():
     # both batched engines return through _drive, the one place a stack of
     # adjacency matrices is built and folded into a result; the exhaustive
-    # engine's interlacing floor and inertia filter build the only other
-    # stacks, of classes they solve to prune, never folded into a result
+    # engine's class levels build the only other stacks, of classes they
+    # solve once for the floor and the inertia filter, never folded into a
+    # result, and at k = 1 exhaustive_max solves the last level for the
+    # filter alone. The filter reads eigenpairs it is handed.
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
     assert {name: count for name, count in uses.items() if count} == {"search.py": 4}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
     assert inspect.getsource(search._classes).count("_adjacency_stack(") == 1
-    assert inspect.getsource(search._may_exceed).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search.exhaustive_max).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search._may_exceed).count("_adjacency_stack(") == 0
     for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor"):
         assert not hasattr(search, gone), gone
 

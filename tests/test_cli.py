@@ -337,9 +337,9 @@ def test_search_missing_n_is_usage(capsys):
 
 
 def test_search_n9_refused(capsys):
-    code, _, err = run(capsys, "search", "--k", "3", "--n", "9", "--method", "exhaustive")
+    code, _, err = run(capsys, "search", "--k", "3", "--n", "10", "--method", "exhaustive")
     assert code == 2
-    assert "capped at n = 8" in err
+    assert "capped at n = 9" in err
 
 
 def test_search_exhaustive_n8(capsys):

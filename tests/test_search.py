@@ -35,7 +35,7 @@ from blowup.search import (
     local_search,
     stream_max,
 )
-from blowup.spectra import eigen_spectrum
+from blowup.spectra import eigen_spectrum, eigenpairs
 
 
 def ratio_of(g: Graph, k: int) -> float:
@@ -118,8 +118,8 @@ def test_exhaustive_tie_break_lex_smallest():
 
 
 def test_exhaustive_size_gates():
-    with pytest.raises(ValueError, match="capped at n = 8"):
-        exhaustive_max(3, 9)
+    with pytest.raises(ValueError, match="capped at n = 9"):
+        exhaustive_max(3, 10)
     with pytest.raises(ValueError):
         exhaustive_max(0, 4)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_class_counts_match_oeis_a000088():
 def test_classes_are_canonical_and_distinct():
     # each kept graph is the smallest label among its relabelings, and no two agree
     for n in (4, 5):
-        reps, _ = search._classes(n, 1)
+        reps = search._classes(n, 1)[0]
         labels = [g6_encode_bits(n, row) for row in reps]
         assert labels == sorted(set(labels))
         for label in labels:
@@ -218,33 +218,35 @@ def solved(monkeypatch):
 
 
 def test_exhaustive_solve_count_n7(solved):
-    # the 34 classes on 5 vertices and the 155 on 6 built from the 33 kept,
-    # one stack each; 60 of those 155 keep one extension per automorphism
-    # orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 = 3,840, and one
-    # eigendecomposition of those 60 leaves 113 of the 2,030 to solve. Plus
-    # the witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
+    # the 34 classes on 5 vertices in one eigendecomposition stack; inertia
+    # on the 33 kept leaves the extensions that label to 60 classes on 6
+    # (155 without it), all kept, in a second. Those 60 keep one extension
+    # per automorphism orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 =
+    # 3,840, and their eigenpairs leave 113 of the 2,030 to solve. Plus the
+    # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
     r = exhaustive_max(3, 7)
     assert r.evaluations == 113
-    assert solved[0] == 34 + 155 + 60 + 113 + 1
+    assert solved[0] == 34 + 60 + 113 + 1
 
 
 @pytest.mark.parametrize("k,n,levels,kept", [
     (2, 4, [4], 3),  # unpruned: 4 classes on 3 vertices
-    (3, 6, [11, 33], 6),  # unpruned: 34 classes on 5 vertices
-    (3, 8, [156, 1043], 262),  # unpruned: 1044 classes on 7 vertices
+    (3, 6, [11, 6], 6),  # unpruned: 34 classes on 5 vertices; 33 without inertia on level 5
+    (3, 8, [156, 658], 262),  # unpruned: 1044 classes on 7 vertices; 1043 without inertia on level 7
 ])
 def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
-    # the class stacks of the levels j > n - k, one eigendecomposition of each
-    # kept class on n - 1 vertices, the extensions of those classes that it
-    # cannot rule out (of one per automorphism orbit of their neighbourhoods,
-    # at most kept << (n - 1)), and the witness's self-check
+    # one eigendecomposition stack of the classes of each level j > n - k,
+    # whose pairs the next level's inertia filter reads before labelling;
+    # the extensions of the kept classes on n - 1 vertices that their pairs
+    # cannot rule out (of one per automorphism orbit of their
+    # neighbourhoods, at most kept << (n - 1)); and the witness's self-check
     r = exhaustive_max(k, n)
     assert r.evaluations == {(2, 4): 1, (3, 6): 2, (3, 8): 217}[k, n]
-    assert solved[0] == sum(levels) + kept + r.evaluations + 1
-    classes, _ = search._classes(n - 1, k)
+    assert solved[0] == sum(levels) + r.evaluations + 1
+    classes = search._classes(n - 1, k)[0]
     assert len(classes) == kept
     orbits = sum(hood_orbits(row, n - 1) for row in classes)
-    assert len(search._extensions(classes, n - 1)) == orbits == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
+    assert search._extensions(classes, n - 1).sum() == orbits == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
 
 
 def automorphisms(row: np.ndarray, j: int) -> np.ndarray:
@@ -278,10 +280,11 @@ def test_extensions_keep_one_neighbourhood_per_orbit():
     # orbit (vertex i at bit j-1-i), and the kept extensions reach every
     # class that all 2^j extensions reach
     for j in range(6):
-        classes, _ = search._classes(j, 1)
-        got = search._extensions(classes, j)
-        at, everything = 0, []
-        for row in classes:
+        classes = search._classes(j, 1)[0]
+        mask = search._extensions(classes, j)
+        assert mask.shape == (len(classes), 1 << j)
+        everything = []
+        for row, kept in zip(classes, mask):
             auts = automorphisms(row, j)
             images = [[sum(1 << (j - 1 - p[i]) for i in range(j) if hood >> (j - 1 - i) & 1)
                        for hood in range(1 << j)] for p in auts]
@@ -289,13 +292,32 @@ def test_extensions_keep_one_neighbourhood_per_orbit():
             assert len(minima) == hood_orbits(row, j)
             everything += [np.concatenate([row, [hood >> (j - 1 - i) & 1 for i in range(j)]])
                            for hood in range(1 << j)]
-            mine, at = got[at : at + len(minima)], at + len(minima)
-            assert (mine[:, :len(row)] == row).all(), j
-            hoods = (mine[:, len(row):].astype(int) << np.arange(j - 1, -1, -1)).sum(axis=1)
-            assert hoods.tolist() == minima, (j, row)
-        assert at == len(got)
+            assert np.flatnonzero(kept).tolist() == minima, (j, row)
+        # with no eigenpairs to read, _extend builds the bits of exactly the orbit minima
+        got = search._extend(classes, None, j, 1, j + 1, 1.0)
+        assert len(got) == mask.sum()
         reached = search._canonical_labels(got, j + 1)
         assert set(reached) == set(search._canonical_labels(np.array(everything, dtype=np.uint8), j + 1))
+
+
+def test_smallest_label_cuts_rows_by_subgraph_prefix(monkeypatch):
+    # with the cut forced on every call, the smallest label over all
+    # relabelings of a set of rows is the brute-force one: random rows,
+    # isomorphic copies, and graphs whose large independent sets make many
+    # rows share the smallest prefix
+    monkeypatch.setattr(search, "_CELLS", 0)
+    rng = np.random.default_rng(7)
+    for n in range(2, 8):
+        m = n * (n - 1) // 2
+        for density in (0.1, 0.5, 0.9):
+            bits = (rng.random((int(rng.integers(1, 12)), m)) < density).astype(np.uint8)
+            perm = rng.permutation(n)
+            ii, jj = triu_pair_arrays(n)
+            a = np.zeros((n, n), dtype=np.uint8)
+            a[ii, jj] = a[jj, ii] = bits[0]
+            bits = np.vstack([bits, a[perm][:, perm][ii, jj]])  # a relabeled copy of the first row
+            want = int(search._canonical_labels(bits, n).min())
+            assert search._smallest_label(bits, n) == want, (n, density)
 
 
 @functools.cache
@@ -402,37 +424,50 @@ def eigenvalues_above(a: np.ndarray, tau: float) -> int:
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.data())
 def test_inertia_filter_drops_only_graphs_at_or_below_tau(data):
-    # extensions G = H + x of up to three graphs H on j <= 9 vertices; tau at
-    # exact eigenvalues of small graphs, at G's and H's own, and 1e-12 off
-    # them, where the Schur complement or a parent eigenvalue meets tau. Every
-    # G the filter drops has lambda_k(G) <= tau, by the dense solver and exactly.
+    # extensions G = H + x of up to three graphs H on j <= 9 vertices, read
+    # from H's eigenpairs as the level loop hands them down; tau at exact
+    # eigenvalues of small graphs, at G's and H's own (H's also as the filter
+    # reads them), and one ulp or 1e-12 off them, where the Schur complement
+    # or a parent eigenvalue meets tau. Every G the filter drops has
+    # lambda_k(G) <= tau, by the dense solver and exactly.
     j = data.draw(st.integers(0, 9))
     m = j * (j - 1) // 2
-    rows = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        parent = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    parents, at, rows = [], [], []
+    for i in range(data.draw(st.integers(1, 3))):
+        parents.append(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
         for _ in range(data.draw(st.integers(1, 4))):
-            rows.append(parent + data.draw(st.lists(st.integers(0, 1), min_size=j, max_size=j)))
+            at.append(i)
+            rows.append(parents[i] + data.draw(st.lists(st.integers(0, 1), min_size=j, max_size=j)))
     extensions = np.array(rows, dtype=np.uint8).reshape(len(rows), m + j)
+    hoods = (extensions[:, m:].astype(int) << np.arange(j - 1, -1, -1)).sum(axis=1)
+    mu, u = eigenpairs(search._adjacency_stack(np.array(parents, dtype=np.uint8).reshape(len(parents), m), j))
     ii, jj = triu_pair_arrays(j + 1)
     a = np.zeros((len(rows), j + 1, j + 1))
     a[:, ii, jj] = a[:, jj, ii] = extensions
     w = np.linalg.eigvalsh(a)
-    own = np.concatenate([w.ravel(), np.linalg.eigvalsh(a[:, :j, :j]).ravel()])
+    own = np.concatenate([w.ravel(), np.linalg.eigvalsh(a[:, :j, :j]).ravel(), mu.ravel()])
     tau = data.draw(st.sampled_from(EXACT_EIGENVALUES + sorted(set(own.tolist()))))
-    tau += data.draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+    tau = data.draw(st.sampled_from([tau - 1e-12, np.nextafter(tau, -math.inf), tau,
+                                     np.nextafter(tau, math.inf), tau + 1e-12]))
     for k in range(1, j + 2):
-        dropped = ~search._may_exceed(extensions, j, k, tau)
+        mask = search._may_exceed(mu, u, k, tau)
+        assert mask.shape == (len(parents), 1 << j)
+        dropped = ~mask[at, hoods]
         assert (w[dropped, j + 1 - k] <= tau + 1e-12).all(), (k, tau, w[dropped, j + 1 - k])
         assert all(eigenvalues_above(a[i], tau) < k for i in np.flatnonzero(dropped)), (k, tau)
 
 
+def keep_every_extension(mu, u, k, tau):
+    """The inertia filter's mask with every extension kept."""
+    return np.ones((len(mu), 1 << mu.shape[1]), dtype=bool)
+
+
 def test_inertia_filter_changes_no_result(monkeypatch):
-    # against the same search with every kept extension solved: the filter
-    # leaves out only extensions below the floor, so the witness, the ratio
-    # to the bit and the distinct history values at or above the floor agree
+    # against the same search with the filter off on every level: it leaves
+    # out only extensions below the floor, so the witness, the ratio to the
+    # bit and the distinct history values at or above the floor agree
     searches = {(k, n): exhaustive_max(k, n) for n in range(1, 9) for k in range(1, n + 1)}
-    monkeypatch.setattr(search, "_may_exceed", lambda extensions, j, k, tau: np.ones(len(extensions), bool))
+    monkeypatch.setattr(search, "_may_exceed", keep_every_extension)
     for (k, n), got in searches.items():
         want, floor = exhaustive_max(k, n), round(search._classes(n - 1, k)[1], 12)
         assert got.best_graph == want.best_graph, (k, n)
@@ -440,6 +475,33 @@ def test_inertia_filter_changes_no_result(monkeypatch):
         above = [{round(r, 12) for _, r in result.history if round(r, 12) >= floor} for result in (got, want)]
         assert above[0] == above[1], (k, n)
         assert got.evaluations <= want.evaluations, (k, n)
+
+
+def test_level_filter_keeps_classes_and_floor(monkeypatch):
+    # the filter runs before labelling, and leaves out only extensions that
+    # the floor's prune would drop and that could not raise the floor: the
+    # class build's classes, floor and eigenpairs are those of the build
+    # with the filter off
+    builds = {(n, k): search._classes(n, k) for n in range(8) for k in range(1, n + 2)}
+    monkeypatch.setattr(search, "_may_exceed", keep_every_extension)
+    for (n, k), (classes, floor, pairs) in builds.items():
+        want, want_floor, want_pairs = search._classes(n, k)
+        assert classes.tobytes() == want.tobytes() and classes.shape == want.shape, (n, k)
+        assert floor == want_floor, (n, k)
+        assert (pairs is None) == (want_pairs is None) == (k == 1 or n == 0), (n, k)
+        if pairs is not None:
+            assert all(np.array_equal(p, q) for p, q in zip(pairs, want_pairs)), (n, k)
+
+
+@pytest.mark.parametrize("k,witness,ratio,evaluations", [
+    (3, "H@LAKA@", 1 / 3, 3),  # the open k = 3 question at n = 9: no ratio above 1/3
+    (9, "H??????", 1 / 9, 1),  # lambda_9 <= 0, with 0 only in the empty graph
+])
+def test_exhaustive_n9(k, witness, ratio, evaluations):
+    r = exhaustive_max(k, 9)
+    assert r.best_graph == witness
+    assert r.best_ratio == pytest.approx(ratio, abs=1e-12)
+    assert r.evaluations == evaluations
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
