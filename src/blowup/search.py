@@ -30,10 +30,11 @@ stream witness is the lexicographically smallest graph6 string among the
 graphs whose ratios equal that maximum to 12 decimals: relabelings of one
 graph differ by solver noise of about 1e-16, so stacked, serial and
 reordered scans agree. The exhaustive search solves one labeling per
-extension and takes, once at the end, the smallest graph6 over all
-relabelings of the extensions tied with the maximum; no graph it prunes can
-tie. Local search keeps the first state that reaches the float maximum of
-its run.
+extension and reads its witness off the tied extensions as given: the
+smallest of them is already the smallest graph6 over every labeled graph
+tied with the maximum (exhaustive_max), and no graph it prunes can tie.
+Local search keeps the first state that reaches the float maximum of its
+run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -164,55 +165,35 @@ def _adjacency_stack(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
-           smallest: Callable[[int, np.ndarray], str], n: int | None, method: str) -> SearchResult:
+           n: int | None, method: str) -> SearchResult:
     """Solve and fold batches into one self-checked result, in evaluation order.
 
     Each batch is (orders, stacks): each graph's order, and for each order
-    the edge bits of its graphs. smallest(order, bits) is the smallest
-    graph6 among those graphs. The history lists the strict improvements of
-    the float maximum. The witness is the smallest graph6 among the graphs
-    tied with the maximum to 12 decimals, whichever batches they were in:
-    the rows tied with the running maximum are held, dropped when it rises,
-    and labelled once per order at the end, or as soon as they fill _CELLS
-    matrix entries, so a long run of ties keeps bounded memory.
+    the edge bits of its graphs. The history lists the strict improvements of
+    the float maximum. The witness is the smallest graph6, as given, among
+    the graphs tied with the maximum to 12 decimals, whichever batches they
+    were in: a batch whose maximum can reach the running witness key folds in
+    the keys of its rows within _TIE_WINDOW of that maximum, so only the key
+    is held between batches.
     """
     best, tie, evaluations, history = -math.inf, (math.inf, ""), 0, []
-    held, cells, labels = defaultdict(list), 0, []  # tied rows by order, their matrix entries, labels so far
-
-    def label():
-        labels.append(min(smallest(order, np.concatenate(bits)) for order, bits in held.items()))
-        held.clear()
-
     for orders, stacks in batches:
-        ratios, rows = np.empty(len(orders)), {}
+        ratios, solved = np.empty(len(orders)), []
         for order, bits in stacks.items():
-            rows[order] = np.flatnonzero(orders == order)
-            ratios[rows[order]] = _ratio(_adjacency_stack(bits, order), k)
+            r = _ratio(_adjacency_stack(bits, order), k)
+            ratios[orders == order] = r
+            solved.append((order, bits, r))
         earlier = np.maximum.accumulate(np.concatenate([[best], ratios[:-1]]))
         history += [(evaluations + int(i) + 1, float(ratios[i]))
                     for i in np.flatnonzero(ratios > earlier)]
         top = ratios.max()
         best = max(best, float(top))
-        top_key = _witness_key(top, "")
-        if top_key < tie:
-            tie, cells = top_key, 0
-            held.clear()
-            labels.clear()
-        if top_key == tie:
-            near = np.flatnonzero(ratios >= top - _TIE_WINDOW)
-            tied = near[[_witness_key(ratios[i], "") == tie for i in near]]
-            at = orders[tied]
-            for order in set(at.tolist()):
-                held[order].append(stacks[order][np.searchsorted(rows[order], tied[at == order])])
-            cells += int((at * at).sum())
-            if cells >= _CELLS:
-                label()
-                cells = 0
+        if _witness_key(top, "") <= tie:
+            tie = min([tie] + [_witness_key(r[i], g6_encode_bits(order, bits[i]))
+                               for order, bits, r in solved for i in np.flatnonzero(r >= top - _TIE_WINDOW)])
         evaluations += len(ratios)
-    if held:
-        label()
     return _self_check(SearchResult(
-        best_ratio=best, best_graph=min(labels), evaluations=evaluations,
+        best_ratio=best, best_graph=tie[1], evaluations=evaluations,
         k=k, n=n, seed=None, method=method, history=tuple(history)))
 
 
@@ -429,45 +410,6 @@ def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.nd
     return graphs, floor, pairs
 
 
-@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
-def _subgraph_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the subgraphs on n - 2 vertices of a graph on n sit, and their smallest labels.
-
-    Row i of the first array lists the graph6 positions, in the subgraph's own
-    graph6 order, of the pairs within the i-th (n-2)-subset of the vertices.
-    Entry x of the second is the smallest label over all relabelings of the
-    graph on n - 2 vertices with label x, read off the relabelings of one
-    graph per class.
-    """
-    s = n - 2
-    pos = np.array([[b * (b - 1) // 2 + a for i, b in enumerate(subset) for a in subset[:i]]
-                    for subset in itertools.combinations(range(n), s)], dtype=np.intp)
-    classes = _classes(s, 1)[0]
-    own = classes.astype(np.int64) @ (1 << np.arange(pos.shape[1] - 1, -1, -1))
-    smallest = np.empty(1 << pos.shape[1], dtype=np.int64)
-    for start, labels in _labelings(classes, s, _CELLS):
-        smallest[labels.astype(np.int64)] = own[start : start + len(labels), None]
-    return pos, smallest
-
-
-def _smallest_label(bits: np.ndarray, n: int) -> int:
-    """Smallest label over all relabelings of rows of edge bits on n vertices.
-
-    A relabeling's label begins with the label of the subgraph its first
-    n - 2 vertices induce, so the smallest label begins with the smallest
-    label of any subgraph on n - 2 vertices of any row, and only the rows
-    that reach it can hold it. When labelling every row under all n!
-    relabelings would take more than _CELLS labels, the rows are first cut
-    to those.
-    """
-    if len(bits) * math.factorial(n) > _CELLS:
-        pos, smallest = _subgraph_labels(n)
-        weights = 1 << np.arange(pos.shape[1] - 1, -1, -1)
-        prefix = np.min([smallest[bits[:, subset] @ weights] for subset in pos], axis=0)
-        bits = bits[prefix == prefix.min()]
-    return int(_canonical_labels(bits, n).min())
-
-
 def exhaustive_max(k: int, n: int) -> SearchResult:
     """Maximum limit ratio over every graph on n vertices, n <= 9.
 
@@ -484,12 +426,25 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     98 and 20,958 without the filter and 1,088 and 133,632 without any
     pruning. Counting every matrix solved, class levels included, (3, 6)
     solves 20 and (3, 8) 1,032. Every graph tied with the maximum survives
-    the floor and the filter. The witness is the smallest graph6 over all
-    relabelings of the extensions tied with the maximum, which is the
-    smallest over all labeled graphs tied with it. The history lists the
-    strict improvements among the solved extensions; their distinct values
-    at or above the floor agree with those of the unpruned run over every
-    extension to 12 decimals.
+    the floor and the filter, and so does every graph it contains, by
+    interlacing.
+
+    The witness is the smallest graph6 among the tied extensions as given,
+    and that is the smallest over all labeled graphs tied with the maximum,
+    by McKay's canonical augmentation (J. Algorithms 26, 1998). A label on n
+    vertices is c 2^(n-1) + N, where c is the label of the graph H that the
+    first n - 1 vertices induce and N is the last vertex's neighbourhood.
+    Take the relabeling of a tied graph with the smallest label: c is the
+    smallest label of H's class, and N the smallest in its orbit under
+    Aut(H), or a relabeling of the first n - 1 vertices would lower it. H
+    survives, so its class is kept in its smallest-label form c, and
+    _extensions keeps N: H + N is a solved extension, tied with the maximum,
+    whose own label is that smallest one. This takes isomorphic copies to
+    share the 12-decimal tie key, as the module's witness rule does.
+
+    The history lists the strict improvements among the solved extensions;
+    their distinct values at or above the floor agree with those of the
+    unpruned run over every extension to 12 decimals.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -504,8 +459,7 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     per_stack = _CELLS // (n * n)
     batches = ((np.full(len(bits), n), {n: bits})
                for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))
-    return _drive(k, batches, lambda order, bits: g6_encode_bits(order, _label_bits(
-        np.array([_smallest_label(bits, order)]), bits.shape[1])[0]), n, "exhaustive")
+    return _drive(k, batches, n, "exhaustive")
 
 
 # -- streaming maximum -------------------------------------------------------------
@@ -527,8 +481,7 @@ def stream_max(k: int, lines: Iterable[str], on_error: str = "raise") -> SearchR
         raise ValueError("k must be >= 1")
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    return _drive(k, _stream_batches(k, lines, on_error),
-                  lambda order, bits: min(g6_encode_bits(order, row) for row in bits), None, "stream")
+    return _drive(k, _stream_batches(k, lines, on_error), None, "stream")
 
 
 def _stream_batches(k: int, lines: Iterable[str], on_error: str) -> Iterator[tuple[np.ndarray, dict]]:

@@ -91,9 +91,9 @@ def test_stated_spectrum_check_takes_one_row_at_a_time():
 
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
-    # brings. The four left hold little: one parser, and one relabeling
-    # table, one neighbourhood-image table and one subgraph-label table per
-    # exhaustive order up to 9.
+    # brings. The three left hold little: one parser, and one relabeling
+    # table and one neighbourhood-image table per order an exhaustive search
+    # labels, up to 8.
     # Quadratic arithmetic never splits a radicand again, so
     # squarefree_split needs no cache.
     cached, uses = set(), 0
@@ -108,7 +108,6 @@ def test_no_cache_keyed_by_an_input_order():
         ("cli.py", "build_parser", "functools.cache"),
         ("search.py", "_relabel_weights", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
         ("search.py", "_hood_images", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
-        ("search.py", "_subgraph_labels", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
     }
     assert uses == len(cached)
 

@@ -300,24 +300,26 @@ def test_extensions_keep_one_neighbourhood_per_orbit():
         assert set(reached) == set(search._canonical_labels(np.array(everything, dtype=np.uint8), j + 1))
 
 
-def test_smallest_label_cuts_rows_by_subgraph_prefix(monkeypatch):
-    # with the cut forced on every call, the smallest label over all
-    # relabelings of a set of rows is the brute-force one: random rows,
-    # isomorphic copies, and graphs whose large independent sets make many
-    # rows share the smallest prefix
-    monkeypatch.setattr(search, "_CELLS", 0)
-    rng = np.random.default_rng(7)
-    for n in range(2, 8):
-        m = n * (n - 1) // 2
-        for density in (0.1, 0.5, 0.9):
-            bits = (rng.random((int(rng.integers(1, 12)), m)) < density).astype(np.uint8)
-            perm = rng.permutation(n)
-            ii, jj = triu_pair_arrays(n)
-            a = np.zeros((n, n), dtype=np.uint8)
-            a[ii, jj] = a[jj, ii] = bits[0]
-            bits = np.vstack([bits, a[perm][:, perm][ii, jj]])  # a relabeled copy of the first row
-            want = int(search._canonical_labels(bits, n).min())
-            assert search._smallest_label(bits, n) == want, (n, density)
+def test_witness_is_smallest_relabeling_of_tied_extensions(monkeypatch):
+    # the witness read off the tied extensions as given is the smallest
+    # label over all relabelings of every tied extension, at n = 8 for
+    # every k (per_extension_exhaustive checks n <= 7 against every labeled
+    # graph)
+    n, drive, solved = 8, search._drive, []
+
+    def keep_batches(k, batches, *rest):
+        batches = list(batches)
+        solved[:] = [stacks[n] for _, stacks in batches]
+        return drive(k, batches, *rest)
+
+    monkeypatch.setattr(search, "_drive", keep_batches)
+    for k in range(1, n + 1):
+        got = exhaustive_max(k, n)
+        bits = np.vstack(solved)
+        key = search._witness_key(got.best_ratio, "")
+        tied = [search._witness_key(r, "") == key for r in search._ratio(search._adjacency_stack(bits, n), k)]
+        smallest = search._canonical_labels(bits[tied], n).min()
+        assert got.best_graph == g6_encode_bits(n, search._label_bits(np.array([smallest]), bits.shape[1])[0]), k
 
 
 @functools.cache
@@ -495,6 +497,7 @@ def test_level_filter_keeps_classes_and_floor(monkeypatch):
 
 @pytest.mark.parametrize("k,witness,ratio,evaluations", [
     (3, "H@LAKA@", 1 / 3, 3),  # the open k = 3 question at n = 9: no ratio above 1/3
+    (7, "H??????", 1 / 9, 2322),  # 2,322 solved extensions tie at lambda_7 = 0
     (9, "H??????", 1 / 9, 1),  # lambda_9 <= 0, with 0 only in the empty graph
 ])
 def test_exhaustive_n9(k, witness, ratio, evaluations):
@@ -502,6 +505,21 @@ def test_exhaustive_n9(k, witness, ratio, evaluations):
     assert r.best_graph == witness
     assert r.best_ratio == pytest.approx(ratio, abs=1e-12)
     assert r.evaluations == evaluations
+
+
+@pytest.mark.parametrize("k", [3, 7, 9])
+def test_exhaustive_n9_labels_under_at_most_8_factorial(k, monkeypatch):
+    # classes are labelled up to n - 1 = 8 vertices and the witness needs no
+    # labelling, so no relabeling table on 9 vertices (9! columns) is built
+    weights, orders = search._relabel_weights, set()
+
+    def record(n):
+        orders.add(n)
+        return weights(n)
+
+    monkeypatch.setattr(search, "_relabel_weights", record)
+    exhaustive_max(k, 9)
+    assert orders and max(orders) <= 8, orders
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
