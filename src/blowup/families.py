@@ -6,11 +6,11 @@ else. Every node of the tree answers the same three questions: its
 certificate `strength`, its `spectrum()` and its `to_json_obj()`. The
 leaves are an explicit graph (`Explicit`: a stated exact spectrum is checked
 exactly by Hoffman's identity, one row per automorphism orbit, in int64 sums
-over the neighbour lists; an unstated one is solved once),
-strongly regular parameters (`SrgParams`) or an intersection array
-(`IntersectionArray`), the last two by exact formula; a
-`Derived` node is the union or closed blowup of described parts, taken at
-spectrum level.
+over the neighbour lists; an unstated one is solved once), strongly regular
+parameters (`SrgParams`) or an intersection array (`IntersectionArray`), the
+last two by exact formula, with float roots only where a minimal polynomial
+has degree 3 or more; a `Derived` node is the union or closed blowup of
+described parts, taken at spectrum level.
 
 An expression is the one way to name and build a descriptor. The family
 builders are private and return a provenance, not a descriptor; the
@@ -455,30 +455,32 @@ class IntersectionArray:
     def n(self) -> int:
         return sum(self._k)
 
-    def _charpoly_at(self, x: int) -> int:
-        """The intersection matrix's characteristic polynomial at an integer x.
-
-        Evaluated exactly by the three-term recurrence of its leading minors,
-        p_{i+1} = (x - a_i) p_i - b_{i-1} c_{i-1} p_{i-1}, in O(d) steps.
-        """
-        prev, cur = 1, x  # p_0 and p_1 = x - a_0, a_0 = 0
+    def _charpoly_mod(self, s: int, p: int) -> tuple[int, int]:
+        """The intersection matrix's characteristic polynomial P modulo t^2 - s t + p,
+        as (u, v) for u + v t, exactly in O(d) integer steps: its leading minors
+        follow p_{i+1} = (t - a_i) p_i - b_{i-1} c_{i-1} p_{i-1}, and t (u + v t) is
+        -p v + (u + s v) t."""
+        (u0, v0), (u, v) = (1, 0), (0, 1)  # p_0 = 1 and p_1 = t - a_0, a_0 = 0
         for i in range(1, self.diameter + 1):
-            prev, cur = cur, (x - self._a[i]) * cur - self.b[i - 1] * self.c[i - 1] * prev
-        return cur
+            ai, bc = self._a[i], self.b[i - 1] * self.c[i - 1]
+            (u0, v0), (u, v) = (u, v), (-p * v - ai * u - bc * u0, u + (s - ai) * v - bc * v0)
+        return u, v
 
     def spectrum(self) -> Spectrum:
         """Exact spectrum from the array.
 
-        Eigenvalues are the roots of the (d+1) x (d+1) tridiagonal intersection
-        matrix. It is similar to the symmetric tridiagonal matrix with
-        off-diagonals sqrt(b_i c_{i+1}) > 0, so its d+1 roots are real and
-        distinct. A solved root within 1e-6 of an integer at which the
-        characteristic polynomial vanishes exactly is kept as that integer; the
-        window keeps a near root (0.196 beside 0 in C_64) from taking its place.
-        A residual quadratic factor yields a conjugate surd pair, and a higher
-        degree residual keeps the other solved roots as floats. Multiplicities
-        must come out as positive integers (exactly for exact eigenvalues,
-        within 1e-6 after rounding for numeric ones) or the array is rejected.
+        The roots of the tridiagonal intersection matrix, similar to the symmetric
+        one with off-diagonals sqrt(b_i c_{i+1}), are real and distinct, and are
+        solved within a small multiple of 2^-53 b0, its norm; tol = 2^-40 b0. One
+        rule claims the exact roots: an integer within tol of a solved root,
+        nearest first (so 0.196 in C_64 cannot take 0's place), then for each
+        unclaimed x the roots of t^2 - s t + p, s and p its sum and product with
+        the partner y of least miss within 2 tol and tol (|x| + |y| + 1) of
+        integers, read from the sorted fractional parts. A claim stands when its
+        factor's value at z = 4 b0 + 2 divides P(z), an O(1) test, and P vanishes
+        on it exactly (_charpoly_mod, O(d)). Claimed roots take exact, positive
+        integer multiplicities; roots of irreducible factors of degree 3 or more
+        stay floats, with multiplicities within 1e-6 of integers, below order 2^52.
         """
         d, b, c = self.diameter, self.b, self.c
         check_dense_order(d + 1, f"drg of diameter {d}")
@@ -486,11 +488,8 @@ class IntersectionArray:
         n = sum(kj)
 
         def multiplicity(theta):
-            """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence.
-
-            theta is one exact root, or a numpy array of float roots that run
-            the recurrence together.
-            """
+            """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence, for
+            one exact root or a numpy array of float roots that run it together."""
             u_prev = Quadratic(1) if isinstance(theta, Quadratic) else 1.0
             u_cur = theta / b[0]
             total = kj[0] * (u_prev * u_prev) + kj[1] * (u_cur * u_cur)
@@ -502,38 +501,42 @@ class IntersectionArray:
 
         off = np.sqrt([float(x * y) for x, y in zip(b, c)])
         sym = np.diag([float(x) for x in a]) + np.diag(off, 1) + np.diag(off, -1)
-        ints: list[int] = []
-        numeric: list[float] = []
-        for x in map(float, eigenvalues(sym)[::-1]):
-            r = round(x)
-            if abs(x - r) <= 1e-6 and r not in ints and self._charpoly_at(r) == 0:
-                ints.append(r)
-            else:
-                numeric.append(x)
-        roots = [Quadratic(r) for r in ints]
-        # the residual factor's roots sum to the trace less the integer roots
-        rest = sum(a) - sum(ints)
-        deg = len(numeric)
-        if deg == 1:
-            roots.append(Quadratic(rest))
-        elif deg == 2:
-            # x^2 - rest*x + cq, with cq from p(x0) at x0 = b0 + 1, above every eigenvalue:
-            # its discriminant rest^2 - 4 cq is (2 x0 - rest)^2 - 4 p(x0) / prod(x0 - ints)
-            x0 = b[0] + 1
-            den = math.prod(x0 - r for r in ints)
-            quo, rem = divmod(4 * self._charpoly_at(x0), den)
-            disc = (2 * x0 - rest) ** 2 - quo
-            if rem or disc <= 0:
-                raise InfeasibleIntersectionArray(
-                    f"quadratic factor with discriminant {Quadratic(disc * den - rem) / den}")
-            roots.append(Quadratic(rest, 1, disc) / 2)
-            roots.append(Quadratic(rest, -1, disc) / 2)
-        if deg >= 3 and n >= 2**52:
-            # every float64 from 2^52 up is an integer: the test below would pass anything
+        xs, tol = eigenvalues(sym), b[0] / 2**40
+        free, roots, near = np.ones(d + 1, dtype=bool), [], np.abs(xs - np.rint(xs))
+        # solved roots lie within 2 b0, so z exceeds every root of P and of a candidate:
+        # P(z) > 0, and a monic factor's value at z divides it. Modulo (t - r)^2, P(r) = u + r v
+        z = 4 * b[0] + 2
+        u, v = self._charpoly_mod(2 * z, z * z)
+        pz = u + z * v
+        for i in np.argsort(near, kind="stable")[: np.count_nonzero(near <= tol)]:
+            r = round(float(xs[i]))
+            if r in roots or pz % (z - r):
+                continue
+            u, v = self._charpoly_mod(2 * r, r * r)
+            if u + r * v == 0:
+                roots.append(Quadratic(r))
+                free[i] = False
+        order = np.argsort(xs % 1.0, kind="stable")
+        # y may pair with x when its fractional part lies within 2 tol of -x's, on the circle
+        ring, partners = np.concatenate([xs[order] % 1.0 + k for k in (-1, 0, 1)]), np.tile(order, 3)
+        lo, hi = np.searchsorted(ring, -xs % 1.0 + [[-2 * tol], [2 * tol]])
+        for i in np.flatnonzero(free & (hi > lo)):
+            js = partners[lo[i] : hi[i]]
+            sums, prods = xs[i] + xs[js], xs[i] * xs[js]
+            miss = np.maximum(np.abs(sums - np.rint(sums)) / (2 * tol),
+                              np.abs(prods - np.rint(prods)) / (tol * (abs(xs[i]) + np.abs(xs[js]) + 1)))
+            miss[~free[js] | (js == i)] = np.inf
+            k = miss.argmin()
+            s, p = round(float(sums[k])), round(float(prods[k]))
+            disc = s * s - 4 * p  # a square one gives integers, claimed above
+            if (free[i] and miss[k] <= 1 and disc > 0 and math.isqrt(disc) ** 2 != disc
+                    and pz % (z * z - s * z + p) == 0 and self._charpoly_mod(s, p) == (0, 0)):
+                roots += [Quadratic(s, 1, disc) / 2, Quadratic(s, -1, disc) / 2]
+                free[[i, js[k]]] = False
+        numeric = xs[free][::-1]
+        if len(numeric) and n >= 2**52:  # every float64 from 2^52 up is an integer
             raise InfeasibleIntersectionArray(
-                f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
-            )
-
+                f"order {n} is at least 2^52, too large to test float multiplicities for integrality")
         pairs = []
         for theta in roots:
             m = multiplicity(theta)
@@ -543,19 +546,15 @@ class IntersectionArray:
                     f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
                 )
             pairs.append((theta, whole))
-        if deg >= 3:
-            for theta, m in zip(numeric, multiplicity(np.array(numeric)).tolist()):
-                mult = round(m)
-                if mult < 1 or abs(m - mult) > 1e-6:
-                    raise InfeasibleIntersectionArray(
-                        f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer"
-                    )
-                pairs.append((theta, mult))
+        for theta, m in zip(numeric.tolist(), multiplicity(numeric).tolist()):
+            mult = round(m)
+            if mult < 1 or abs(m - mult) > 1e-6:
+                raise InfeasibleIntersectionArray(
+                    f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer")
+            pairs.append((theta, mult))
         total_mult = sum(mult for _, mult in pairs)
         if total_mult != n:
-            raise InfeasibleIntersectionArray(
-                f"multiplicities sum to {total_mult}, expected order {n}"
-            )
+            raise InfeasibleIntersectionArray(f"multiplicities sum to {total_mult}, expected order {n}")
         return Spectrum(pairs)
 
     def to_json_obj(self) -> dict:

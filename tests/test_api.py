@@ -117,13 +117,13 @@ def test_batched_engines_share_drive():
     # adjacency matrices is built and folded into a result; the exhaustive
     # engine's class levels build the only other stacks, of classes they
     # solve once for the floor and the inertia filter, never folded into a
-    # result, and at k = 1 exhaustive_max solves the last level for the
-    # filter alone. The filter reads eigenpairs it is handed.
+    # result; the last class level is solved at every k, so exhaustive_max
+    # solves none itself. The filter reads eigenpairs it is handed.
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
-    assert {name: count for name, count in uses.items() if count} == {"search.py": 4}
+    assert {name: count for name, count in uses.items() if count} == {"search.py": 3}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
     assert inspect.getsource(search._classes).count("_adjacency_stack(") == 1
-    assert inspect.getsource(search.exhaustive_max).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search.exhaustive_max).count("_adjacency_stack(") == 0
     assert inspect.getsource(search._may_exceed).count("_adjacency_stack(") == 0
     for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor"):
         assert not hasattr(search, gone), gone

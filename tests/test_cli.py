@@ -37,6 +37,24 @@ def test_spectrum_exact_display(capsys):
     assert out.splitlines()[1] == "6^1 5^104 (2+sqrt3)^168 2^182 (2-sqrt3)^168 (-1)^104 (-2)^729"
 
 
+def test_drg_spectra_exact_past_the_integer_roots(capsys):
+    # C_10: its roots (+-1 +- sqrt5)/2 split into two quadratic factors
+    code, out, _ = run(capsys, "spectrum", "--exact", "drg:2,1,1,1,1;1,1,1,1,2")
+    assert code == 0 and "note:" not in out
+    assert out.splitlines()[1] == (
+        "2^1 (1/2+1/2*sqrt5)^2 (-1/2+1/2*sqrt5)^2 (1/2-1/2*sqrt5)^2 (-1/2-1/2*sqrt5)^2 (-2)^1")
+    # the generalized dodecagon of order (293, 1), n of about 6.4e14: exact
+    # multiplicities, where a float one was refused with an error of 1e-2
+    code, out, _ = run(capsys, "spectrum", "drg:586,293,293,293,293,293;1,1,1,1,1,2")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "586^1 (292+sqrt879)^363605984994 (292+sqrt293)^1083397510818 292^1439633359162 "
+        "(292-sqrt293)^1083397510818 (292-sqrt879)^363605984994 (-2)^632711491215049")
+    # C_7's roots are cubic: floats, with the note
+    code, out, _ = run(capsys, "spectrum", "--exact", "drg:2,1,1;1,1,1")
+    assert code == 0 and "note:" in out
+
+
 def test_spectrum_numeric_flag(capsys):
     code, out, _ = run(capsys, "spectrum", "--numeric", "complete:4")
     assert code == 0

@@ -742,6 +742,79 @@ def test_drg_c2001_parses():
     assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("b,c", [
+    ((3, 2), (1, 1)), ((2, 1, 1, 1, 1), (1, 1, 1, 1, 2)), ((27, 10, 1), (1, 10, 27)),
+])
+def test_charpoly_remainder_matches_long_division(b, c):
+    # the remainder's recurrence against the intersection matrix's
+    # characteristic polynomial, expanded by numpy and rounded, divided by
+    # t^2 - s t + p by long division; at an integer r, u + r v is P(r)
+    arr = IntersectionArray(b, c)
+    a = [b[0] - x - y for x, y in zip((*b, 0), (0, *c))]
+    coeffs = [int(x) for x in np.rint(np.poly(np.diag(a) + np.diag(b, 1) + np.diag(c, -1)))]
+    for s in range(-3, 4):
+        for p in range(-3, 4):
+            rem = coeffs[:]
+            for i in range(len(rem) - 2):
+                rem[i + 1] += s * rem[i]
+                rem[i + 2] -= p * rem[i]
+            assert arr._charpoly_mod(s, p) == (rem[-1], rem[-2]), (s, p)
+    for r in range(-b[0] - 1, b[0] + 2):
+        u, v = arr._charpoly_mod(2 * r, r * r)
+        assert u + r * v == sum(x * r ** (len(coeffs) - 1 - i) for i, x in enumerate(coeffs)), r
+
+
+def test_drg_candidates_face_a_divisibility_test_first():
+    # with b0 = 10^12, tol = 2^-40 b0 is about 0.9, so every solved root is an
+    # integer and a pair candidate; each factor's value at z = 4 b0 + 2 must
+    # divide P(z), an O(1) test that rejects them all, where the exact O(d)
+    # big-integer test on every candidate takes several seconds. The roots
+    # stay floats, and order 2^52 refuses them
+    d = 1000
+    expr = "drg:" + ",".join(["1000000000000"] + ["999999999999"] * (d - 1)) + ";" + ",".join(["1"] * d)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_expression(expr)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_drg_cycles_exact_where_quadratic():
+    # C_n has the roots 2 cos(2 pi j / n), of degree phi(n)/2 over Q at j = 1,
+    # so every root is rational or quadratic exactly when phi(n) <= 4; the
+    # other cycles keep their roots of degree 3 or more as floats
+    for n in range(3, 61):
+        d = n // 2
+        desc = drg((2,) + (1,) * (d - 1), (1,) * (d - 1) + (2 - n % 2,))
+        expect = sorted((2 * math.cos(2 * math.pi * j / n) for j in range(n)), reverse=True)
+        assert np.allclose(desc.spectrum.float_values(), expect, atol=1e-12), n
+        assert desc.spectrum.is_exact == (n in (3, 4, 5, 6, 8, 10, 12)), n
+
+
+def test_drg_dodecagons_exact():
+    # the generalized dodecagon of order (s, 1): eigenvalues 2s, s - 1 +- sqrt(3s),
+    # s - 1 +- sqrt(s), s - 1 and -2, in up to two quadratic fields, with exact
+    # multiplicities summing to n; s = 1 is C_12
+    for s in range(1, 31):
+        desc = drg((2 * s,) + (s,) * 5, (1,) * 5 + (2,))
+        assert desc.spectrum.is_exact, s
+        assert desc.n == 1 + 2 * sum(s**j for j in range(1, 6)) + s**6
+        assert sum(m for _, m in desc.spectrum.entries) == desc.n, s
+        values = {Quadratic(2 * s), Quadratic(s - 1), Quadratic(-2)}
+        values |= {Quadratic(s - 1, sign, r) for sign in (1, -1) for r in (s, 3 * s)}
+        assert {v for v, _ in desc.spectrum.entries} == values, s
+
+
+@pytest.mark.parametrize("t", [10**6, 10**9, 10**12])
+def test_drg_conference_arrays_stay_exact(t):
+    # {2t, t; 1, t} is srg(4t+1, 2t, t-1, t), eigenvalues 2t and (-1 +- sqrt(4t+1))/2;
+    # its solved roots are off by about 1e-10 at t = 10^12 and their product
+    # by 4e-4, inside windows that scale with b0
+    d = drg((2 * t, t), (1, t))
+    half = Fraction(1, 2)
+    assert exact_entries(d) == ((Quadratic(2 * t), 1), (Quadratic(-half, half, 4 * t + 1), 2 * t),
+                                (Quadratic(-half, -half, 4 * t + 1), 2 * t))
+
+
 def test_drg_complete_graph_array():
     d = parse_expression("drg:4;1")
     assert exact_entries(d) == ((Quadratic(4), 1), (Quadratic(-1), 4))
@@ -1030,11 +1103,23 @@ def drg_arrays():
                 ((3, 2), (1, 1), 10), ((5, 2, 1), (1, 2, 5), 12))
 
 
+def radicand_sums(values):
+    """Exact sums of Quadratic values, one per radicand (0 for the rationals):
+    values from different quadratic fields do not add in one Quadratic."""
+    sums = {}
+    for v in values:
+        sums[v.d] = sums.get(v.d, 0) + v
+    return sums
+
+
 def test_formula_leaves_have_trace_zero():
     # the oracle for the trace test the descriptor no longer runs: for a
     # k-regular graph on n vertices, sum m = n, sum m theta = 0 and
-    # sum m theta^2 = n k, exactly in Quadratic arithmetic over the exact
-    # values; a cycle's roots of degree above two are floats, summed to 1e-9
+    # sum m theta^2 = n k, exactly over the exact values, summed per
+    # radicand since one cycle (C_24, C_40, ...) has roots in Q(sqrt2) and
+    # Q(sqrt3) and so on; distinct square roots are linearly independent, so
+    # a sum is rational when each radicand's sqrt part is 0. A cycle's roots
+    # of degree above two are floats, summed to 1e-9
     leaves = []
     for v, k, lam, mu in srg_sets(60):
         try:
@@ -1047,10 +1132,12 @@ def test_formula_leaves_have_trace_zero():
         exact = [(v, m) for v, m in d.spectrum.entries if isinstance(v, Quadratic)]
         floats = [(v, m) for v, m in d.spectrum.entries if not isinstance(v, Quadratic)]
         assert sum(m for _, m in d.spectrum.entries) == n, d.name
-        s1 = sum((v * m for v, m in exact), Quadratic(0))
-        s2 = sum((v * v * m for v, m in exact), Quadratic(0))
+        s1 = radicand_sums(v * m for v, m in exact).values()
+        s2 = radicand_sums(v * v * m for v, m in exact).values()
         if floats:
-            assert abs(float(s1) + math.fsum(v * m for v, m in floats)) <= 1e-9, d.name
-            assert abs(float(s2) + math.fsum(v * v * m for v, m in floats) - n * k) <= 1e-9 * n * k, d.name
+            t1 = math.fsum([*map(float, s1), *(v * m for v, m in floats)])
+            t2 = math.fsum([*map(float, s2), *(v * v * m for v, m in floats)])
+            assert abs(t1) <= 1e-9 and abs(t2 - n * k) <= 1e-9 * n * k, d.name
         else:
-            assert s1 == 0 and s2 == n * k, d.name
+            assert not any(s.b for s in [*s1, *s2]), d.name
+            assert sum(s.a for s in s1) == 0 and sum(s.a for s in s2) == n * k, d.name
