@@ -474,13 +474,16 @@ class IntersectionArray:
         solved within a small multiple of 2^-53 b0, its norm; tol = 2^-40 b0. One
         rule claims the exact roots: an integer within tol of a solved root,
         nearest first (so 0.196 in C_64 cannot take 0's place), then for each
-        unclaimed x the roots of t^2 - s t + p, s and p its sum and product with
-        the partner y of least miss within 2 tol and tol (|x| + |y| + 1) of
-        integers, read from the sorted fractional parts. A claim stands when its
-        factor's value at z = 4 b0 + 2 divides P(z), an O(1) test, and P vanishes
-        on it exactly (_charpoly_mod, O(d)). Claimed roots take exact, positive
-        integer multiplicities; roots of irreducible factors of degree 3 or more
-        stay floats, with multiplicities within 1e-6 of integers, below order 2^52.
+        unclaimed x the partner y of least miss, whose sum and product lie within
+        2 tol and tol (|x| + |y| + 1) of integers, read from the sorted fractional
+        parts. The claimed factor t^2 - s t + p takes s = x + y and s^2 - 2 p =
+        x^2 + y^2 from the exact power sums of the unclaimed roots, less the other
+        unclaimed floats: exact for the last pair, where float64 may not hold the
+        entries. A claim stands when its factor's value at z = 4 b0 + 2 divides
+        P(z), an O(1) test, and P vanishes on it exactly (_charpoly_mod, O(d)).
+        Claimed roots take exact, positive integer multiplicities; roots of
+        irreducible factors of degree 3 or more stay floats, with multiplicities
+        within 1e-6 of integers, below order 2^52.
         """
         d, b, c = self.diameter, self.b, self.c
         check_dense_order(d + 1, f"drg of diameter {d}")
@@ -488,8 +491,11 @@ class IntersectionArray:
         n = sum(kj)
 
         def multiplicity(theta):
-            """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence, for
-            one exact root or a numpy array of float roots that run it together."""
+            """m(theta) = n / sum_j k_j u_j(theta)^2 via the standard u recurrence.
+
+            theta is one exact root, or a numpy array of float roots that run
+            the recurrence together.
+            """
             u_prev = Quadratic(1) if isinstance(theta, Quadratic) else 1.0
             u_cur = theta / b[0]
             total = kj[0] * (u_prev * u_prev) + kj[1] * (u_cur * u_cur)
@@ -502,41 +508,55 @@ class IntersectionArray:
         off = np.sqrt([float(x * y) for x, y in zip(b, c)])
         sym = np.diag([float(x) for x in a]) + np.diag(off, 1) + np.diag(off, -1)
         xs, tol = eigenvalues(sym), b[0] / 2**40
-        free, roots, near = np.ones(d + 1, dtype=bool), [], np.abs(xs - np.rint(xs))
+        free, ints, near = np.ones(d + 1, dtype=bool), [], np.abs(xs - np.rint(xs))
         # solved roots lie within 2 b0, so z exceeds every root of P and of a candidate:
         # P(z) > 0, and a monic factor's value at z divides it. Modulo (t - r)^2, P(r) = u + r v
         z = 4 * b[0] + 2
         u, v = self._charpoly_mod(2 * z, z * z)
         pz = u + z * v
+        # the power sums of the roots not yet claimed: trace(A) and trace(A^2), less the claimed
+        left = [sum(a), sum(x * x for x in a) + 2 * sum(x * y for x, y in zip(b, c))]
         for i in np.argsort(near, kind="stable")[: np.count_nonzero(near <= tol)]:
             r = round(float(xs[i]))
-            if r in roots or pz % (z - r):
+            if r in ints or pz % (z - r):
                 continue
             u, v = self._charpoly_mod(2 * r, r * r)
             if u + r * v == 0:
-                roots.append(Quadratic(r))
+                ints.append(r)
                 free[i] = False
-        order = np.argsort(xs % 1.0, kind="stable")
-        # y may pair with x when its fractional part lies within 2 tol of -x's, on the circle
-        ring, partners = np.concatenate([xs[order] % 1.0 + k for k in (-1, 0, 1)]), np.tile(order, 3)
-        lo, hi = np.searchsorted(ring, -xs % 1.0 + [[-2 * tol], [2 * tol]])
-        for i in np.flatnonzero(free & (hi > lo)):
-            js = partners[lo[i] : hi[i]]
-            sums, prods = xs[i] + xs[js], xs[i] * xs[js]
-            miss = np.maximum(np.abs(sums - np.rint(sums)) / (2 * tol),
-                              np.abs(prods - np.rint(prods)) / (tol * (abs(xs[i]) + np.abs(xs[js]) + 1)))
-            miss[~free[js] | (js == i)] = np.inf
-            k = miss.argmin()
-            s, p = round(float(sums[k])), round(float(prods[k]))
-            disc = s * s - 4 * p  # a square one gives integers, claimed above
-            if (free[i] and miss[k] <= 1 and disc > 0 and math.isqrt(disc) ** 2 != disc
-                    and pz % (z * z - s * z + p) == 0 and self._charpoly_mod(s, p) == (0, 0)):
-                roots += [Quadratic(s, 1, disc) / 2, Quadratic(s, -1, disc) / 2]
-                free[[i, js[k]]] = False
+                left = [left[0] - r, left[1] - r * r]
+        roots = [Quadratic(r) for r in ints]
+        if free.any():  # pairs among the roots left
+            order = np.argsort(xs % 1.0, kind="stable")
+            # y may pair with x when its fractional part lies within 2 tol of -x's, on the circle
+            ring, partners = np.concatenate([xs[order] % 1.0 + k for k in (-1, 0, 1)]), np.tile(order, 3)
+            lo, hi = np.searchsorted(ring, -xs % 1.0 + [[-2 * tol], [2 * tol]])
+            for i in np.flatnonzero(free & (hi > lo)):
+                js = partners[lo[i] : hi[i]]
+                sums, prods = xs[i] + xs[js], xs[i] * xs[js]
+                miss = np.maximum(np.abs(sums - np.rint(sums)) / (2 * tol),
+                                  np.abs(prods - np.rint(prods)) / (tol * (abs(xs[i]) + np.abs(xs[js]) + 1)))
+                miss[~free[js] | (js == i)] = np.inf
+                if not free[i] or miss.min() > 1:
+                    continue
+                others = free.copy()
+                others[[i, js[miss.argmin()]]] = False
+                # x + y and x^2 + y^2 are the integer power sums left less the other roots left:
+                # exact when no others are left, where float64 may not hold the array's entries
+                s = left[0] - round(float(xs[others].sum()))
+                p = (s * s - left[1] + round(float(xs[others] @ xs[others]))) // 2
+                disc = s * s - 4 * p  # a square one gives integers, claimed above
+                if (disc > 0 and math.isqrt(disc) ** 2 != disc and pz % (z * z - s * z + p) == 0
+                        and self._charpoly_mod(s, p) == (0, 0)):
+                    roots += [Quadratic(s, 1, disc) / 2, Quadratic(s, -1, disc) / 2]
+                    free, left = others, [left[0] - s, left[1] - s * s + 2 * p]
         numeric = xs[free][::-1]
-        if len(numeric) and n >= 2**52:  # every float64 from 2^52 up is an integer
+        if len(numeric) and n >= 2**52:
+            # every float64 from 2^52 up is an integer: the test below would pass anything
             raise InfeasibleIntersectionArray(
-                f"order {n} is at least 2^52, too large to test float multiplicities for integrality")
+                f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
+            )
+
         pairs = []
         for theta in roots:
             m = multiplicity(theta)
@@ -546,15 +566,19 @@ class IntersectionArray:
                     f"multiplicity {m} of eigenvalue {theta} is not a positive integer"
                 )
             pairs.append((theta, whole))
-        for theta, m in zip(numeric.tolist(), multiplicity(numeric).tolist()):
-            mult = round(m)
-            if mult < 1 or abs(m - mult) > 1e-6:
-                raise InfeasibleIntersectionArray(
-                    f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer")
-            pairs.append((theta, mult))
+        if len(numeric):
+            for theta, m in zip(numeric.tolist(), multiplicity(numeric).tolist()):
+                mult = round(m)
+                if mult < 1 or abs(m - mult) > 1e-6:
+                    raise InfeasibleIntersectionArray(
+                        f"multiplicity {m} of eigenvalue {theta} is not close to a positive integer"
+                    )
+                pairs.append((theta, mult))
         total_mult = sum(mult for _, mult in pairs)
         if total_mult != n:
-            raise InfeasibleIntersectionArray(f"multiplicities sum to {total_mult}, expected order {n}")
+            raise InfeasibleIntersectionArray(
+                f"multiplicities sum to {total_mult}, expected order {n}"
+            )
         return Spectrum(pairs)
 
     def to_json_obj(self) -> dict:

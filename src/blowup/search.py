@@ -380,20 +380,20 @@ def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.nd
     label; each class is kept as its smallest-label relabeling, in label
     order. The floor is a ratio some graph on n + 1 vertices reaches: first
     floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k) vertices
-    plus isolated vertices. On each level j >= n + 1 - k, the classes are
+    plus isolated vertices. On each level j > n + 1 - k, the classes are
     solved as one eigenpairs stack, and the floor rises to the best ratio of a
     class H plus n + 1 - j isolated vertices. Deleting d = n + 1 - j vertices
     from a graph G leaves some H, and interlacing gives lambda_k(G) <=
     lambda_{k-d}(H), so H is dropped when (lambda_{k-d}(H) + 1)/(n+1) lies
     below the floor by more than _TIE_WINDOW: no extension of it can tie with
     the maximum. Both eigenvalues sit at ascending index n + 1 - k, of H's j
-    padded by +inf (lambda_0, so level n + 1 - k is solved but not pruned)
-    and of the n + 1 padded by zeros. The kept classes' eigenpairs go down
-    to the next level's inertia filter, which leaves out, before labelling,
-    extensions this prune would drop and that could not raise the floor.
-    The floor returned is the last one: every graph on n + 1 vertices tied
-    with the maximum has a ratio of at least floor - _TIE_WINDOW. The
-    eigenpairs returned are level n's, or None when n = 0.
+    and of the padded n + 1. The kept classes' eigenpairs go down to the next
+    level's inertia filter, which leaves out, before labelling, extensions
+    this prune would drop and that could not raise the floor. The floor
+    returned is the last one: every graph on n + 1 vertices tied with the
+    maximum has a ratio of at least floor - _TIE_WINDOW. The eigenpairs
+    returned are level n's; at k = 1 level n is solved too, where lambda_0 =
+    +inf prunes nothing, so they are None only when n = 0.
     """
     top = n + 1
     floor = (top // k) / top
@@ -402,11 +402,11 @@ def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.nd
         if j > 1:
             labels = np.unique(_canonical_labels(_extend(graphs, pairs, j - 1, k, top, floor), j))
             graphs = _label_bits(labels, j * (j - 1) // 2)
-        if j >= top - k:
+        if j > min(top - k, top - 2):
             mu, u = eigenpairs(_adjacency_stack(graphs, j))
             padded = np.sort(np.hstack([mu, np.zeros((len(mu), top - j))]), axis=1)
             floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
-            lam = np.hstack([mu, np.full((len(mu), top - j), np.inf)])[:, top - k]  # lambda_0 is +inf
+            lam = mu[:, top - k] if top - k < j else np.full(len(mu), np.inf)  # lambda_0 is +inf
             keep = (lam + 1.0) / top >= floor - _TIE_WINDOW
             graphs, pairs = graphs[keep], (mu[keep], u[keep])
     return graphs, floor, pairs
@@ -427,7 +427,7 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
     in batches and without labelling: 2 at (3, 6) and 217 at (3, 8), against
     98 and 20,958 without the filter and 1,088 and 133,632 without any
     pruning. Counting every matrix solved, class levels included, (3, 6)
-    solves 23 and (3, 8) 1,065. Every graph tied with the maximum survives
+    solves 20 and (3, 8) 1,032. Every graph tied with the maximum survives
     the floor and the filter, and so does every graph it contains, by
     interlacing.
 

@@ -804,15 +804,32 @@ def test_drg_dodecagons_exact():
         assert {v for v, _ in desc.spectrum.entries} == values, s
 
 
-@pytest.mark.parametrize("t", [10**6, 10**9, 10**12])
+@pytest.mark.parametrize("t", [10**6, 10**9, 10**12, 10**16])
 def test_drg_conference_arrays_stay_exact(t):
     # {2t, t; 1, t} is srg(4t+1, 2t, t-1, t), eigenvalues 2t and (-1 +- sqrt(4t+1))/2;
     # its solved roots are off by about 1e-10 at t = 10^12 and their product
-    # by 4e-4, inside windows that scale with b0
+    # by 4e-4, inside windows that scale with b0. At t = 10^16 float64 cannot
+    # hold a_1 = t - 1, the solved pair sums to -0.5, and the exact power sums
+    # of the roots left after 2t give its sum and product
     d = drg((2 * t, t), (1, t))
     half = Fraction(1, 2)
     assert exact_entries(d) == ((Quadratic(2 * t), 1), (Quadratic(-half, half, 4 * t + 1), 2 * t),
                                 (Quadratic(-half, -half, 4 * t + 1), 2 * t))
+
+
+@pytest.mark.parametrize("d,radicands", [(4, (2,)), (6, (3, 1))])
+def test_drg_large_polygons_stay_exact(d, radicands):
+    # the generalized octagon and dodecagon of order (s, 1) at s = 10^8, where
+    # sqrt(s) = 10^4: one quadratic pair s - 1 +- sqrt(2s) or s - 1 +- sqrt(3s)
+    # is left after the integer roots, and its sum and product come from the
+    # exact power sums; floats of size 2s would miss the product by whole units
+    s = 10**8
+    desc = drg((2 * s,) + (s,) * (d - 1), (1,) * (d - 1) + (2,))
+    assert desc.spectrum.is_exact
+    assert sum(m for _, m in desc.spectrum.entries) == desc.n
+    values = {Quadratic(2 * s), Quadratic(s - 1), Quadratic(-2)}
+    values |= {Quadratic(s - 1, sign, r * s) for sign in (1, -1) for r in radicands}
+    assert {v for v, _ in desc.spectrum.entries} == values
 
 
 def test_drg_complete_graph_array():

@@ -218,26 +218,24 @@ def solved(monkeypatch):
 
 
 def test_exhaustive_solve_count_n7(solved):
-    # the 11 classes on 4 vertices in one eigendecomposition stack, all kept;
-    # inertia on them leaves the extensions that label to 33 of the 34
-    # classes on 5, all kept, in a second; inertia on those leaves the
-    # extensions that label to 60 classes on 6 (155 without it), all kept,
-    # in a third. Those 60 keep one extension per automorphism orbit of
-    # their 2^6 neighbourhoods, 2,030 of 60 * 64 = 3,840, and their
-    # eigenpairs leave 113 of the 2,030 to solve. Plus the witness's
-    # self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
+    # the 34 classes on 5 vertices in one eigendecomposition stack; inertia
+    # on the 33 kept leaves the extensions that label to 60 classes on 6
+    # (155 without it), all kept, in a second. Those 60 keep one extension
+    # per automorphism orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 =
+    # 3,840, and their eigenpairs leave 113 of the 2,030 to solve. Plus the
+    # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
     r = exhaustive_max(3, 7)
     assert r.evaluations == 113
-    assert solved[0] == 11 + 33 + 60 + 113 + 1
+    assert solved[0] == 34 + 60 + 113 + 1
 
 
 @pytest.mark.parametrize("k,n,levels,kept", [
-    (2, 4, [2, 3], 3),  # unpruned: 4 classes on 3 vertices
-    (3, 6, [4, 10, 6], 6),  # unpruned: 34 classes on 5 vertices; 33 without inertia on level 5
-    (3, 8, [34, 155, 658], 262),  # unpruned: 1044 classes on 7 vertices; 1043 without inertia on level 7
+    (2, 4, [4], 3),  # unpruned: 4 classes on 3 vertices
+    (3, 6, [11, 6], 6),  # unpruned: 34 classes on 5 vertices; 33 without inertia on level 5
+    (3, 8, [156, 658], 262),  # unpruned: 1044 classes on 7 vertices; 1043 without inertia on level 7
 ])
 def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
-    # one eigendecomposition stack of the classes of each level j >= n - k,
+    # one eigendecomposition stack of the classes of each level j > n - k,
     # whose pairs the next level's inertia filter reads before labelling;
     # the extensions of the kept classes on n - 1 vertices that their pairs
     # cannot rule out (of one per automorphism orbit of their
