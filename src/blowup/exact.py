@@ -27,6 +27,12 @@ from fractions import Fraction
 _TRIAL_BOUND = 1 << 17
 
 
+def decimal_or_bits(n: int) -> str:
+    """n in decimal for a message, or past 14,000 bits its bit length: Python's default
+    limit refuses integer strings of more than 4,300 digits, about 14,284 bits."""
+    return str(n) if n.bit_length() <= 14_000 else f"<{n.bit_length()}-bit integer>"
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, f) with n == s*s*f and f squarefree, for n >= 1.
 
@@ -51,8 +57,8 @@ def squarefree_split(n: int) -> tuple[int, int]:
         p += 1 if p == 2 else 2
     if p * p <= m:
         if m >= _TRIAL_BOUND**3:
-            raise ValueError(f"cannot split {n} into a square and a squarefree part: "
-                             f"its cofactor {m} has no prime factor below {_TRIAL_BOUND}")
+            raise ValueError(f"cannot split {decimal_or_bits(n)} into a square and a squarefree part: "
+                             f"its cofactor {decimal_or_bits(m)} has no prime factor below {_TRIAL_BOUND}")
         root = math.isqrt(m)
         if root * root == m:
             return s * root, f

@@ -33,7 +33,7 @@ from .errors import (
     InfeasibleIntersectionArray,
     InfeasibleSrgParameters,
 )
-from .exact import Quadratic
+from .exact import Quadratic, decimal_or_bits
 from .graphs import (
     Graph,
     cartesian_product,
@@ -437,8 +437,9 @@ class IntersectionArray:
             num = k[-1] * b[j - 1]
             kj, rem = divmod(num, c[j - 1])
             if rem:
+                g = math.gcd(num, c[j - 1])
                 raise InfeasibleIntersectionArray(
-                    f"valency k_{j} = {Quadratic(num) / c[j - 1]} is not a positive integer")
+                    f"valency k_{j} = {decimal_or_bits(num // g)}/{c[j - 1] // g} is not a positive integer")
             k.append(kj)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_k", tuple(k))
@@ -553,9 +554,8 @@ class IntersectionArray:
         numeric = xs[free][::-1]
         if len(numeric) and n >= 2**52:
             # every float64 from 2^52 up is an integer: the test below would pass anything
-            raise InfeasibleIntersectionArray(
-                f"order {n} is at least 2^52, too large to test float multiplicities for integrality"
-            )
+            raise InfeasibleIntersectionArray(f"order {decimal_or_bits(n)} is at least 2^52, "
+                                              "too large to test float multiplicities for integrality")
 
         pairs = []
         for theta in roots:

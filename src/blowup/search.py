@@ -239,19 +239,23 @@ def exceedance(result: SearchResult) -> tuple[dict, dict | None]:
 
 
 @lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
-def _relabel_weights(n: int) -> np.ndarray:
-    """Label weights of the edge bits on n vertices under every relabeling, shape (m, n!).
+def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relabeling tables on n vertices from one array of every permutation, the identity
+    first: pair weights (m, n!), vertex weights (n!, n) and neighbourhood bits (2^n, n).
 
-    Entry (e, p) is 2^(m-1-q), where q is the graph6 position of pair e's
-    image under the p-th permutation, so bits @ weights lists a graph's
-    label under each relabeling. The sums are distinct powers of two below
-    2^36, exact in float64, so the product runs in BLAS.
+    Pair weight (e, p) is 2^(m-1-q), q the graph6 position of pair e's image
+    under the p-th permutation, so bits @ weights lists a graph's labels: sums
+    of distinct powers of two below 2^36, exact in float64 in a BLAS product.
+    Vertex weight (p, i) is 2^(n-1-p(i)), and bit row N holds value N with
+    vertex i at bit n-1-i, so vertex[p] @ bits.T lists each value's image under
+    the p-th permutation, exact in float32.
     """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     ii, jj = triu_pair_arrays(n)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     a, b = perms[:, ii], perms[:, jj]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return np.ldexp(1.0, len(ii) - 1 - (hi * (hi - 1) // 2 + lo)).T.copy()
+    weights = np.ldexp(1.0, len(ii) - 1 - (hi * (hi - 1) // 2 + lo)).T.copy()
+    return weights, np.ldexp(np.float32(1), n - 1 - perms), _label_bits(np.arange(1 << n), n)
 
 
 def _labelings(bits: np.ndarray, n: int, cells: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -261,7 +265,7 @@ def _labelings(bits: np.ndarray, n: int, cells: int) -> Iterator[tuple[int, np.n
     column p of a chunk is the label under the p-th permutation, column 0
     the identity's.
     """
-    w = _relabel_weights(n)
+    w = _order_tables(n)[0]
     rows = max(1, cells // w.shape[1])
     for s in range(0, len(bits), rows):
         yield s, bits[s : s + rows].astype(np.float64) @ w
@@ -280,18 +284,6 @@ def _label_bits(labels: np.ndarray, m: int) -> np.ndarray:
     return ((labels[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
-def _hood_images(j: int) -> np.ndarray:
-    """Image of each neighbourhood value on j vertices under every relabeling, shape (j!, 2^j).
-
-    A value has vertex i at bit j-1-i. Row p maps vertex i to the i-th
-    entry of the p-th permutation, as column p of _relabel_weights(j) does,
-    so row 0 is the identity, 0..2^j - 1. Entries are exact in uint8 for j <= 8.
-    """
-    perms = np.array(list(itertools.permutations(range(j))), dtype=np.int64)
-    return ((1 << (j - 1 - perms)) @ _label_bits(np.arange(1 << j), j).T).astype(np.uint8)
-
-
 def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     """Mask of the one-vertex extensions of graphs on j vertices, one per automorphism
     orbit of neighbourhoods, shape (graphs, 2^j).
@@ -300,16 +292,17 @@ def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     an extension's bits are its parent's followed by the new neighbourhood N,
     a j-bit value. H + N and H + sigma(N) are isomorphic for every
     automorphism sigma of H, so entry (H, N) is true only for the values N
-    that are the smallest in their orbit under Aut(H). Aut(H) is the set of
-    relabelings under which H keeps its own label.
+    that every sigma in Aut(H) maps to a value at least N, the smallest in
+    their orbit. Aut(H) is the set of relabelings under which H keeps its own label.
     """
-    images = _hood_images(j)
+    _, vertex, hoods = _order_tables(j)
+    values = np.arange(1 << j, dtype=vertex.dtype)
     kept = np.empty((len(graphs), 1 << j), dtype=bool)
-    # chunks of at most _CELLS >> j labels, so the images gathered fit in _CELLS
+    # chunks of at most _CELLS >> j labels or one row: their automorphisms' images fit in _CELLS or j! 2^j
     for s, labels in _labelings(graphs, j, _CELLS >> j):
         auts = np.nonzero(labels == labels[:, :1])[1]
         first = np.flatnonzero(auts == 0)  # the identity opens each row's automorphisms
-        kept[s : s + len(labels)] = np.minimum.reduceat(images[auts], first) == images[0]
+        kept[s : s + len(labels)] = np.logical_and.reduceat(vertex[auts] @ hoods.T >= values, first)
     return kept
 
 
@@ -367,7 +360,7 @@ def _extend(graphs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None, j: 
         some = keep.any(axis=1)
         keep[some] &= _extensions(graphs[some], j)
     parent, hood = np.nonzero(keep)
-    return np.hstack([graphs[parent], _label_bits(hood, j)])
+    return np.hstack([graphs[parent], _order_tables(j)[2][hood]])
 
 
 def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:

@@ -91,9 +91,8 @@ def test_stated_spectrum_check_takes_one_row_at_a_time():
 
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
-    # brings. The three left hold little: one parser, and one relabeling
-    # table and one neighbourhood-image table per order an exhaustive search
-    # labels, up to 8.
+    # brings. The two left hold little: one parser, and one set of
+    # relabeling tables per order an exhaustive search labels, up to 8.
     # Quadratic arithmetic never splits a radicand again, so
     # squarefree_split needs no cache.
     cached, uses = set(), 0
@@ -106,8 +105,7 @@ def test_no_cache_keyed_by_an_input_order():
             uses += name in ("cache", "lru_cache", "cached_property")
     assert cached == {
         ("cli.py", "build_parser", "functools.cache"),
-        ("search.py", "_relabel_weights", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
-        ("search.py", "_hood_images", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
+        ("search.py", "_order_tables", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
     }
     assert uses == len(cached)
 

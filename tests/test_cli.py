@@ -470,6 +470,19 @@ def test_huge_drg_array_exits_two(capsys):
     assert "2^52" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("b,c,reason", [
+    # 1000 entries of about 10^12: n has about 12,000 digits, past Python's
+    # 4,300-digit limit for integer strings
+    ([10**12] + [10**12 - 1] * 999, [1] * 1000,
+     "order <39864-bit integer> is at least 2^52, too large to test float multiplicities for integrality"),
+    # k_400 = b0 (b0 - 1)^399 / 7 with b0 = 10^12 + 1 has a numerator of about 4,800 digits
+    ([10**12 + 1] + [10**12] * 399, [1] * 399 + [7], "valency k_400 = <15946-bit integer>/7 is not a positive integer"),
+], ids=["order", "valency"])
+def test_refusal_names_an_integer_past_the_digit_limit_by_bits(capsys, b, c, reason):
+    code, _, err = run(capsys, "spectrum", f"drg:{','.join(map(str, b))};{','.join(map(str, c))}")
+    assert (code, err) == (2, f"error: {reason}\n")
+
+
 def test_shared_parser_carries_nothing_between_calls(capsys):
     # main() reuses one parser per process; each call parses as if it were the first
     from blowup.cli import build_parser

@@ -51,6 +51,9 @@ def test_squarefree_split_large_cofactors():
         squarefree_split(big)
     with pytest.raises(ValueError, match="no prime factor below"):
         Quadratic(0, 1, big * 7)
+    # 4,401 digits, past Python's 4,300-digit limit for integer strings: named by bit length
+    with pytest.raises(ValueError, match=r"^cannot split <14617-bit integer> into .* its cofactor <\d+-bit integer>"):
+        squarefree_split(10**4400 + 1)
 
 
 def test_rational_canonicalization():

@@ -276,10 +276,10 @@ def hood_orbits(row: np.ndarray, j: int) -> int:
 
 def test_extensions_keep_one_neighbourhood_per_orbit():
     # against automorphisms found by trying every permutation: each class on
-    # j <= 5 vertices keeps exactly the neighbourhoods smallest in their
+    # j <= 6 vertices keeps exactly the neighbourhoods smallest in their
     # orbit (vertex i at bit j-1-i), and the kept extensions reach every
     # class that all 2^j extensions reach
-    for j in range(6):
+    for j in range(7):
         classes = search._classes(j, 1)[0]
         mask = search._extensions(classes, j)
         assert mask.shape == (len(classes), 1 << j)
@@ -510,16 +510,18 @@ def test_exhaustive_n9(k, witness, ratio, evaluations):
 @pytest.mark.parametrize("k", [3, 7, 9])
 def test_exhaustive_n9_labels_under_at_most_8_factorial(k, monkeypatch):
     # classes are labelled up to n - 1 = 8 vertices and the witness needs no
-    # labelling, so no relabeling table on 9 vertices (9! columns) is built
-    weights, orders = search._relabel_weights, set()
+    # labelling, so no relabeling table on 9 vertices (9! columns) is built;
+    # the tables of every order asked for hold at most 12 MiB together
+    tables, held = search._order_tables, {}
 
     def record(n):
-        orders.add(n)
-        return weights(n)
+        held[n] = sum(t.nbytes for t in tables(n))
+        return tables(n)
 
-    monkeypatch.setattr(search, "_relabel_weights", record)
+    monkeypatch.setattr(search, "_order_tables", record)
     exhaustive_max(k, 9)
-    assert orders and max(orders) <= 8, orders
+    assert held and max(held) <= 8, held
+    assert sum(held.values()) <= 12 << 20, held
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
