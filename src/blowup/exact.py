@@ -38,8 +38,8 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
     Trial division runs below _TRIAL_BOUND = B. A cofactor left with no prime
     factor below B and smaller than B^3 has at most two prime factors, so it
-    is squarefree unless it is a square. A larger one is refused (ValueError)
-    rather than factored.
+    is squarefree unless it is a square. A larger one that is not a square is
+    refused (ValueError) rather than factored.
     """
     if n < 1:
         raise ValueError("squarefree_split needs a positive integer")
@@ -56,12 +56,12 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 f *= p
         p += 1 if p == 2 else 2
     if p * p <= m:
-        if m >= _TRIAL_BOUND**3:
-            raise ValueError(f"cannot split {decimal_or_bits(n)} into a square and a squarefree part: "
-                             f"its cofactor {decimal_or_bits(m)} has no prime factor below {_TRIAL_BOUND}")
         root = math.isqrt(m)
         if root * root == m:
             return s * root, f
+        if m >= _TRIAL_BOUND**3:
+            raise ValueError(f"cannot split {decimal_or_bits(n)} into a square and a squarefree part: "
+                             f"its cofactor {decimal_or_bits(m)} has no prime factor below {_TRIAL_BOUND}")
     return s, f * m
 
 

@@ -78,8 +78,8 @@ _INERTIA_MARGIN = 1e-3
 #: negative; a solver backward error near 1e-13 moves it by under 1e-9 of them
 _SCHUR_TOL = 1e-6
 
-#: float64 entries per working array, 8 MiB: a batched eigensolve stack
-#: (16,384 graphs at n = 8), a stream's pending lines, a relabeling product
+#: float64 entries per working array, 8 MiB: a stream's pending lines, and each block of _blocks:
+#: an exhaustive eigensolve stack (16,384 graphs at n = 8), relabelings, orbit images, inertia products
 _CELLS = 1 << 20
 
 #: consecutive rejections after which a local-search phase restarts
@@ -248,7 +248,8 @@ def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of distinct powers of two below 2^36, exact in float64 in a BLAS product.
     Vertex weight (p, i) is 2^(n-1-p(i)), and bit row N holds value N with
     vertex i at bit n-1-i, so vertex[p] @ bits.T lists each value's image under
-    the p-th permutation, exact in float32.
+    the p-th permutation, exact in float32. The bit rows are the one copy that
+    _extend, _extensions and _may_exceed read.
     """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     ii, jj = triu_pair_arrays(n)
@@ -258,24 +259,20 @@ def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights, np.ldexp(np.float32(1), n - 1 - perms), _label_bits(np.arange(1 << n), n)
 
 
-def _labelings(bits: np.ndarray, n: int, cells: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Labels of rows of edge bits on n vertices under every relabeling.
-
-    Yields (first row, labels) chunks of at most cells entries, or one row;
-    column p of a chunk is the label under the p-th permutation, column 0
-    the identity's.
-    """
-    w = _order_tables(n)[0]
-    rows = max(1, cells // w.shape[1])
-    for s in range(0, len(bits), rows):
-        yield s, bits[s : s + rows].astype(np.float64) @ w
+def _blocks(rows: np.ndarray, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, block) over rows that take width entries each: every block
+    holds at most _CELLS entries, or one row."""
+    step = max(1, _CELLS // width)
+    for s in range(0, len(rows), step):
+        yield s, rows[s : s + step]
 
 
 def _canonical_labels(bits: np.ndarray, n: int) -> np.ndarray:
     """Smallest label over all relabelings of each row of edge bits on n vertices."""
+    w = _order_tables(n)[0]
     out = np.empty(len(bits), dtype=np.int64)
-    for s, labels in _labelings(bits, n, _CELLS):
-        out[s : s + len(labels)] = labels.min(axis=1)
+    for s, block in _blocks(bits, w.shape[1]):
+        out[s : s + len(block)] = (block.astype(np.float64) @ w).min(axis=1)
     return out
 
 
@@ -295,21 +292,24 @@ def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
     that every sigma in Aut(H) maps to a value at least N, the smallest in
     their orbit. Aut(H) is the set of relabelings under which H keeps its own label.
     """
-    _, vertex, hoods = _order_tables(j)
+    w, vertex, hoods = _order_tables(j)
     values = np.arange(1 << j, dtype=vertex.dtype)
     kept = np.empty((len(graphs), 1 << j), dtype=bool)
-    # chunks of at most _CELLS >> j labels or one row: their automorphisms' images fit in _CELLS or j! 2^j
-    for s, labels in _labelings(graphs, j, _CELLS >> j):
+    # blocks of graphs, then of neighbourhoods, so each image product holds at most _CELLS entries
+    for s, block in _blocks(graphs, w.shape[1] << j):
+        labels = block.astype(np.float64) @ w
         auts = np.nonzero(labels == labels[:, :1])[1]
         first = np.flatnonzero(auts == 0)  # the identity opens each row's automorphisms
-        kept[s : s + len(labels)] = np.logical_and.reduceat(vertex[auts] @ hoods.T >= values, first)
+        for h, some in _blocks(hoods, len(auts)):
+            kept[s : s + len(block), h : h + len(some)] = np.logical_and.reduceat(
+                vertex[auts] @ some.T >= values[h : h + len(some)], first)
     return kept
 
 
-def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float) -> np.ndarray:
+def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float, hoods: np.ndarray) -> np.ndarray:
     """Mask of the one-vertex extensions G = H + N of graphs H on j vertices, given
     their eigenpairs, whose lambda_k may exceed tau, shape (graphs, 2^j): every
-    extension it leaves out has lambda_k(G) <= tau.
+    extension it leaves out has lambda_k(G) <= tau. Row N of hoods is N's bits.
 
     Row i of mu holds H_i's ascending eigenvalues and the columns of u[i] its
     unit eigenvectors; entry (i, N) is the extension by neighbourhood N, with
@@ -328,12 +328,9 @@ def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float) -> np.ndarray
     j = mu.shape[1]
     gap = mu - tau
     sure = np.flatnonzero(((gap > 0).sum(axis=1) == k - 1) & (np.abs(gap) > _INERTIA_MARGIN / 2).all(axis=1))
-    hoods = _label_bits(np.arange(1 << j), j)
     keep = np.ones((len(mu), 1 << j), dtype=bool)
-    # chunks of sure parents, so the j products of each of their 2^j extensions fit in _CELLS
-    step = max(1, (_CELLS >> j) // (j + 1))
-    for start in range(0, len(sure), step):
-        rows = sure[start : start + step]
+    # blocks of sure parents, so the j products of each of their 2^j extensions fit in _CELLS
+    for _, rows in _blocks(sure, (j + 1) << j):
         inv, squares = 1.0 / gap[rows, :, None], (hoods @ u[rows]) ** 2
         # s is -tau - squares @ inv, and squares @ |inv| sums its terms' magnitudes
         keep[rows] = ~(-tau - squares @ inv < -_SCHUR_TOL * (abs(tau) + squares @ np.abs(inv)))[..., 0]
@@ -353,14 +350,16 @@ def _extend(graphs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None, j: 
     plus d isolated vertices, whose lambda_k is at most lambda_{k-d}(G).
     Orbits are found only for graphs with an extension left to keep.
     """
+    hoods = _order_tables(j)[2]
     if pairs is None:
         keep = _extensions(graphs, j)
     else:
-        keep = _may_exceed(*pairs, k - (top - j - 1), (floor - _TIE_WINDOW) * top - 1.0 - _INERTIA_MARGIN)
+        tau = (floor - _TIE_WINDOW) * top - 1.0 - _INERTIA_MARGIN
+        keep = _may_exceed(*pairs, k - (top - j - 1), tau, hoods)
         some = keep.any(axis=1)
         keep[some] &= _extensions(graphs[some], j)
     parent, hood = np.nonzero(keep)
-    return np.hstack([graphs[parent], _order_tables(j)[2][hood]])
+    return np.hstack([graphs[parent], hoods[hood]])
 
 
 def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
@@ -449,9 +448,7 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
     classes, floor, pairs = _classes(n - 1, k)
     graphs = _extend(classes, pairs, n - 1, k, n, floor)
-    per_stack = _CELLS // (n * n)
-    batches = ((np.full(len(bits), n), {n: bits})
-               for bits in np.split(graphs, range(per_stack, len(graphs), per_stack)))
+    batches = ((np.full(len(bits), n), {n: bits}) for _, bits in _blocks(graphs, n * n))
     return _drive(k, batches, n, "exhaustive")
 
 

@@ -197,6 +197,44 @@ def test_table_mismatch_exits_one(capsys, monkeypatch):
     assert "mismatch" in err
 
 
+def test_table_mismatch_json_reports_not_ok(capsys, monkeypatch):
+    printed, _, builders = bounds._TABLE_ENTRIES[4]
+    monkeypatch.setitem(bounds._TABLE_ENTRIES, 4, (printed, Quadratic(1), builders))
+    code, out, _ = run(capsys, "table", "--range", "4..4", "--json")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def test_ceiling_breach_is_a_consistency_failure(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "nikiforov_upper", lambda k: 0.0)
+    code, _, err = run(capsys, "bound", "icosahedron", "--k", "4")
+    assert code == 1
+    assert "consistency failure" in err
+
+
+def test_usage_errors_exit_two(capsys):
+    code, _, err = run(capsys, "bound", "petersen", "--k", "2", "--t", "0")
+    assert code == 2 and "t must be" in err
+    code, _, err = run(capsys, "search", "--method", "anneal", "--k", "3")
+    assert code == 2 and "needs --n" in err
+
+
+def test_numeric_spectrum_json_carries_its_note(capsys):
+    code, out, _ = run(capsys, "spectrum", "--exact", "--json", "cycle:7")
+    assert code == 0
+    got = json.loads(out)
+    assert got["exact"] is False and "exact form unavailable" in got["note"]
+
+
+def test_srg_with_a_large_square_cofactor_is_exact(capsys):
+    # v = 5 * 67108859^2: the conference parameter set whose radicand's cofactor
+    # 67108859^2 lies beyond trial division but is a square
+    code, out, _ = run(capsys, "bound", "srg:22517994781409405,11258997390704702,5629498695352350,"
+                       "5629498695352351", "--k", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["verification"] == "exact-formula"
+
+
 def test_parse_error_exits_two(capsys):
     code, _, err = run(capsys, "spectrum", "johnson:x,2")
     assert code == 2

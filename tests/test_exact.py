@@ -45,8 +45,13 @@ def test_squarefree_split_large_cofactors():
     assert squarefree_split(p * p) == (p, 1)
     assert squarefree_split(12 * p * p) == (2 * p, 3)
     assert squarefree_split(10**13 + 37) == (1, 10**13 + 37)
-    # a larger cofactor would need factoring beyond the bound: refused
-    big = (10**15 + 37) ** 2
+    # a larger cofactor is split when it is a square
+    p = 10**15 + 37  # prime, as is 10**15 + 91
+    assert squarefree_split(p * p) == (p, 1)
+    assert squarefree_split(p * p * 7) == (p, 7)
+    assert Quadratic(0, 1, p * p * 7) == Quadratic(0, p, 7)
+    # and refused otherwise: it would need factoring beyond the bound
+    big = p * (10**15 + 91)
     with pytest.raises(ValueError, match="no prime factor below"):
         squarefree_split(big)
     with pytest.raises(ValueError, match="no prime factor below"):

@@ -384,6 +384,16 @@ def test_asymmetric_builder_matrix_refused():
         check_stated_spectrum(Graph._built(adj), stated, ())
 
 
+@pytest.mark.parametrize("graph,stated,match", [
+    (complete(4), [(3, 1), (-1, 2)], "3 values for 4 vertices"),
+    (complete(1001), [(1000, 1), (-1, 994)] + [(v, 1) for v in range(6)], "beyond exact int64 sums"),
+    (cycle(5), [(2, 1), (0, 4)], r"Q\(k\) = 2 is not a nonzero multiple of the order 5"),
+], ids=["count", "int64", "multiple"])
+def test_stated_spectrum_refusals(graph, stated, match):
+    with pytest.raises(ValueError, match=match):
+        check_stated_spectrum(graph, Spectrum([(Quadratic(v), m) for v, m in stated]), ())
+
+
 def test_johnson_generators_by_index_arithmetic():
     # the images of (0 1) and (0 1 .. m-1), subset by subset
     for m in range(2, 13):

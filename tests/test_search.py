@@ -137,6 +137,16 @@ def test_search_meets_the_certify_ceiling_check(monkeypatch):
         exhaustive_max(2, 4)
 
 
+def test_self_check_refuses_a_drifted_witness_ratio():
+    # the stored ratio of K_4's witness at k = 1 is 1/2, not the (3 + 1)/4 it reaches
+    from blowup.errors import InternalConsistencyError
+
+    drifted = SearchResult(best_ratio=0.5, best_graph=g6_encode(complete(4)), evaluations=1,
+                           k=1, n=4, seed=None, method="exhaustive")
+    with pytest.raises(InternalConsistencyError, match="witness ratio drifted"):
+        search._self_check(drifted)
+
+
 def labeled_sweep(n: int):
     """Ratio oracle over every labeled graph on n vertices, one batched solve.
 
@@ -272,6 +282,24 @@ def hood_orbits(row: np.ndarray, j: int) -> int:
 
     auts = automorphisms(row, j)
     return sum(2 ** cycles(p) for p in auts) // len(auts)
+
+
+def test_orbit_images_of_a_full_symmetric_class_stay_in_cells():
+    # the empty graph and K8 have all 8! relabelings as automorphisms; their
+    # images of the 256 neighbourhoods are taken a block of at most _CELLS
+    # at a time, not in one 40,320 x 256 product
+    import tracemalloc
+
+    search._order_tables(8)
+    for bit in (0, 1):
+        tracemalloc.start()
+        try:
+            kept = search._extensions(np.full((1, 28), bit, dtype=np.uint8), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.sum() == 9, bit  # one neighbourhood of each size 0..8
+        assert peak <= 8 << 20, (bit, peak)
 
 
 def test_extensions_keep_one_neighbourhood_per_orbit():
@@ -451,15 +479,16 @@ def test_inertia_filter_drops_only_graphs_at_or_below_tau(data):
     tau = data.draw(st.sampled_from(EXACT_EIGENVALUES + sorted(set(own.tolist()))))
     tau = data.draw(st.sampled_from([tau - 1e-12, np.nextafter(tau, -math.inf), tau,
                                      np.nextafter(tau, math.inf), tau + 1e-12]))
+    bits = search._label_bits(np.arange(1 << j), j)
     for k in range(1, j + 2):
-        mask = search._may_exceed(mu, u, k, tau)
+        mask = search._may_exceed(mu, u, k, tau, bits)
         assert mask.shape == (len(parents), 1 << j)
         dropped = ~mask[at, hoods]
         assert (w[dropped, j + 1 - k] <= tau + 1e-12).all(), (k, tau, w[dropped, j + 1 - k])
         assert all(eigenvalues_above(a[i], tau) < k for i in np.flatnonzero(dropped)), (k, tau)
 
 
-def keep_every_extension(mu, u, k, tau):
+def keep_every_extension(mu, u, k, tau, hoods):
     """The inertia filter's mask with every extension kept."""
     return np.ones((len(mu), 1 << mu.shape[1]), dtype=bool)
 
@@ -618,6 +647,13 @@ def test_stream_order_field_above_the_real_ceiling():
     # "~@MH" is only the order field of a graph on 5001 vertices
     with pytest.raises(GraphParseError, match="line 1: .*order 5001 .*ceiling 5000"):
         stream_max(1, iter(["~@MH"]))
+
+
+def test_stream_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        stream_max(0, iter(["A_"]))
+    with pytest.raises(ValueError, match="on_error must be"):
+        stream_max(1, iter(["A_"]), on_error="ignore")
 
 
 def test_stream_empty_is_error():
