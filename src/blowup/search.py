@@ -12,16 +12,14 @@ evaluation order: an array of each graph's order, and a dict from each
 order to the edge bits of that order's graphs. `_drive` solves each order's
 graphs in one stack, puts the ratios back in batch order, folds them into
 the running maximum, history and witness, and self-checks the result. The
-exhaustive engine builds one graph per isomorphism class in one level loop
-from the graph on 1 vertex: each level extends the classes of the last once
-per automorphism orbit of new neighbourhoods, leaves out the extensions
-that an inertia test on their parent's eigenpairs rules out, labels and
-dedupes the rest, and solves the new classes for their eigenpairs once,
-dropping each class whose interlacing bound lies below a ratio some graph
-on n vertices already reaches. The extensions of the classes left one
-vertex short that pass the same two tests are yielded, unlabelled, in
-single-order batches. The stream engine checks each line as it is read and
-yields its checked lines once they fill `_CELLS` matrix entries.
+exhaustive engine labels nothing at run time: it reads one graph per
+isomorphism class on n - 1 vertices from a shipped census, with their
+eigenpairs solved once per order, drops each class whose interlacing bound
+lies below a ratio some graph on n vertices already reaches, and yields the
+extensions of the rest that an inertia test on their eigenpairs cannot rule
+out, unlabelled, in single-order batches. The stream engine checks each
+line as it is read and yields its checked lines once they fill `_CELLS`
+matrix entries.
 
 Determinism: a (seed, config) pair gives byte-identical results within one
 build. The generator is numpy's PCG64 behind default_rng. The best ratio
@@ -29,21 +27,21 @@ and the improvement history follow the float maximum. The exhaustive and
 stream witness is the lexicographically smallest graph6 string among the
 graphs whose ratios equal that maximum to 12 decimals: relabelings of one
 graph differ by solver noise of about 1e-16, so stacked, serial and
-reordered scans agree. The exhaustive search solves one labeling per
-extension and reads its witness off the tied extensions as given: the
-smallest of them is already the smallest graph6 over every labeled graph
-tied with the maximum (exhaustive_max), and no graph it prunes can tie.
+reordered scans agree. The exhaustive search reads its witness off the
+tied extensions as given: the smallest of them is already the smallest
+graph6 over every labeled graph tied with the maximum (exhaustive_max), and
+no graph it prunes can tie.
 Local search keeps the first state that reaches the float maximum of its
 run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib import resources
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -79,7 +77,7 @@ _INERTIA_MARGIN = 1e-3
 _SCHUR_TOL = 1e-6
 
 #: float64 entries per working array, 8 MiB: a stream's pending lines, and each block of _blocks:
-#: an exhaustive eigensolve stack (16,384 graphs at n = 8), relabelings, orbit images, inertia products
+#: an exhaustive eigensolve stack (12,945 graphs at n = 9), inertia products
 _CELLS = 1 << 20
 
 #: consecutive rejections after which a local-search phase restarts
@@ -173,8 +171,8 @@ def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
     the float maximum. The witness is the smallest graph6, as given, among
     the graphs tied with the maximum to 12 decimals, whichever batches they
     were in: a batch whose maximum can reach the running witness key folds in
-    the keys of its rows within _TIE_WINDOW of that maximum, so only the key
-    is held between batches.
+    the best key of each order's rows within _TIE_WINDOW of that maximum
+    (_tied_key), so only the key is held between batches.
     """
     best, tie, evaluations, history = -math.inf, (math.inf, ""), 0, []
     for orders, stacks in batches:
@@ -189,12 +187,26 @@ def _drive(k: int, batches: Iterable[tuple[np.ndarray, dict[int, np.ndarray]]],
         top = ratios.max()
         best = max(best, float(top))
         if _witness_key(top, "") <= tie:
-            tie = min([tie] + [_witness_key(r[i], g6_encode_bits(order, bits[i]))
-                               for order, bits, r in solved for i in np.flatnonzero(r >= top - _TIE_WINDOW)])
+            tie = min([tie] + [_tied_key(order, bits, r, top) for order, bits, r in solved])
         evaluations += len(ratios)
     return _self_check(SearchResult(
         best_ratio=best, best_graph=tie[1], evaluations=evaluations,
         k=k, n=n, seed=None, method=method, history=tuple(history)))
+
+
+def _tied_key(order: int, bits: np.ndarray, ratios: np.ndarray, top: float) -> tuple:
+    """The smallest witness key among one order's rows within _TIE_WINDOW of top.
+
+    For one order, graph6 order is the lexicographic order of the bit rows,
+    so only the smallest row among those with the best 12-decimal key is encoded.
+    """
+    near = np.flatnonzero(ratios >= top - _TIE_WINDOW)
+    if not len(near):
+        return (math.inf, "")
+    keys = np.array([round(r, _TIE_DECIMALS) for r in ratios[near].tolist()])
+    tied = bits[near[keys == keys.max()]]
+    first = np.lexsort(tied.T[::-1])[0] if tied.shape[1] else 0  # no edge bits on 1 vertex
+    return _witness_key(keys.max(), g6_encode_bits(order, tied[first]))
 
 
 def _self_check(result: SearchResult) -> SearchResult:
@@ -238,25 +250,27 @@ def exceedance(result: SearchResult) -> tuple[dict, dict | None]:
 # -- exhaustive enumeration ------------------------------------------------------
 
 
-@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)
-def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relabeling tables on n vertices from one array of every permutation, the identity
-    first: pair weights (m, n!), vertex weights (n!, n) and neighbourhood bits (2^n, n).
+@lru_cache(maxsize=EXHAUSTIVE_HARD_MAX)
+def _census(j: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """One graph per isomorphism class on j <= 8 vertices, as rows of edge bits in
+    label order; their eigenpairs; and the neighbourhood bits (2^j, j).
 
-    Pair weight (e, p) is 2^(m-1-q), q the graph6 position of pair e's image
-    under the p-th permutation, so bits @ weights lists a graph's labels: sums
-    of distinct powers of two below 2^36, exact in float64 in a BLAS product.
-    Vertex weight (p, i) is 2^(n-1-p(i)), and bit row N holds value N with
-    vertex i at bit n-1-i, so vertex[p] @ bits.T lists each value's image under
-    the p-th permutation, exact in float32. The bit rows are the one copy that
-    _extend, _extensions and _may_exceed read.
+    The classes come from census.npy: the smallest label over all relabelings
+    of each class on 1..8 vertices (OEIS A000088: 1, 2, 4, 11, 34, 156, 1,044
+    and 12,346), increasing within each order, the orders in turn. Each order
+    opens with its empty graph, label 0; on 0 vertices the one graph is empty.
+    The eigenpairs are solved here, once per order and process, as one stack.
+    Bit row N holds value N with vertex i at bit j-1-i.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    ii, jj = triu_pair_arrays(n)
-    a, b = perms[:, ii], perms[:, jj]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    weights = np.ldexp(1.0, len(ii) - 1 - (hi * (hi - 1) // 2 + lo)).T.copy()
-    return weights, np.ldexp(np.float32(1), n - 1 - perms), _label_bits(np.arange(1 << n), n)
+    with resources.files(__package__).joinpath("census.npy").open("rb") as f:
+        census = np.load(f)
+    labels = np.split(census, np.flatnonzero(census == 0))[j] if j else np.zeros(1, dtype=census.dtype)
+    graphs = _label_bits(labels, j * (j - 1) // 2)
+    mu, u = eigenpairs(_adjacency_stack(graphs, j))
+    hoods = _label_bits(np.arange(1 << j), j)
+    for a in (graphs, mu, u, hoods):
+        a.setflags(write=False)  # every caller shares the cached arrays
+    return graphs, (mu, u), hoods
 
 
 def _blocks(rows: np.ndarray, width: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -267,43 +281,9 @@ def _blocks(rows: np.ndarray, width: int) -> Iterator[tuple[int, np.ndarray]]:
         yield s, rows[s : s + step]
 
 
-def _canonical_labels(bits: np.ndarray, n: int) -> np.ndarray:
-    """Smallest label over all relabelings of each row of edge bits on n vertices."""
-    w = _order_tables(n)[0]
-    out = np.empty(len(bits), dtype=np.int64)
-    for s, block in _blocks(bits, w.shape[1]):
-        out[s : s + len(block)] = (block.astype(np.float64) @ w).min(axis=1)
-    return out
-
-
 def _label_bits(labels: np.ndarray, m: int) -> np.ndarray:
     """Edge bits in graph6 order of each label; bit 0 is the most significant."""
     return ((labels[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-def _extensions(graphs: np.ndarray, j: int) -> np.ndarray:
-    """Mask of the one-vertex extensions of graphs on j vertices, one per automorphism
-    orbit of neighbourhoods, shape (graphs, 2^j).
-
-    The new vertex j's pairs (0, j)..(j-1, j) come last in graph6 order, so
-    an extension's bits are its parent's followed by the new neighbourhood N,
-    a j-bit value. H + N and H + sigma(N) are isomorphic for every
-    automorphism sigma of H, so entry (H, N) is true only for the values N
-    that every sigma in Aut(H) maps to a value at least N, the smallest in
-    their orbit. Aut(H) is the set of relabelings under which H keeps its own label.
-    """
-    w, vertex, hoods = _order_tables(j)
-    values = np.arange(1 << j, dtype=vertex.dtype)
-    kept = np.empty((len(graphs), 1 << j), dtype=bool)
-    # blocks of graphs, then of neighbourhoods, so each image product holds at most _CELLS entries
-    for s, block in _blocks(graphs, w.shape[1] << j):
-        labels = block.astype(np.float64) @ w
-        auts = np.nonzero(labels == labels[:, :1])[1]
-        first = np.flatnonzero(auts == 0)  # the identity opens each row's automorphisms
-        for h, some in _blocks(hoods, len(auts)):
-            kept[s : s + len(block), h : h + len(some)] = np.logical_and.reduceat(
-                vertex[auts] @ some.T >= values[h : h + len(some)], first)
-    return kept
 
 
 def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float, hoods: np.ndarray) -> np.ndarray:
@@ -337,104 +317,40 @@ def _may_exceed(mu: np.ndarray, u: np.ndarray, k: int, tau: float, hoods: np.nda
     return keep
 
 
-def _extend(graphs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None, j: int, k: int,
-            top: int, floor: float) -> np.ndarray:
-    """Edge bits of the kept one-vertex extensions of graphs on j vertices, each
-    graph's in increasing neighbourhood order, in a search at k on top vertices.
-
-    An extension G is left out when its neighbourhood is not the smallest in
-    its orbit (_extensions) or, where pairs holds the graphs' eigenpairs, when
-    _may_exceed shows lambda_{k-d}(G) <= tau = (floor - _TIE_WINDOW) top - 1 -
-    _INERTIA_MARGIN, with d = top - j - 1: by interlacing no graph on top
-    vertices that contains G can then reach floor - _TIE_WINDOW, nor can G
-    plus d isolated vertices, whose lambda_k is at most lambda_{k-d}(G).
-    Orbits are found only for graphs with an extension left to keep.
-    """
-    hoods = _order_tables(j)[2]
-    if pairs is None:
-        keep = _extensions(graphs, j)
-    else:
-        tau = (floor - _TIE_WINDOW) * top - 1.0 - _INERTIA_MARGIN
-        keep = _may_exceed(*pairs, k - (top - j - 1), tau, hoods)
-        some = keep.any(axis=1)
-        keep[some] &= _extensions(graphs[some], j)
-    parent, hood = np.nonzero(keep)
-    return np.hstack([graphs[parent], hoods[hood]])
-
-
-def _classes(n: int, k: int) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
-    """One graph per isomorphism class on n vertices that may lie in a graph on
-    n + 1 vertices with the maximum ratio at k, as rows of edge bits; the floor;
-    and the classes' eigenpairs.
-
-    The loop starts from the one graph on 1 vertex. Level j + 1 is the kept
-    one-vertex extensions of level j's classes (_extend), reduced by canonical
-    label; each class is kept as its smallest-label relabeling, in label
-    order. The floor is a ratio some graph on n + 1 vertices reaches: first
-    floor((n+1)/k)/(n+1), from k disjoint cliques on floor((n+1)/k) vertices
-    plus isolated vertices. On each level j > n + 1 - k, the classes are
-    solved as one eigenpairs stack, and the floor rises to the best ratio of a
-    class H plus n + 1 - j isolated vertices. Deleting d = n + 1 - j vertices
-    from a graph G leaves some H, and interlacing gives lambda_k(G) <=
-    lambda_{k-d}(H), so H is dropped when (lambda_{k-d}(H) + 1)/(n+1) lies
-    below the floor by more than _TIE_WINDOW: no extension of it can tie with
-    the maximum. Both eigenvalues sit at ascending index n + 1 - k, of H's j
-    and of the padded n + 1. The kept classes' eigenpairs go down to the next
-    level's inertia filter, which leaves out, before labelling, extensions
-    this prune would drop and that could not raise the floor. The floor
-    returned is the last one: every graph on n + 1 vertices tied with the
-    maximum has a ratio of at least floor - _TIE_WINDOW. The eigenpairs
-    returned are level n's; at k = 1 level n is solved too, where lambda_0 =
-    +inf prunes nothing, so they are None only when n = 0.
-    """
-    top = n + 1
-    floor = (top // k) / top
-    graphs, pairs = np.zeros((1, 0), dtype=np.uint8), None
-    for j in range(1, n + 1):
-        if j > 1:
-            labels = np.unique(_canonical_labels(_extend(graphs, pairs, j - 1, k, top, floor), j))
-            graphs = _label_bits(labels, j * (j - 1) // 2)
-        if j > min(top - k, top - 2):
-            mu, u = eigenpairs(_adjacency_stack(graphs, j))
-            padded = np.sort(np.hstack([mu, np.zeros((len(mu), top - j))]), axis=1)
-            floor = max(floor, (float(padded[:, top - k].max()) + 1.0) / top)
-            lam = mu[:, top - k] if top - k < j else np.full(len(mu), np.inf)  # lambda_0 is +inf
-            keep = (lam + 1.0) / top >= floor - _TIE_WINDOW
-            graphs, pairs = graphs[keep], (mu[keep], u[keep])
-    return graphs, floor, pairs
-
-
 def exhaustive_max(k: int, n: int) -> SearchResult:
     """Maximum limit ratio over every graph on n vertices, n <= 9.
 
     Deleting the last vertex of any graph on n vertices leaves a graph on
     n - 1, so the one-vertex extensions of one graph per class on n - 1
-    vertices cover every isomorphism class on n, and so do those left when
-    each class keeps one neighbourhood per orbit of its automorphisms.
-    _classes builds those classes level by level, drops on the way the
-    classes that cannot reach its interlacing floor, and returns that floor
-    with the eigenpairs of the classes left. Those eigenpairs decide by
-    inertia (_may_exceed) which kept extensions can have lambda_k above tau =
-    (floor - _TIE_WINDOW) n - 1 - _INERTIA_MARGIN, and only those are solved,
-    in batches and without labelling: 2 at (3, 6) and 217 at (3, 8), against
-    98 and 20,958 without the filter and 1,088 and 133,632 without any
-    pruning. Counting every matrix solved, class levels included, (3, 6)
-    solves 20 and (3, 8) 1,032. Every graph tied with the maximum survives
-    the floor and the filter, and so does every graph it contains, by
-    interlacing.
+    vertices cover every isomorphism class on n. The classes and their
+    eigenpairs come from the census (_census), solved once per order. The
+    floor F is a ratio some graph on n vertices reaches: first floor(n/k)/n,
+    from k disjoint cliques on floor(n/k) vertices plus isolated vertices,
+    then the best ratio of a class plus one isolated vertex. A class H is
+    dropped when (lambda_{k-1}(H) + 1)/n lies below F by more than
+    _TIE_WINDOW: every extension G of H has lambda_k(G) <= lambda_{k-1}(H)
+    by interlacing, so none can tie with the maximum. At k = 1, lambda_0 is
+    +inf and nothing is dropped. The eigenpairs of the classes left decide
+    by inertia (_may_exceed) which of their 2^(n-1) extensions can have
+    lambda_k above tau = (F - _TIE_WINDOW) n - 1 - _INERTIA_MARGIN, and only
+    those are solved, in batches, without labelling and duplicates included:
+    2 at (3, 6) and 385 at (3, 8), against 1,088 and 133,632 unpruned.
+    With the order's census stack, solved on its first use in a process, and
+    the witness's self-check, (3, 6) solves 37 matrices and (3, 8) 1,430;
+    later calls solve 3 and 386. Every (k, 9) takes 0.1-1.1 s in a fresh
+    process on one BLAS thread, (6, 9) the slowest with 130,450 solves.
+    Every graph tied with the maximum survives the floor and the filter.
 
     The witness is the smallest graph6 among the tied extensions as given,
-    and that is the smallest over all labeled graphs tied with the maximum,
-    by McKay's canonical augmentation (J. Algorithms 26, 1998). A label on n
-    vertices is c 2^(n-1) + N, where c is the label of the graph H that the
-    first n - 1 vertices induce and N is the last vertex's neighbourhood.
-    Take the relabeling of a tied graph with the smallest label: c is the
-    smallest label of H's class, and N the smallest in its orbit under
-    Aut(H), or a relabeling of the first n - 1 vertices would lower it. H
-    survives, so its class is kept in its smallest-label form c, and
-    _extensions keeps N: H + N is a solved extension, tied with the maximum,
-    whose own label is that smallest one. This takes isomorphic copies to
-    share the 12-decimal tie key, as the module's witness rule does.
+    and that is the smallest over all labeled graphs tied with the maximum.
+    graph6 puts the last vertex's pairs last, so a label on n vertices is
+    c 2^(n-1) + N, where c is the label of the graph H that the first n - 1
+    vertices induce and N is the last vertex's neighbourhood. In the smallest
+    labelling of a tied graph, c is the smallest label of H's class, or a
+    relabeling of the first n - 1 vertices would lower it: H is a census
+    entry as given, it survives the floor, and H + N is a solved row. This
+    takes isomorphic copies to share the 12-decimal tie key, as the module's
+    witness rule does.
 
     The history lists the strict improvements among the solved extensions;
     their distinct values at or above the floor agree with those of the
@@ -446,8 +362,14 @@ def exhaustive_max(k: int, n: int) -> SearchResult:
         raise ValueError("need n >= k so lambda_k exists")
     if n > EXHAUSTIVE_HARD_MAX:
         raise ValueError(f"exhaustive search is capped at n = {EXHAUSTIVE_HARD_MAX}")
-    classes, floor, pairs = _classes(n - 1, k)
-    graphs = _extend(classes, pairs, n - 1, k, n, floor)
+    classes, (mu, u), hoods = _census(n - 1)
+    padded = np.sort(np.hstack([mu, np.zeros((len(mu), 1))]), axis=1)
+    floor = max((n // k) / n, (float(padded[:, n - k].max()) + 1.0) / n)
+    lam = mu[:, n - k] if k > 1 else np.full(len(mu), np.inf)  # lambda_0 is +inf
+    keep = (lam + 1.0) / n >= floor - _TIE_WINDOW
+    tau = (floor - _TIE_WINDOW) * n - 1.0 - _INERTIA_MARGIN
+    parent, hood = np.nonzero(_may_exceed(mu[keep], u[keep], k, tau, hoods))
+    graphs = np.hstack([classes[keep][parent], hoods[hood]])
     batches = ((np.full(len(bits), n), {n: bits}) for _, bits in _blocks(graphs, n * n))
     return _drive(k, batches, n, "exhaustive")
 

@@ -91,8 +91,8 @@ def test_stated_spectrum_check_takes_one_row_at_a_time():
 
 def test_no_cache_keyed_by_an_input_order():
     # A cache keyed by a graph's order keeps memory for every order an input
-    # brings. The two left hold little: one parser, and one set of
-    # relabeling tables per order an exhaustive search labels, up to 8.
+    # brings. The two left hold little: one parser, and one census order per
+    # order an exhaustive search reads, up to 8 (under 8 MiB at order 8).
     # Quadratic arithmetic never splits a radicand again, so
     # squarefree_split needs no cache.
     cached, uses = set(), 0
@@ -105,7 +105,7 @@ def test_no_cache_keyed_by_an_input_order():
             uses += name in ("cache", "lru_cache", "cached_property")
     assert cached == {
         ("cli.py", "build_parser", "functools.cache"),
-        ("search.py", "_order_tables", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX + 1)"),
+        ("search.py", "_census", "lru_cache(maxsize=EXHAUSTIVE_HARD_MAX)"),
     }
     assert uses == len(cached)
 
@@ -113,17 +113,18 @@ def test_no_cache_keyed_by_an_input_order():
 def test_batched_engines_share_drive():
     # both batched engines return through _drive, the one place a stack of
     # adjacency matrices is built and folded into a result; the exhaustive
-    # engine's class levels build the only other stacks, of classes they
-    # solve once for the floor and the inertia filter, never folded into a
-    # result; the last class level is solved at every k, so exhaustive_max
-    # solves none itself. The filter reads eigenpairs it is handed.
+    # engine's census builds the only other stack, of the classes of one
+    # order, solved once for the floor and the inertia filter and never
+    # folded into a result, so exhaustive_max solves none itself. The
+    # filter reads eigenpairs it is handed.
     uses = {p.name: p.read_text().count("_adjacency_stack(") for p in PACKAGE.rglob("*.py")}
     assert {name: count for name, count in uses.items() if count} == {"search.py": 3}
     assert inspect.getsource(search._drive).count("_adjacency_stack(") == 1
-    assert inspect.getsource(search._classes).count("_adjacency_stack(") == 1
+    assert inspect.getsource(search._census).count("_adjacency_stack(") == 1
     assert inspect.getsource(search.exhaustive_max).count("_adjacency_stack(") == 0
     assert inspect.getsource(search._may_exceed).count("_adjacency_stack(") == 0
-    for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor"):
+    for gone in ("_Best", "c3_campaign", "CampaignReport", "_best_run", "_interlacing_floor",
+                 "_order_tables", "_canonical_labels", "_extensions", "_extend", "_classes"):
         assert not hasattr(search, gone), gone
 
 

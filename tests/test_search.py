@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -65,9 +66,8 @@ def test_exhaustive_k2_n4():
     assert ratio_of(g, 2) == pytest.approx(r.best_ratio, abs=1e-12)
     # of the 4 classes on 3 vertices, the empty one has lambda_1 = 0 and cannot
     # reach the floor 1/2 of two disjoint edges; the other 3 have 8
-    # neighbourhoods each, in 6 orbits under the automorphisms of P3 and of
-    # an edge plus a vertex, and 4 under those of K3. Of those 16, inertia
-    # leaves only two disjoint edges, the one graph with lambda_2 = 1
+    # neighbourhoods each. Of those 24, inertia leaves only two disjoint
+    # edges, the one graph with lambda_2 = 1
     assert r.evaluations == 1
 
 
@@ -172,20 +172,63 @@ def labeled_sweep(n: int):
     return out
 
 
+@functools.cache
+def relabel_weights(n: int) -> np.ndarray:
+    """Label weights (m, n!) over every permutation of range(n), the oracle for
+    the census: entry (e, p) is 2^(m-1-q), q the graph6 position of pair e's
+    image under the p-th permutation, so bits @ weights lists a graph's labels,
+    sums of distinct powers of two below 2^28, exact in float64."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    ii, jj = triu_pair_arrays(n)
+    a, b = perms[:, ii], perms[:, jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.ldexp(1.0, len(ii) - 1 - (hi * (hi - 1) // 2 + lo)).T.copy()
+
+
+def smallest_labels(bits: np.ndarray, n: int) -> np.ndarray:
+    """Smallest label over all relabelings of each row of edge bits on n
+    vertices, a block of rows of at most 2^20 labels at a time."""
+    w = relabel_weights(n)
+    step = max(1, (1 << 20) // w.shape[1])
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        (bits[s : s + step].astype(np.float64) @ w).min(axis=1).astype(np.int64)
+        for s in range(0, len(bits), step)])
+
+
+def census_orders() -> list[np.ndarray]:
+    """The shipped census, split into orders 1..8 at each order's empty graph."""
+    census = np.load(Path(search.__file__).with_name("census.npy"))
+    return np.split(census, np.flatnonzero(census == 0))[1:]
+
+
 def test_class_counts_match_oeis_a000088():
-    counts = [len(search._classes(n, 1)[0]) for n in range(1, 8)]
-    assert counts == [1, 2, 4, 11, 34, 156, 1044]
+    # each order's labels increase strictly from its empty graph's 0, and
+    # _census reads them back as edge bits, with eigenpairs of those graphs
+    orders = census_orders()
+    assert [len(labels) for labels in orders] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert all((np.diff(labels) > 0).all() for labels in orders)
+    assert search._census(0)[0].shape == (1, 0)
+    for j, labels in enumerate(orders[:7], start=1):
+        graphs, (mu, u), hoods = search._census(j)
+        m = j * (j - 1) // 2
+        assert (graphs.astype(np.int64) << np.arange(m - 1, -1, -1)).sum(axis=1).tolist() == labels.tolist()
+        a = search._adjacency_stack(graphs, j)
+        a += np.swapaxes(a, 1, 2)
+        assert np.allclose(u @ (mu[..., None] * np.swapaxes(u, 1, 2)), a, atol=1e-12), j
+        assert hoods.shape == (1 << j, j)
 
 
 def test_classes_are_canonical_and_distinct():
-    # each kept graph is the smallest label among its relabelings, and no two agree
-    for n in (4, 5):
-        reps = search._classes(n, 1)[0]
-        labels = [g6_encode_bits(n, row) for row in reps]
-        assert labels == sorted(set(labels))
-        for label in labels:
-            g = g6_decode(label)
-            assert label == min(g6_encode(g.relabeled(p)) for p in itertools.permutations(range(n)))
+    # every entry is the smallest label of its own class, so no two entries
+    # of one order are isomorphic; distinct canonical entries with
+    # A000088's counts make the census complete
+    for j, labels in enumerate(census_orders(), start=1):
+        bits = search._label_bits(labels, j * (j - 1) // 2)
+        assert smallest_labels(bits, j).tolist() == labels.tolist(), j
+        if j <= 5:  # the oracle itself, against relabeled graphs re-encoded
+            for row in bits:
+                g = g6_decode(g6_encode_bits(j, row))
+                assert g6_encode(g) == min(g6_encode(g.relabeled(p)) for p in itertools.permutations(range(j)))
 
 
 def test_exhaustive_matches_labeled_sweep():
@@ -228,104 +271,36 @@ def solved(monkeypatch):
 
 
 def test_exhaustive_solve_count_n7(solved):
-    # the 34 classes on 5 vertices in one eigendecomposition stack; inertia
-    # on the 33 kept leaves the extensions that label to 60 classes on 6
-    # (155 without it), all kept, in a second. Those 60 keep one extension
-    # per automorphism orbit of their 2^6 neighbourhoods, 2,030 of 60 * 64 =
-    # 3,840, and their eigenpairs leave 113 of the 2,030 to solve. Plus the
-    # witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled sweep: 2^21
+    # the 156 classes on 6 vertices in one eigendecomposition stack, on the
+    # order's first use; the floor keeps 60, and their eigenpairs leave 259
+    # of their 60 * 64 = 3,840 extensions to solve, duplicates included.
+    # Plus the witness's self-check. Unpruned: 156 * 2^6 = 9984; a labeled
+    # sweep: 2^21
+    search._census.cache_clear()
     r = exhaustive_max(3, 7)
-    assert r.evaluations == 113
-    assert solved[0] == 34 + 60 + 113 + 1
+    assert r.evaluations == 259
+    assert solved[0] == 156 + 259 + 1
 
 
 @pytest.mark.parametrize("k,n,levels,kept", [
-    (2, 4, [4], 3),  # unpruned: 4 classes on 3 vertices
-    (3, 6, [11, 6], 6),  # unpruned: 34 classes on 5 vertices; 33 without inertia on level 5
-    (3, 8, [156, 658], 262),  # unpruned: 1044 classes on 7 vertices; 1043 without inertia on level 7
+    (2, 4, [4], 3),  # the 4 classes on 3 vertices
+    (3, 6, [34], 6),  # the 34 on 5
+    (3, 8, [1044], 262),  # the 1,044 on 7; 33,536 extensions of the kept without inertia
 ])
-def test_exhaustive_pruned_solve_counts(solved, k, n, levels, kept):
-    # one eigendecomposition stack of the classes of each level j > n - k,
-    # whose pairs the next level's inertia filter reads before labelling;
-    # the extensions of the kept classes on n - 1 vertices that their pairs
-    # cannot rule out (of one per automorphism orbit of their
-    # neighbourhoods, at most kept << (n - 1)); and the witness's self-check
+def test_exhaustive_pruned_solve_counts(solved, monkeypatch, k, n, levels, kept):
+    # one eigendecomposition stack of the census order n - 1, on its first
+    # use only; the extensions, duplicates included, of the classes kept by
+    # the floor that their eigenpairs cannot rule out; and the witness's
+    # self-check
+    search._census.cache_clear()
+    parents, may_exceed = [], search._may_exceed
+    monkeypatch.setattr(search, "_may_exceed", lambda mu, *rest: parents.append(len(mu)) or may_exceed(mu, *rest))
     r = exhaustive_max(k, n)
-    assert r.evaluations == {(2, 4): 1, (3, 6): 2, (3, 8): 217}[k, n]
+    assert r.evaluations == {(2, 4): 1, (3, 6): 2, (3, 8): 385}[k, n]
+    assert parents == [kept]
     assert solved[0] == sum(levels) + r.evaluations + 1
-    classes = search._classes(n - 1, k)[0]
-    assert len(classes) == kept
-    orbits = sum(hood_orbits(row, n - 1) for row in classes)
-    assert search._extensions(classes, n - 1).sum() == orbits == {(2, 4): 16, (3, 6): 98, (3, 8): 20_958}[k, n]
-
-
-def automorphisms(row: np.ndarray, j: int) -> np.ndarray:
-    """Every permutation of range(j) that maps the graph with these edge bits onto itself."""
-    ii, jj = triu_pair_arrays(j)
-    a = np.zeros((j, j), dtype=np.uint8)
-    a[ii, jj] = a[jj, ii] = row
-    perms = np.array(list(itertools.permutations(range(j))), dtype=np.intp)
-    return perms[(a[perms[:, :, None], perms[:, None, :]] == a).all(axis=(1, 2))]
-
-
-def hood_orbits(row: np.ndarray, j: int) -> int:
-    """Orbits of the 2^j neighbourhoods of a new vertex under the graph's
-    automorphisms, by Burnside: the mean over the group of 2^(cycles)."""
-    def cycles(p):
-        seen, count = set(), 0
-        for v in range(j):
-            count += v not in seen
-            while v not in seen:
-                seen.add(v)
-                v = p[v]
-        return count
-
-    auts = automorphisms(row, j)
-    return sum(2 ** cycles(p) for p in auts) // len(auts)
-
-
-def test_orbit_images_of_a_full_symmetric_class_stay_in_cells():
-    # the empty graph and K8 have all 8! relabelings as automorphisms; their
-    # images of the 256 neighbourhoods are taken a block of at most _CELLS
-    # at a time, not in one 40,320 x 256 product
-    import tracemalloc
-
-    search._order_tables(8)
-    for bit in (0, 1):
-        tracemalloc.start()
-        try:
-            kept = search._extensions(np.full((1, 28), bit, dtype=np.uint8), 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kept.sum() == 9, bit  # one neighbourhood of each size 0..8
-        assert peak <= 8 << 20, (bit, peak)
-
-
-def test_extensions_keep_one_neighbourhood_per_orbit():
-    # against automorphisms found by trying every permutation: each class on
-    # j <= 6 vertices keeps exactly the neighbourhoods smallest in their
-    # orbit (vertex i at bit j-1-i), and the kept extensions reach every
-    # class that all 2^j extensions reach
-    for j in range(7):
-        classes = search._classes(j, 1)[0]
-        mask = search._extensions(classes, j)
-        assert mask.shape == (len(classes), 1 << j)
-        everything = []
-        for row, kept in zip(classes, mask):
-            auts = automorphisms(row, j)
-            images = [[sum(1 << (j - 1 - p[i]) for i in range(j) if hood >> (j - 1 - i) & 1)
-                       for hood in range(1 << j)] for p in auts]
-            minima = [hood for hood in range(1 << j) if min(image[hood] for image in images) == hood]
-            assert len(minima) == hood_orbits(row, j)
-            everything += [np.concatenate([row, [hood >> (j - 1 - i) & 1 for i in range(j)]])
-                           for hood in range(1 << j)]
-            assert np.flatnonzero(kept).tolist() == minima, (j, row)
-        # with no eigenpairs to read, _extend builds the bits of exactly the orbit minima
-        got = search._extend(classes, None, j, 1, j + 1, 1.0)
-        assert len(got) == mask.sum()
-        reached = search._canonical_labels(got, j + 1)
-        assert set(reached) == set(search._canonical_labels(np.array(everything, dtype=np.uint8), j + 1))
+    assert exhaustive_max(k, n) == r
+    assert solved[0] == sum(levels) + 2 * (r.evaluations + 1)
 
 
 def test_witness_is_smallest_relabeling_of_tied_extensions(monkeypatch):
@@ -346,7 +321,7 @@ def test_witness_is_smallest_relabeling_of_tied_extensions(monkeypatch):
         bits = np.vstack(solved)
         key = search._witness_key(got.best_ratio, "")
         tied = [search._witness_key(r, "") == key for r in search._ratio(search._adjacency_stack(bits, n), k)]
-        smallest = search._canonical_labels(bits[tied], n).min()
+        smallest = smallest_labels(bits[tied], n).min()
         assert got.best_graph == g6_encode_bits(n, search._label_bits(np.array([smallest]), bits.shape[1])[0]), k
 
 
@@ -367,7 +342,7 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
     perms = np.array(list(itertools.permutations(range(n))))
     weights = 1 << np.arange(len(ii) - 1, -1, -1)
     matrices = []
-    for row in search._classes(n - 1, 1)[0]:
+    for row in search._census(n - 1)[0]:
         for hood in itertools.product((0, 1), repeat=n - 1):
             a = np.zeros((n, n))
             a[ii, jj] = a[jj, ii] = np.concatenate([row, hood])
@@ -400,13 +375,11 @@ def per_extension_exhaustive(n: int) -> dict[int, SearchResult]:
 def test_exhaustive_matches_per_extension_reference(cells, monkeypatch):
     # a small cell cap splits each search into many batches (10 at a time at
     # n = 7), so the history and the witness fold across batches. Pruning
-    # drops only extensions below the floor, and isomorph rejection only
-    # extensions isomorphic to an earlier one of the same class, so the
-    # witness is the reference's, and the ratio and the distinct history
-    # values at or above any floor the engine can reach agree with it to
-    # 12 decimals: an isomorphic copy that the reference solves may differ
-    # by solver noise. At k = 1 only K_n reaches the floor 1, so inertia
-    # leaves it alone to solve.
+    # drops only extensions below the floor, so the witness is the
+    # reference's, and the ratio and the distinct history values at or
+    # above any floor the engine can reach agree with it to 12 decimals. At
+    # k = 1 only K_n reaches the floor 1, so inertia leaves it alone to
+    # solve.
     if cells:
         monkeypatch.setattr(search, "_CELLS", cells)
     for n in range(1, 8):
@@ -455,7 +428,7 @@ def eigenvalues_above(a: np.ndarray, tau: float) -> int:
 @given(st.data())
 def test_inertia_filter_drops_only_graphs_at_or_below_tau(data):
     # extensions G = H + x of up to three graphs H on j <= 9 vertices, read
-    # from H's eigenpairs as the level loop hands them down; tau at exact
+    # from H's eigenpairs as the census hands them down; tau at exact
     # eigenvalues of small graphs, at G's and H's own (H's also as the filter
     # reads them), and one ulp or 1e-12 off them, where the Schur complement
     # or a parent eigenvalue meets tau. Every G the filter drops has
@@ -494,39 +467,30 @@ def keep_every_extension(mu, u, k, tau, hoods):
 
 
 def test_inertia_filter_changes_no_result(monkeypatch):
-    # against the same search with the filter off on every level: it leaves
-    # out only extensions below the floor, so the witness, the ratio to the
-    # bit and the distinct history values at or above the floor agree
+    # against the same search with the filter off: it leaves out only
+    # extensions with lambda_k <= tau, below the floor, so the witness, the
+    # ratio to the bit and the distinct history values above (tau + 1)/n agree
+    taus, may_exceed = {}, search._may_exceed
+
+    def record(mu, u, k, tau, hoods):
+        taus[k, mu.shape[1] + 1] = tau
+        return may_exceed(mu, u, k, tau, hoods)
+
+    monkeypatch.setattr(search, "_may_exceed", record)
     searches = {(k, n): exhaustive_max(k, n) for n in range(1, 9) for k in range(1, n + 1)}
     monkeypatch.setattr(search, "_may_exceed", keep_every_extension)
     for (k, n), got in searches.items():
-        want, floor = exhaustive_max(k, n), round(search._classes(n - 1, k)[1], 12)
+        want, cut = exhaustive_max(k, n), (taus[k, n] + 1.0) / n
         assert got.best_graph == want.best_graph, (k, n)
         assert got.best_ratio == want.best_ratio, (k, n)
-        above = [{round(r, 12) for _, r in result.history if round(r, 12) >= floor} for result in (got, want)]
+        above = [{r for _, r in result.history if r > cut} for result in (got, want)]
         assert above[0] == above[1], (k, n)
         assert got.evaluations <= want.evaluations, (k, n)
 
 
-def test_level_filter_keeps_classes_and_floor(monkeypatch):
-    # the filter runs before labelling, and leaves out only extensions that
-    # the floor's prune would drop and that could not raise the floor: the
-    # class build's classes, floor and eigenpairs are those of the build
-    # with the filter off
-    builds = {(n, k): search._classes(n, k) for n in range(8) for k in range(1, n + 2)}
-    monkeypatch.setattr(search, "_may_exceed", keep_every_extension)
-    for (n, k), (classes, floor, pairs) in builds.items():
-        want, want_floor, want_pairs = search._classes(n, k)
-        assert classes.tobytes() == want.tobytes() and classes.shape == want.shape, (n, k)
-        assert floor == want_floor, (n, k)
-        assert (pairs is None) == (want_pairs is None) == (n == 0), (n, k)
-        if pairs is not None:
-            assert all(np.array_equal(p, q) for p, q in zip(pairs, want_pairs)), (n, k)
-
-
 @pytest.mark.parametrize("k,witness,ratio,evaluations", [
     (3, "H@LAKA@", 1 / 3, 3),  # the open k = 3 question at n = 9: no ratio above 1/3
-    (7, "H??????", 1 / 9, 2322),  # 2,322 solved extensions tie at lambda_7 = 0
+    (7, "H??????", 1 / 9, 6445),  # all 6,445 solved extensions tie at lambda_7 = 0
     (9, "H??????", 1 / 9, 1),  # lambda_9 <= 0, with 0 only in the empty graph
 ])
 def test_exhaustive_n9(k, witness, ratio, evaluations):
@@ -537,20 +501,21 @@ def test_exhaustive_n9(k, witness, ratio, evaluations):
 
 
 @pytest.mark.parametrize("k", [3, 7, 9])
-def test_exhaustive_n9_labels_under_at_most_8_factorial(k, monkeypatch):
-    # classes are labelled up to n - 1 = 8 vertices and the witness needs no
-    # labelling, so no relabeling table on 9 vertices (9! columns) is built;
-    # the tables of every order asked for hold at most 12 MiB together
-    tables, held = search._order_tables, {}
+def test_exhaustive_n9_holds_one_census_order_under_8_mib(k):
+    # an n = 9 search labels nothing and reads the census at order 8 alone;
+    # what it leaves held, that order's classes, eigenpairs and neighbourhood
+    # rows, is under 8 MiB, less than one relabeling table on 8 vertices
+    import tracemalloc
 
-    def record(n):
-        held[n] = sum(t.nbytes for t in tables(n))
-        return tables(n)
-
-    monkeypatch.setattr(search, "_order_tables", record)
-    exhaustive_max(k, 9)
-    assert held and max(held) <= 8, held
-    assert sum(held.values()) <= 12 << 20, held
+    search._census.cache_clear()
+    tracemalloc.start()
+    try:
+        exhaustive_max(k, 9)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert search._census.cache_info().currsize == 1
+    assert held <= 8 << 20, held
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -943,11 +908,28 @@ def test_failed_solve_is_numeric_error(engine, mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["raise", "nan"])
 def test_failed_eigenvector_solve_is_numeric_error(mode, monkeypatch):
-    # the inertia filter's eigendecomposition fails as the eigenvalue solves do
+    # the census stack's eigendecomposition fails as the eigenvalue solves
+    # do; an order solved by an earlier test would not be solved again
     values = failing_eigvalsh(mode)
+    search._census.cache_clear()
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (values(a), np.full(np.shape(a), np.nan)))
     with pytest.raises(NumericError):
         exhaustive_max(3, 4)
+
+
+def test_failed_census_solve_is_not_cached(monkeypatch):
+    # a census order whose solve fails keeps no entry, so the next call
+    # solves it again and succeeds
+    want = exhaustive_max(3, 4)
+    search._census.cache_clear()
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigvalsh("raise"))
+    with pytest.raises(NumericError):
+        exhaustive_max(3, 4)
+    assert search._census.cache_info().currsize == 0
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert exhaustive_max(3, 4) == want
+    assert search._census.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("mode", ["raise", "nan"])
